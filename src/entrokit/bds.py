@@ -14,10 +14,10 @@ real-valued log returns, not on discretized symbols.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .series import ReturnSeries
 
@@ -122,7 +122,7 @@ def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsPara
     if var <= 0:
         raise ValueError("degenerate series: nonpositive BDS variance estimate")
     statistic = np.sqrt(n_emb) * (c_m - c_1**m) / np.sqrt(var)
-    p_value = float(2.0 * stats.norm.sf(abs(statistic)))
+    p_value = math.erfc(abs(statistic) / math.sqrt(2.0))  # two-sided Normal tail
     return BdsResult(
         statistic=float(statistic),
         p_value=p_value,
@@ -135,6 +135,7 @@ def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsPara
 
 def entropy_bds_association(entropies, bds_stats) -> float:
     """Spearman rank correlation between entropy estimates and |BDS| values."""
+    from scipy import stats  # deferred: importing scipy.stats dominates start-up
     h = np.asarray(list(entropies), dtype=float)
     b = np.abs(np.asarray(list(bds_stats), dtype=float))
     if len(h) != len(b):

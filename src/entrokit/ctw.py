@@ -1,10 +1,15 @@
 """Binary Context Tree Weighting probability assignment and entropy rate.
 
-The tree mixes, exactly and in O(n*D) time, the Bayesian posterior over
-every binary suffix-set source of depth <= D, with Krichevsky-Trofimov
-(Dirichlet(1/2,1/2)) estimators at the leaves.  All probabilities are kept
-in the log2 domain; products over tens of thousands of bits underflow any
-linear-domain representation.
+The tree mixes, exactly, the Bayesian posterior over every binary
+suffix-set source of depth <= D, with Krichevsky-Trofimov
+(Dirichlet(1/2,1/2)) estimators at the leaves (Willems, Shtarkov &
+Tjalkens, IEEE Trans. IT 41(3), 1995).  A node's weighted probability
+depends only on its own final (zeros, ones) counts and on its children's
+weighted probabilities, so the mixture is computed from the final
+per-context counts, folded from depth D up to the root.  That costs
+O(n*D log n) numpy work and O(n) memory, not a per-bit tree walk.  All
+probabilities are kept in the log2 domain; products over tens of thousands
+of bits underflow any linear-domain representation.
 
 Multi-symbol sequences are handled by fixed-width binary expansion (MSB
 first) and the per-bit entropy is scaled back to bits per symbol.
@@ -15,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .series import EntropyEstimate, SymbolSequence
 
 __all__ = [
     "CtwParams",
     "CtwResult",
-    "ContextTree",
     "symbols_to_bits",
     "kt_log_probability",
     "ctw_log_mixture",
@@ -89,63 +95,14 @@ def kt_log_probability(count_zero: int, count_one: int) -> float:
     return ln / _LN2
 
 
-def _log2_avg(x: float, y: float) -> float:
-    """log2((2^x + 2^y) / 2), numerically stable."""
-    if x < y:
-        x, y = y, x
-    return x - 1.0 + math.log1p(2.0 ** (y - x)) / _LN2
-
-
-class _Node:
-    __slots__ = ("a", "b", "log_pe", "log_pw", "children")
-
-    def __init__(self) -> None:
-        self.a = 0
-        self.b = 0
-        self.log_pe = 0.0
-        self.log_pw = 0.0
-        self.children: list[_Node | None] = [None, None]
-
-
-class ContextTree:
-    """Sequential CTW updater for one bit stream; not safe to share."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.root = _Node()
-        self.node_count = 1
-
-    def update(self, bit: int, context: list[int]) -> None:
-        """Feed one bit whose preceding bits (most recent first) are ``context``."""
-        path = [self.root]
-        node = self.root
-        for d in range(self.depth):
-            c = context[d]
-            child = node.children[c]
-            if child is None:
-                child = _Node()
-                node.children[c] = child
-                self.node_count += 1
-            path.append(child)
-            node = child
-        # KT update at every node on the path, then re-weight bottom-up
-        for node in path:
-            count = node.a if bit == 0 else node.b
-            node.log_pe += math.log2((count + 0.5) / (node.a + node.b + 1.0))
-            if bit == 0:
-                node.a += 1
-            else:
-                node.b += 1
-        for node in reversed(path):
-            if node is path[-1]:
-                node.log_pw = node.log_pe
-            else:
-                child_sum = sum(c.log_pw for c in node.children if c is not None)
-                node.log_pw = _log2_avg(node.log_pe, child_sum)
-
-    @property
-    def log2_probability(self) -> float:
-        return self.root.log_pw
+def _context_keys(bits: np.ndarray, depth: int) -> np.ndarray:
+    """Bit k of key t is the bit k+1 places before t; D copies of bits[0] pad the start."""
+    n = len(bits)
+    padded = np.concatenate([np.full(depth, bits[0]), bits]).astype(np.int64)
+    keys = np.zeros(n, dtype=np.int64)
+    for k in range(depth):
+        keys |= padded[depth - 1 - k : depth - 1 - k + n] << k
+    return keys
 
 
 def ctw_log_mixture(bits: list[int], params: CtwParams) -> CtwResult:
@@ -160,20 +117,33 @@ def ctw_log_mixture(bits: list[int], params: CtwParams) -> CtwResult:
     if n == 0:
         raise ValueError("empty bit sequence")
     depth = params.depth_D
-    tree = ContextTree(depth)
-    history = [bits[0]] * depth  # most recent first
-    for bit in bits:
-        tree.update(bit, history)
-        if depth > 0:
-            history.pop()
-            history.insert(0, bit)
-    log_p = tree.log2_probability
-    entropy_per_bit = -log_p / n
+    bit_array = np.asarray(bits, dtype=np.int64)
+    # kt_log_probability over whole count arrays, from lgamma tables over 0..n
+    lg_half = np.array([math.lgamma(k + 0.5) for k in range(n + 1)])
+    lg_int = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+    def kt(zeros: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        ln = lg_half[zeros] + lg_half[ones] - lg_int[zeros + ones] - 2.0 * _LGAMMA_HALF
+        return ln / _LN2
+
+    keys, inverse = np.unique(_context_keys(bit_array, depth), return_inverse=True)
+    ones = np.bincount(inverse, weights=bit_array).astype(np.int64)
+    zeros = np.bincount(inverse) - ones
+    log_pw = kt(zeros, ones)  # leaves: P_w = P_e
+    node_count = len(keys)
+    for d in range(depth - 1, -1, -1):
+        keys, inverse = np.unique(keys & ((1 << d) - 1), return_inverse=True)
+        zeros = np.bincount(inverse, weights=zeros).astype(np.int64)
+        ones = np.bincount(inverse, weights=ones).astype(np.int64)
+        children = np.bincount(inverse, weights=log_pw)
+        log_pw = np.logaddexp2(kt(zeros, ones), children) - 1.0
+        node_count += len(keys)
+    log_p = float(log_pw[0])
     return CtwResult(
         log2_mixture_probability=log_p,
         n_bits=n,
-        entropy_bits_per_symbol=entropy_per_bit * params.bits_per_symbol,
-        node_count=tree.node_count,
+        entropy_bits_per_symbol=-log_p / n * params.bits_per_symbol,
+        node_count=node_count,
     )
 
 

@@ -101,24 +101,17 @@ def density_equality_test(
     na = len(xa)
     n_pool = len(pooled)
 
-    def stat_from_mask(mask_a: np.ndarray) -> tuple[float, np.ndarray]:
-        fa = kern[mask_a].mean(axis=0)
-        fb = kern[~mask_a].mean(axis=0)
-        return float(np.trapezoid((fa - fb) ** 2, grid)), fa
-
-    observed_mask = np.zeros(n_pool, dtype=bool)
-    observed_mask[:na] = True
-    observed, density_a = stat_from_mask(observed_mask)
-    density_b = kern[~observed_mask].mean(axis=0)
-
+    # row 0 is the observed labelling, rows 1.. the label permutations
     rng = np.random.default_rng(seed)
-    perm_stats = np.empty(num_permutations)
-    perm_densities = np.empty((num_permutations, GRID_POINTS))
-    for i in range(num_permutations):
-        idx = rng.permutation(n_pool)
-        mask = np.zeros(n_pool, dtype=bool)
-        mask[idx[:na]] = True
-        perm_stats[i], perm_densities[i] = stat_from_mask(mask)
+    masks = np.zeros((num_permutations + 1, n_pool), dtype=bool)
+    masks[0, :na] = True
+    for row in masks[1:]:
+        row[rng.permutation(n_pool)[:na]] = True
+    fa = masks @ kern / na
+    fb = ~masks @ kern / (n_pool - na)
+    stats = np.trapezoid((fa - fb) ** 2, grid, axis=1)
+    observed, perm_stats = float(stats[0]), stats[1:]
+    density_a, density_b, perm_densities = fa[0], fb[0], fa[1:]
 
     p_value = (1 + int(np.sum(perm_stats >= observed))) / (num_permutations + 1)
     pooled_density = kern.mean(axis=0)

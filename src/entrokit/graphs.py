@@ -122,8 +122,8 @@ def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredG
     """Planar maximally filtered graph: greedy ascending-distance insertion.
 
     Each candidate edge is kept only if the graph stays planar, until the
-    3*(n-2) planar limit is reached.  A full planarity re-check per accepted
-    edge is fine at ~100 nodes.
+    3*(n-2) planar limit is reached.  Every candidate edge gets a full
+    planarity test, rejected ones included.
     """
     n = len(graph.nodes)
     if n < 3:

@@ -6,9 +6,13 @@ Two distinct quantities live here:
   incremental parse (each phrase is the shortest word not seen as an
   earlier phrase).
 * ``lz_entropy_rate`` is the match-length estimator
-  n*log2(n) / sum(Lambda_i), where Lambda_i is the length of the shortest
+  n*log2(n) / sum(Lambda_i) of Kontoyiannis, Algoet, Suhov & Wyner (IEEE
+  Trans. IT 44(3), 1998), where Lambda_i is the length of the shortest
   substring starting at position i that does not occur anywhere inside the
-  prefix before i.
+  prefix before i.  The match lengths are matching statistics over an
+  online suffix automaton of that prefix: L_{i+1} >= L_i - 1, so each
+  position resumes from the previous match, and the whole scan takes O(n)
+  amortised steps for a fixed alphabet.
 """
 
 from __future__ import annotations
@@ -59,11 +63,6 @@ def lz76_complexity(seq: SymbolSequence) -> LzParse:
     return LzParse(phrases=tuple(phrases), complexity=len(phrases))
 
 
-def _to_text(seq: SymbolSequence) -> str:
-    # chr offset keeps this valid for any alphabet the toolkit produces
-    return "".join(chr(48 + s) for s in seq.symbols)
-
-
 def match_lengths(seq: SymbolSequence) -> MatchLengths:
     """Shortest-unseen-substring lengths Lambda_i for every position.
 
@@ -73,22 +72,48 @@ def match_lengths(seq: SymbolSequence) -> MatchLengths:
     (remaining length) + 1, i.e. longest match plus one as if one more
     symbol were available.
     """
-    n = len(seq)
+    syms = seq.symbols
+    n = len(syms)
     if n == 0:
         raise ValueError("empty sequence")
-    text = _to_text(seq)
+    # suffix automaton of syms[:i]: per state the longest length, suffix link, transitions
+    length, link, trans = [0], [-1], [{}]
+    last = 0
+    v, match = 0, 0  # state holding syms[i : i + match]
     lambdas: list[int] = []
     for i in range(n):
-        # longest L in [0, n-i] with text[i:i+L] contained in text[:i];
-        # containment is monotone in L, so bisect
-        lo, hi = 0, n - i
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if text.find(text[i : i + mid], 0, i) != -1:
-                lo = mid
-            else:
-                hi = mid - 1
-        lambdas.append(lo + 1)
+        if i:
+            c = syms[i - 1]
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            trans.append({})
+            p = last
+            while p != -1 and c not in trans[p]:
+                trans[p][c] = cur
+                p = link[p]
+            if p != -1:
+                q = trans[p][c]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = len(length)
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    trans.append(dict(trans[q]))
+                    while p != -1 and trans[p].get(c) == q:
+                        trans[p][c] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+            # L_i >= L_{i-1} - 1; a clone may now hold the shorter match
+            match = max(match - 1, 0)
+            while v and match <= length[link[v]]:
+                v = link[v]
+        while i + match < n and syms[i + match] in trans[v]:
+            v = trans[v][syms[i + match]]
+            match += 1
+        lambdas.append(match + 1)
     return MatchLengths(lambdas=tuple(lambdas), n=n)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .backtest import StrategyParams, entropy_cohort_report, mean_reversion_backtest
 from .bds import BdsParams, bds_statistic, entropy_bds_association
-from .ctw import DEFAULT_DEPTH, ctw_entropy_rate
+from .ctw import DEFAULT_DEPTH, CtwParams, ctw_entropy_rate
 from .densities import DEFAULT_PERMUTATIONS, density_equality_test, summary_stats
 from .graphs import correlation_matrix, distance_graph, mst, pmfg
 from .ingest import ingest_csv
@@ -65,6 +65,10 @@ class RunConfig:
                 raise ValueError(f"input not readable: {p}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.permutations < 1:
+            raise ValueError("permutations must be >= 1")
+        CtwParams(self.ctw_depth)  # each raises ValueError on a bad value
+        BdsParams(self.bds_m, self.bds_eps)
 
 
 @dataclass(frozen=True)

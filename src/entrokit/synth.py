@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ctw import DEFAULT_DEPTH, ctw_entropy_rate
 from .lz import lz_entropy_rate
@@ -171,6 +170,8 @@ def shift_register_chain(target_bits: float) -> np.ndarray:
     elif target_bits == 2.0:
         q = 0.25
     else:
+        from scipy.optimize import brentq  # deferred: keeps scipy out of start-up
+
         q = brentq(lambda v: _cycle_row_entropy(v) - target_bits, 1e-15, 0.25)
     t = np.full((4, 4), q)
     for i in range(4):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from entrokit.ctw import (
@@ -56,6 +57,69 @@ def brute_force_mixture(bits, depth):
             prob *= kt_value(a, b)
         total += prob
     return math.log2(total)
+
+
+def _log2_avg(x, y):
+    """log2((2^x + 2^y) / 2), numerically stable."""
+    if x < y:
+        x, y = y, x
+    return x - 1.0 + math.log1p(2.0 ** (y - x)) / math.log(2.0)
+
+
+class _Node:
+    __slots__ = ("a", "b", "log_pe", "log_pw", "children")
+
+    def __init__(self):
+        self.a = 0
+        self.b = 0
+        self.log_pe = 0.0
+        self.log_pw = 0.0
+        self.children = [None, None]
+
+
+def sequential_mixture(bits, depth):
+    """Second oracle: the bit-by-bit CTW tree update, as (log2 P_w, node count).
+
+    Each bit updates the KT estimate of every node on its context path and
+    re-weights that path bottom-up; the first bit pads the context.
+    """
+    root = _Node()
+    node_count = 1
+    history = [bits[0]] * depth  # most recent first
+    for bit in bits:
+        path = [root]
+        node = root
+        for c in history:
+            if node.children[c] is None:
+                node.children[c] = _Node()
+                node_count += 1
+            node = node.children[c]
+            path.append(node)
+        for node in path:
+            count = node.a if bit == 0 else node.b
+            node.log_pe += math.log2((count + 0.5) / (node.a + node.b + 1.0))
+            if bit == 0:
+                node.a += 1
+            else:
+                node.b += 1
+        path[-1].log_pw = path[-1].log_pe
+        for node in reversed(path[:-1]):
+            child_sum = sum(c.log_pw for c in node.children if c is not None)
+            node.log_pw = _log2_avg(node.log_pe, child_sum)
+        if depth > 0:
+            history = [bit] + history[:-1]
+    return root.log_pw, node_count
+
+
+def _random_symbols(alphabet, n, seed):
+    return tuple(int(s) for s in np.random.default_rng(seed).integers(0, alphabet, n))
+
+
+DEGENERATE = {
+    "all_zeros": (4, (0,) * 2000),
+    "four_cycle": (4, (0, 1, 2, 3) * 500),
+    "single_symbol": (2, (1,)),
+}
 
 
 class TestSymbolsToBits:
@@ -173,3 +237,37 @@ class TestCtwEntropyRate:
     def test_too_short(self):
         with pytest.raises(ValueError):
             ctw_entropy_rate(SymbolSequence(2, (0,)))
+
+
+class TestAgainstSequentialTree:
+    """The count-based fold against the bit-by-bit tree update at n ~ 2,000."""
+
+    @staticmethod
+    def _compare(seq, depth):
+        bits = symbols_to_bits(seq)
+        res = ctw_log_mixture(bits, CtwParams(depth))
+        log_p, node_count = sequential_mixture(bits, depth)
+        assert res.node_count == node_count
+        assert res.n_bits == len(bits)
+        assert res.log2_mixture_probability == pytest.approx(log_p, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [0, 1, 20, 48])
+    @pytest.mark.parametrize("alphabet", [2, 4])
+    def test_random(self, alphabet, depth):
+        for seed in (11, 12):
+            self._compare(SymbolSequence(alphabet, _random_symbols(alphabet, 2000, seed)), depth)
+
+    @pytest.mark.parametrize("depth", [0, 1, 20, 48])
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate(self, name, depth):
+        alphabet, symbols = DEGENERATE[name]
+        self._compare(SymbolSequence(alphabet, symbols), depth)
+
+    def test_biased_markov_source(self):
+        # a skewed source makes the leaf counts, not just the tree shape, matter
+        rng = np.random.default_rng(13)
+        state, symbols = 0, []
+        for u in rng.random(2000):
+            state = state if u < 0.8 else (state + 1) % 4
+            symbols.append(state)
+        self._compare(SymbolSequence(4, tuple(symbols)), 20)

@@ -1,7 +1,39 @@
 import numpy as np
 import pytest
 
-from entrokit.densities import density_equality_test, kde, summary_stats
+from entrokit.densities import (
+    GRID_POINTS,
+    _kernel_matrix,
+    _reference_bandwidth,
+    density_equality_test,
+    kde,
+    summary_stats,
+)
+
+
+def looped_equality_test(xa, xb, num_permutations, seed):
+    """Reference: one masked mean per permutation, as (p, statistic, fa, fb, se)."""
+    pooled = np.concatenate([xa, xb])
+    h = _reference_bandwidth(pooled)
+    grid = np.linspace(pooled.min() - 3 * h, pooled.max() + 3 * h, GRID_POINTS)
+    kern = _kernel_matrix(pooled, grid, h)
+
+    def stat(mask):
+        fa, fb = kern[mask].mean(axis=0), kern[~mask].mean(axis=0)
+        return float(np.trapezoid((fa - fb) ** 2, grid)), fa, fb
+
+    observed_mask = np.arange(len(pooled)) < len(xa)
+    observed, fa, fb = stat(observed_mask)
+    rng = np.random.default_rng(seed)
+    stats, densities = [], []
+    for _ in range(num_permutations):
+        mask = np.zeros(len(pooled), dtype=bool)
+        mask[rng.permutation(len(pooled))[: len(xa)]] = True
+        s, da, _ = stat(mask)
+        stats.append(s)
+        densities.append(da)
+    p = (1 + sum(s >= observed for s in stats)) / (num_permutations + 1)
+    return p, observed, fa, fb, np.std(densities, axis=0)
 
 
 class TestKde:
@@ -102,6 +134,20 @@ class TestDensityEqualityTest:
                 rejections[alpha] += result.p_value < alpha
         for alpha, count in rejections.items():
             assert abs(count / seeds - alpha) <= 0.05
+
+    @pytest.mark.parametrize("shift", [0.0, 0.1, 0.5])
+    def test_matches_permutation_loop(self, shift):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            xa, xb = rng.normal(0, 1, 91), rng.normal(shift, 1, 91)
+            res = density_equality_test(xa, xb, num_permutations=199, seed=3)
+            p, observed, fa, fb, se = looped_equality_test(xa, xb, 199, 3)
+            assert res.p_value == p
+            assert res.statistic == pytest.approx(observed, rel=1e-12)
+            np.testing.assert_allclose(res.density_a, fa, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(res.density_b, fb, rtol=1e-12, atol=1e-15)
+            band = (res.reference_band_high - res.reference_band_low) / 4
+            np.testing.assert_allclose(band, se, rtol=1e-9, atol=1e-15)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

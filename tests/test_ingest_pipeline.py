@@ -202,6 +202,23 @@ class TestCli:
         code = cli_main(["estimate", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--ctw-depth", "99"),
+            ("--ctw-depth", "-1"),
+            ("--bds-m", "0"),
+            ("--bds-eps", "-1"),
+            ("--permutations", "0"),
+        ],
+    )
+    def test_bad_parameter_rejected_before_work(self, tmp_path, flag, value, capsys):
+        path = tiny_market(tmp_path)
+        out = tmp_path / "o"
+        assert cli_main(["report", "--input", str(path), "--out", str(out), flag, value]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_exit_code_success_and_partial(self, tmp_path):
         path = tiny_market(tmp_path)
         assert cli_main(["estimate", "--input", str(path), "--out", str(tmp_path / "ok")]) == 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +29,24 @@ def brute_force_lambdas(symbols):
                 break
             length += 1
         out.append(length + 1)
+    return tuple(out)
+
+
+def bisection_lambdas(symbols):
+    """Second oracle: longest match by bisection over ``str.find`` on the prefix."""
+    text = "".join(chr(48 + s) for s in symbols)
+    n = len(text)
+    out = []
+    for i in range(n):
+        # containment in text[:i] is monotone in the match length
+        lo, hi = 0, n - i
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if text.find(text[i : i + mid], 0, i) != -1:
+                lo = mid
+            else:
+                hi = mid - 1
+        out.append(lo + 1)
     return tuple(out)
 
 
@@ -81,6 +100,37 @@ class TestMatchLengths:
     def test_matches_brute_force_quaternary(self, symbols):
         seq = SymbolSequence(4, tuple(symbols))
         assert match_lengths(seq).lambdas == brute_force_lambdas(tuple(symbols))
+
+
+class TestAgainstBisection:
+    """Suffix-automaton match lengths against the str.find bisection at n ~ 2,000."""
+
+    @pytest.mark.parametrize("alphabet", [2, 4])
+    def test_random(self, alphabet):
+        for seed in (21, 22, 23):
+            rng = np.random.default_rng(seed)
+            symbols = tuple(int(s) for s in rng.integers(0, alphabet, 2000))
+            seq = SymbolSequence(alphabet, symbols)
+            assert match_lengths(seq).lambdas == bisection_lambdas(symbols)
+
+    @pytest.mark.parametrize(
+        "alphabet,symbols",
+        [(4, (0,) * 2000), (4, (0, 1, 2, 3) * 500), (2, (1,)), (4, (2,))],
+        ids=["all_zeros", "four_cycle", "single_symbol_binary", "single_symbol_quaternary"],
+    )
+    def test_degenerate(self, alphabet, symbols):
+        seq = SymbolSequence(alphabet, symbols)
+        assert match_lengths(seq).lambdas == bisection_lambdas(symbols)
+
+    def test_repetitive_with_noise(self):
+        # long repeats broken by rare substitutions exercise state splits
+        rng = np.random.default_rng(24)
+        symbols = [(0, 1, 2, 3, 3, 2)[i % 6] for i in range(2000)]
+        for i in rng.choice(2000, 40, replace=False):
+            symbols[i] = int(rng.integers(0, 4))
+        symbols = tuple(symbols)
+        seq = SymbolSequence(4, symbols)
+        assert match_lengths(seq).lambdas == bisection_lambdas(symbols)
 
 
 class TestLzEntropyRate:

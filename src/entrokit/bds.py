@@ -10,6 +10,12 @@ deviation assembled from C = C_1 and the triple statistic K:
 
 V_m is asymptotically standard Normal under iid.  The test runs on raw
 real-valued log returns, not on discretized symbols.
+
+Every count comes from one pass over the upper triangle of the pair
+matrix |x_s - x_t| <= epsilon, BLOCK rows at a time (Kanzler 1999): each
+tile yields its share of the m-history pairs, the single-point pairs and
+every point's neighbour count, from which C_m, C_1, C and K follow as
+exact integer ratios.  Time is O(n^2 / 2) comparisons, memory O(BLOCK * n).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
 ]
 
 MIN_LENGTH = 50  # asymptotic validity floor
+BLOCK = 128  # rows per pair-counting tile: memory is O(BLOCK * n)
 
 
 @dataclass(frozen=True)
@@ -54,24 +61,42 @@ class BdsResult:
     n: int
 
 
-def _indicator_matrix(x: np.ndarray, epsilon: float) -> np.ndarray:
-    return np.abs(x[:, None] - x[None, :]) <= epsilon
+def _pair_counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.ndarray]:
+    """Pair counts of ``|x_s - x_t| <= epsilon``, taken BLOCK rows at a time.
 
-
-def _embedded_indicators(ind: np.ndarray, m: int) -> np.ndarray:
-    """AND of the m diagonally shifted pair indicators: shape (N, N)."""
-    out = ind
-    for k in range(1, m):
-        out = out[:-1, :-1] & ind[k:, k:]
-    return out
-
-
-def _pair_fraction(ind: np.ndarray) -> float:
-    n = ind.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 embedded vectors")
-    pairs = (int(ind.sum()) - n) // 2  # drop the diagonal, count s < t once
-    return pairs / (n * (n - 1) / 2)
+    Returns ``(pairs_m, pairs_1, deg)``: the pairs s < t < N of m-histories
+    within epsilon under the max norm, the pairs s < t < N of single points
+    within epsilon (both on the N = n - m + 1 embedded indices), and each
+    point's number of neighbours within epsilon among all n points, itself
+    excluded.  Only the upper triangle is compared; a tile holds rows
+    [a, b + m - 1) against columns [a, n).
+    """
+    n = len(x)
+    n_emb = n - m + 1
+    pairs_m = pairs_1 = 0
+    deg = np.zeros(n, dtype=np.int64)
+    for a in range(0, n, BLOCK):
+        b = min(a + BLOCK, n)
+        rows = b - a
+        diff = x[a : b + m - 1, None] - x[None, a:]
+        tile = np.abs(diff, out=diff) <= epsilon
+        head = tile[:rows]
+        deg[a:b] += np.count_nonzero(head, axis=1)
+        deg[b:] += np.count_nonzero(head[:, rows:], axis=0)
+        emb_rows = min(b, n_emb) - a
+        if emb_rows <= 0:
+            continue
+        near_1 = tile[:emb_rows, : n_emb - a]
+        near_m = near_1.copy()
+        for k in range(1, m):
+            near_m &= tile[k : k + emb_rows, k : k + n_emb - a]
+        # the square left of the rectangle holds each pair twice, plus the diagonal
+        pairs_1 += (np.count_nonzero(near_1[:, :emb_rows]) - emb_rows) // 2
+        pairs_1 += np.count_nonzero(near_1[:, emb_rows:])
+        pairs_m += (np.count_nonzero(near_m[:, :emb_rows]) - emb_rows) // 2
+        pairs_m += np.count_nonzero(near_m[:, emb_rows:])
+    deg -= 1
+    return pairs_m, pairs_1, deg
 
 
 def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: float) -> float:
@@ -83,16 +108,9 @@ def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: flo
         raise ValueError("epsilon must be positive")
     if len(x) < m + 1:
         raise ValueError(f"need at least {m + 1} observations, got {len(x)}")
-    ind = _indicator_matrix(x, epsilon)
-    return _pair_fraction(_embedded_indicators(ind, m))
-
-
-def _triple_k(ind: np.ndarray) -> float:
-    """Average over ordered triples of chained pair indicators."""
-    n = ind.shape[0]
-    deg = ind.sum(axis=1) - 1  # neighbors, excluding self
-    paths = float(np.sum(deg * (deg - 1)))  # ordered 2-paths through each center
-    return paths / (n * (n - 1) * (n - 2))
+    n_emb = len(x) - m + 1
+    pairs_m, _, _ = _pair_counts(x, epsilon, m)
+    return pairs_m / (n_emb * (n_emb - 1) / 2)
 
 
 def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsParams()) -> BdsResult:
@@ -107,13 +125,15 @@ def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsPara
         raise ValueError("zero-variance series")
     epsilon = params.epsilon_multiplier * sd
 
-    ind = _indicator_matrix(x, epsilon)
+    pairs_m, pairs_1, deg = _pair_counts(x, epsilon, m)
     n_emb = n - m + 1
-    c_m = _pair_fraction(_embedded_indicators(ind, m))
+    emb_pairs = n_emb * (n_emb - 1) / 2
+    c_m = pairs_m / emb_pairs
     # C_1 on the same effective sample as the m-histories (Kanzler's truncation)
-    c_1 = _pair_fraction(ind[:n_emb, :n_emb])
-    c = _pair_fraction(ind)
-    k = _triple_k(ind)
+    c_1 = pairs_1 / emb_pairs
+    c = (int(deg.sum()) // 2) / (n * (n - 1) / 2)
+    # K: average over ordered triples of chained pair indicators
+    k = float(np.sum(deg * (deg - 1))) / (n * (n - 1) * (n - 2))
 
     tail = sum(k ** (m - j) * c ** (2 * j) for j in range(1, m))
     var = 4.0 * (
@@ -134,8 +154,11 @@ def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsPara
 
 
 def entropy_bds_association(entropies, bds_stats) -> float:
-    """Spearman rank correlation between entropy estimates and |BDS| values."""
-    from scipy import stats  # deferred: importing scipy.stats dominates start-up
+    """Spearman rank correlation between entropy estimates and |BDS| values.
+
+    Ties get their average rank, as in ``scipy.stats.spearmanr``; rho is the
+    Pearson correlation of the two rank vectors.
+    """
     h = np.asarray(list(entropies), dtype=float)
     b = np.abs(np.asarray(list(bds_stats), dtype=float))
     if len(h) != len(b):
@@ -144,5 +167,9 @@ def entropy_bds_association(entropies, bds_stats) -> float:
         raise ValueError("need at least 3 pairs")
     if np.ptp(h) == 0 or np.ptp(b) == 0:
         raise ValueError("rank correlation undefined for constant input")
-    rho = stats.spearmanr(h, b).statistic
-    return float(rho)
+    ranks = []
+    for v in (h, b):
+        ordered = np.sort(v)
+        low, high = np.searchsorted(ordered, v, "left"), np.searchsorted(ordered, v, "right")
+        ranks.append((low + high + 1) / 2)
+    return float(np.corrcoef(ranks[0], ranks[1])[0, 1])

@@ -15,6 +15,7 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -102,21 +103,22 @@ class AnalysisReport:
         return sum(1 for r in self.records if r.failed) + len(self.failures)
 
 
-def _session_filter(series: PriceSeries) -> PriceSeries:
-    """Drop the first point after any overnight gap in an intraday series."""
-    if series.sampling != "intraday" or len(series) < 2:
-        return series
-    pts = [series.points[0]]
-    for prev, cur in zip(series.points, series.points[1:]):
-        if cur.timestamp - prev.timestamp < SESSION_GAP_SECONDS:
-            pts.append(cur)
-    return replace(series, points=tuple(pts))
-
-
 def _returns_for(series: PriceSeries, config: RunConfig) -> ReturnSeries:
-    if config.split_sessions:
-        series = _session_filter(series)
-    return log_returns(series)
+    returns = log_returns(series)
+    if not (config.split_sessions and series.sampling == "intraday"):
+        return returns
+    within = np.diff(series.timestamps()) < SESSION_GAP_SECONDS
+    return replace(returns, values=tuple(v for v, keep in zip(returns.values, within) if keep))
+
+
+def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
+    return TickerRecord(
+        ticker=series.ticker,
+        sampling=series.sampling,
+        n=len(series),
+        failed=True,
+        error=f"{type(exc).__name__}: {exc}",
+    )
 
 
 def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> tuple[TickerRecord, ReturnSeries | None]:
@@ -138,14 +140,20 @@ def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> tuple[TickerRecord, 
         )
         return record, returns
     except Exception as exc:  # crash isolation: the run continues
-        record = TickerRecord(
-            ticker=series.ticker,
-            sampling=series.sampling,
-            n=len(series),
-            failed=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return record, None
+        return _failed_record(series, exc), None
+
+
+def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list:
+    """Per-ticker results from a process pool; a dead worker fails its tickers."""
+    results = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_process_ticker, task) for task in tasks]
+        for future, (series, _) in zip(futures, tasks):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append((_failed_record(series, exc), None))
+    return results
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -482,8 +490,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
 
     tasks = [(s, config) for s in all_series]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_process_ticker, tasks, chunksize=1))
+        results = _pool_results(tasks, config.jobs)
     else:
         results = [_process_ticker(t) for t in tasks]
 

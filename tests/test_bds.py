@@ -1,10 +1,14 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entrokit.bds import (
+    BLOCK,
     BdsParams,
+    _pair_counts,
     bds_statistic,
     correlation_integral,
     entropy_bds_association,
@@ -21,6 +25,47 @@ def brute_force_correlation_integral(x, m, epsilon):
         if max(abs(a - b) for a, b in zip(vectors[s], vectors[t])) <= epsilon:
             count += 1
     return count / pairs
+
+
+# n = 2*BLOCK + m - 1 fills two tiles with m-histories and leaves a third with none
+TWO_TILES = "2*BLOCK+m-1"
+SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, TWO_TILES, 1000]
+
+
+def _size(n, m):
+    return 2 * BLOCK + m - 1 if n == TWO_TILES else n
+
+
+def matrix_counts(x, epsilon, m):
+    """Second oracle: the pair counts read off full n x n indicator matrices.
+
+    Returns (pairs_m, pairs_1, deg) as ``_pair_counts`` does: m-history and
+    single-point pairs s < t < N = n - m + 1, and neighbours among all n.
+    """
+    ind = np.abs(x[:, None] - x[None, :]) <= epsilon
+    n_emb = len(x) - m + 1
+    emb = ind
+    for k in range(1, m):  # AND of the m diagonally shifted indicators
+        emb = emb[:-1, :-1] & ind[k:, k:]
+    pairs_m = (int(emb.sum()) - n_emb) // 2  # drop the diagonal, count s < t once
+    pairs_1 = (int(ind[:n_emb, :n_emb].sum()) - n_emb) // 2
+    return pairs_m, pairs_1, ind.sum(axis=1) - 1
+
+
+def matrix_bds(x, params):
+    """(statistic, p_value, c_m, c_1) from the full matrices, term by term."""
+    n, m = len(x), params.embedding_m
+    epsilon = params.epsilon_multiplier * float(np.std(x, ddof=1))
+    pairs_m, pairs_1, deg = matrix_counts(x, epsilon, m)
+    n_emb = n - m + 1
+    c_m = pairs_m / (n_emb * (n_emb - 1) / 2)
+    c_1 = pairs_1 / (n_emb * (n_emb - 1) / 2)
+    c = (int(deg.sum()) // 2) / (n * (n - 1) / 2)
+    k = float(np.sum(deg * (deg - 1))) / (n * (n - 1) * (n - 2))
+    tail = sum(k ** (m - j) * c ** (2 * j) for j in range(1, m))
+    var = 4.0 * (k**m + 2.0 * tail + (m - 1) ** 2 * c ** (2 * m) - m**2 * k * c ** (2 * m - 2))
+    statistic = float(np.sqrt(n_emb) * (c_m - c_1**m) / np.sqrt(var))
+    return statistic, math.erfc(abs(statistic) / math.sqrt(2.0)), c_m, c_1
 
 
 class TestCorrelationIntegral:
@@ -54,6 +99,25 @@ class TestCorrelationIntegral:
         x = np.random.default_rng(3).standard_normal(80)
         values = [correlation_integral(x, m, 1.0) for m in (1, 2, 3, 4)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_tiled_counts_match_matrices(self, n):
+        rng = np.random.default_rng(11)
+        for m in range(2, 11):
+            size = _size(n, m)
+            # integers put many pairs exactly at epsilon; one decimal gives ties
+            inputs = [
+                (rng.integers(-4, 5, size).astype(float), 2.0),
+                (np.round(rng.standard_normal(size), 1), 0.5),
+                (rng.standard_normal(size), 0.7),
+            ]
+            for x, eps in inputs:
+                pairs_m, pairs_1, deg = _pair_counts(x, eps, m)
+                ref_m, ref_1, ref_deg = matrix_counts(x, eps, m)
+                assert (pairs_m, pairs_1) == (ref_m, ref_1)
+                np.testing.assert_array_equal(deg, ref_deg)
+                n_emb = size - m + 1
+                assert correlation_integral(x, m, eps) == ref_m / (n_emb * (n_emb - 1) / 2)
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -99,6 +163,27 @@ class TestBdsStatistic:
         res = bds_statistic(np.random.default_rng(6).standard_normal(200))
         assert res.p_value == pytest.approx(2 * sps.norm.sf(abs(res.statistic)))
 
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bit_identical_to_matrices(self, n):
+        rng = np.random.default_rng(12)
+        for m in range(2, 11):
+            size = _size(n, m)
+            for x in (np.round(rng.standard_normal(size), 1), rng.standard_normal(size)):
+                for multiplier in (0.5, 1.0, 2.0):
+                    params = BdsParams(m, multiplier)
+                    res = bds_statistic(x, params)
+                    assert (res.statistic, res.p_value, res.c_m, res.c_1) == matrix_bds(x, params)
+
+    def test_memory_is_linear_in_n(self):
+        x = np.random.default_rng(13).standard_normal(5000)
+        tracemalloc.start()
+        try:
+            bds_statistic(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # one n x n float matrix alone is 200 MB
+
     def test_too_short(self):
         with pytest.raises(ValueError):
             bds_statistic(np.arange(20.0))
@@ -121,6 +206,20 @@ class TestEntropyBdsAssociation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             entropy_bds_association([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_matches_scipy_spearman(self):
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(14)
+        for trial in range(300):
+            k = int(rng.integers(3, 60))
+            # integer draws give heavy ties on one side, both or neither
+            h = rng.integers(0, 4, k).astype(float) if trial % 2 else rng.standard_normal(k)
+            b = rng.integers(-3, 4, k).astype(float) if trial % 3 else rng.standard_normal(k)
+            if np.ptp(h) == 0 or np.ptp(np.abs(b)) == 0:
+                continue
+            expected = sps.spearmanr(h, np.abs(b)).statistic
+            assert entropy_bds_association(h, b) == pytest.approx(expected, abs=1e-12)
 
     def test_uses_absolute_bds(self):
         h = [1.0, 2.0, 3.0, 4.0]

@@ -1,3 +1,5 @@
+import csv
+import os
 import re
 import subprocess
 import sys
@@ -5,9 +7,20 @@ import sys
 import numpy as np
 import pytest
 
+import entrokit
+from entrokit import pipeline
 from entrokit.cli import main as cli_main
 from entrokit.ingest import ingest_csv
 from entrokit.pipeline import RunConfig, run_pipeline
+
+_process_ticker = pipeline._process_ticker
+
+
+def _worker_dies_on_tk1(args):
+    """Stand-in for the per-ticker worker: the process running TK1 exits."""
+    if args[0].ticker == "TK1":
+        os._exit(1)
+    return _process_ticker(args)
 
 
 def write_csv(path, rows, header="timestamp,ticker,close"):
@@ -192,9 +205,28 @@ class TestRunPipeline:
             )
         )
         assert with_gaps.records[0].n == 120
-        # two overnight points dropped before returns are computed
         assert "split_sessions: True" in (tmp_path / "wo" / "report.txt").read_text()
         assert without.records[0].lz_entropy != with_gaps.records[0].lz_entropy
+        # the two returns across the overnight gaps are dropped, no other
+        series = ingest_csv(path).series[0]
+        config = RunConfig(inputs=(path,), out_dir=tmp_path / "x", split_sessions=True)
+        returns = pipeline._returns_for(series, config)
+        one_minute = np.diff(series.timestamps()) == 60
+        assert len(returns) == 117
+        assert returns.values == tuple(np.diff(np.log(series.prices()))[one_minute])
+
+    def test_dead_worker_fails_its_ticker(self, tmp_path, monkeypatch):
+        path = tiny_market(tmp_path)
+        monkeypatch.setattr(pipeline, "_process_ticker", _worker_dies_on_tk1)
+        out = tmp_path / "o"
+        code = cli_main(["estimate", "--input", str(path), "--out", str(out), "--jobs", "2"])
+        assert code == 2
+        with (out / "records.csv").open(newline="") as fh:
+            rows = {row["ticker"]: row for row in csv.DictReader(fh)}
+        assert len(rows) == 6
+        assert rows["TK1"]["status"] == "failed"
+        assert rows["TK1"]["error"].startswith("BrokenProcessPool: ")
+        assert "tickers: 6" in (out / "report.txt").read_text()
 
 
 class TestCli:
@@ -234,6 +266,20 @@ class TestCli:
         assert result.series[0].sampling == "daily"
         intraday = ingest_csv(tmp_path / "d" / "intraday.csv")
         assert intraday.series[0].sampling == "intraday"
+
+    def test_report_imports_no_scipy(self, tmp_path):
+        path = tiny_market(tmp_path)
+        script = (
+            "import sys; from entrokit.cli import main; "
+            f"code = main(['report', '--input', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        src = os.path.dirname(os.path.dirname(entrokit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import networkx as nx
 
 from .series import ReturnSeries
 
@@ -121,9 +120,13 @@ def mst(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredGr
 def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredGraph:
     """Planar maximally filtered graph: greedy ascending-distance insertion.
 
-    Each candidate edge is kept only if the graph stays planar, until the
-    3*(n-2) planar limit is reached.  Every candidate edge gets a full
-    planarity test, rejected ones included.
+    Candidate edges are taken in ascending (distance, i, j) order and each
+    is kept only if the graph stays planar, until the 3*(n-2) planar limit
+    is reached.  Tickers are mapped to ints once; the graph lives in integer
+    adjacency lists, each candidate is appended to them, tested with the
+    left-right planarity test (Brandes 2009, ``_is_planar``) and popped
+    again on rejection.  Every candidate edge gets a full test, rejected
+    ones included.
     """
     n = len(graph.nodes)
     if n < 3:
@@ -132,21 +135,233 @@ def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredG
     if len(graph.edges) != expected:
         raise ValueError(f"PMFG requires a complete graph ({expected} edges, got {len(graph.edges)})")
     target = 3 * (n - 2)
-    g = nx.Graph()
-    g.add_nodes_from(graph.nodes)
+    index = {node: k for k, node in enumerate(graph.nodes)}
+    adj: list[list[int]] = [[] for _ in range(n)]
     kept = []
     for i, j, d in _sorted_edges(graph):
-        g.add_edge(i, j)
-        planar, _ = nx.check_planarity(g)
-        if planar:
+        a, b = index[i], index[j]
+        adj[a].append(b)
+        adj[b].append(a)
+        if _is_planar(n, adj):
             kept.append((i, j, d))
             if len(kept) == target:
                 break
         else:
-            g.remove_edge(i, j)
+            adj[a].pop()
+            adj[b].pop()
     return FilteredGraph(
         kind="pmfg",
         nodes=graph.nodes,
         edges=tuple(kept),
         node_attributes=dict(node_attributes or {}),
     )
+
+
+# Conflict pairs of the LR test are 4-lists [left low, left high, right low,
+# right high] of back-edge ids; None marks an empty end.
+_LL, _LH, _RL, _RH = 0, 1, 2, 3
+
+
+def _is_planar(n: int, adj: list[list[int]]) -> bool:
+    """Left-right planarity test of a simple graph on vertices 0..n-1.
+
+    ``adj[v]`` lists the neighbours of v, each edge in both lists.  This is
+    the boolean part of Brandes' LR algorithm ("The Left-Right Planarity
+    Test", 2009), as in ``networkx.check_planarity`` without building the
+    embedding: a DFS orients the graph and computes lowpoints and nesting
+    depths, a second DFS in nesting order checks that the back edges admit
+    a left/right partition.  Both passes use explicit stacks, so depth is
+    not limited by the recursion limit.
+    """
+    m = sum(len(nbrs) for nbrs in adj) // 2
+    if n > 2 and m > 3 * n - 6:
+        return False
+
+    # orientation: edge e runs tail[e] -> head[e]; tree edges down, back edges up
+    height = [-1] * n
+    parent_edge = [-1] * n
+    tail = [0] * m
+    head = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    count = 0  # edges oriented so far
+    roots = []
+    nxt = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            pe = parent_edge[v]
+            parent = tail[pe] if pe >= 0 else -1
+            nbrs = adj[v]
+            degree = len(nbrs)
+            i = nxt[v]
+            while i < degree:
+                w = nbrs[i]
+                i += 1
+                hw = height[w]
+                if hw < 0:  # tree edge, finished when w is
+                    tail[count] = v
+                    head[count] = w
+                    lowpt[count] = lowpt2[count] = hv
+                    parent_edge[w] = count
+                    count += 1
+                    height[w] = hv + 1
+                    stack.append(w)
+                    break
+                if hw > hv or w == parent:
+                    continue  # oriented already, from the other end
+                tail[count] = v  # back edge to an ancestor, so pe >= 0
+                head[count] = w
+                lowpt[count] = hw
+                lowpt2[count] = hv
+                nesting[count] = 2 * hw
+                count += 1
+                # fold (hw, hv) into the lowpoints of pe; hv exceeds both of them
+                low = lowpt[pe]
+                if hw < low:
+                    lowpt2[pe] = low
+                    lowpt[pe] = hw
+                elif low < hw < lowpt2[pe]:
+                    lowpt2[pe] = hw
+            else:
+                stack.pop()
+                if pe >= 0:
+                    low, low2 = lowpt[pe], lowpt2[pe]
+                    nesting[pe] = 2 * low + (low2 < hv - 1)
+                    ge = parent_edge[parent]
+                    if ge >= 0:  # fold the lowpoints of pe into those of ge
+                        if low < lowpt[ge]:
+                            lowpt2[ge] = min(lowpt[ge], low2)
+                            lowpt[ge] = low
+                        elif low > lowpt[ge]:
+                            lowpt2[ge] = min(lowpt2[ge], low)
+                        else:
+                            lowpt2[ge] = min(lowpt2[ge], low2)
+                continue
+            nxt[v] = i
+
+    # outgoing edges of each vertex in nesting-depth order (ties by id)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for e in sorted(range(m), key=nesting.__getitem__):
+        out[tail[e]].append(e)
+
+    # testing: S is the stack of conflict pairs; ref links the back edges of
+    # an interval from its high end down to its low end
+    S: list[list] = []
+    ref: list = [None] * m
+    stack_bottom: list = [None] * m
+    nxt = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            pe = parent_edge[v]
+            edges = out[v]
+            degree = len(edges)
+            i = nxt[v]
+            while i < degree:
+                ei = edges[i]
+                stack_bottom[ei] = S[-1] if S else None
+                w = head[ei]
+                if parent_edge[w] == ei:  # tree edge, integrated when w is done
+                    nxt[v] = i
+                    stack.append(w)
+                    break
+                S.append([None, None, ei, ei])
+                if i > 0 and not _add_constraints(ei, pe, S, lowpt, ref, stack_bottom[ei]):
+                    return False
+                i += 1
+            else:
+                stack.pop()
+                if pe < 0:
+                    continue
+                u = tail[pe]
+                _remove_back_edges(S, u, height[u], lowpt, head, ref)
+                k = nxt[u]
+                if k > 0 and lowpt[pe] < height[u] and not _add_constraints(
+                    pe, parent_edge[u], S, lowpt, ref, stack_bottom[pe]
+                ):
+                    return False
+                nxt[u] = k + 1
+    return True
+
+
+def _add_constraints(ei, e, S, lowpt, ref, bottom) -> bool:
+    """Merge the return edges of ei, a child edge of e, into one conflict pair.
+
+    ``bottom`` is the top of S from before ei was entered.  False when the
+    constraints cannot be met, that is, the graph is not planar.
+    """
+    P = [None, None, None, None]
+    low_e = lowpt[e]
+    while True:  # return edges of ei above lowpt(e) go into P's right interval
+        Q = S.pop()
+        if Q[_LL] is not None or Q[_LH] is not None:
+            Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[_LL] is not None or Q[_LH] is not None:
+                return False
+        if lowpt[Q[_RL]] > low_e:
+            if P[_RL] is None and P[_RH] is None:
+                P[_RH] = Q[_RH]
+            else:
+                ref[P[_RL]] = Q[_RH]
+            P[_RL] = Q[_RL]
+        if (S[-1] if S else None) is bottom:
+            break
+    low_i = lowpt[ei]
+    while S:  # conflicting return edges of earlier siblings go into P's left
+        Q = S[-1]
+        if not (
+            (Q[_LH] is not None and lowpt[Q[_LH]] > low_i)
+            or (Q[_RH] is not None and lowpt[Q[_RH]] > low_i)
+        ):
+            break
+        S.pop()
+        if Q[_RH] is not None and lowpt[Q[_RH]] > low_i:
+            Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if Q[_RH] is not None and lowpt[Q[_RH]] > low_i:
+                return False
+        if P[_RL] is not None:
+            ref[P[_RL]] = Q[_RH]
+        if Q[_RL] is not None:
+            P[_RL] = Q[_RL]
+        if P[_LL] is None and P[_LH] is None:
+            P[_LH] = Q[_LH]
+        elif P[_LL] is not None:
+            ref[P[_LL]] = Q[_LH]
+        P[_LL] = Q[_LL]
+    if P != [None, None, None, None]:
+        S.append(P)
+    return True
+
+
+def _remove_back_edges(S, u, hu, lowpt, head, ref) -> None:
+    """Drop from S the back edges that end at u, of height hu."""
+    while S:  # whole pairs whose lowest return edge ends at u
+        P = S[-1]
+        if P[_LL] is None and P[_LH] is None:
+            lowest = lowpt[P[_RL]]
+        elif P[_RL] is None and P[_RH] is None:
+            lowest = lowpt[P[_LL]]
+        else:
+            lowest = min(lowpt[P[_LL]], lowpt[P[_RL]])
+        if lowest != hu:
+            break
+        S.pop()
+    if S:  # trim both intervals of the next pair from their high ends
+        P = S[-1]
+        while P[_LH] is not None and head[P[_LH]] == u:
+            P[_LH] = ref[P[_LH]]
+        if P[_LH] is None:
+            P[_LL] = None
+        while P[_RH] is not None and head[P[_RH]] == u:
+            P[_RH] = ref[P[_RH]]
+        if P[_RH] is None:
+            P[_RL] = None

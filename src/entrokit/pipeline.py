@@ -11,6 +11,7 @@ output directory.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import time
@@ -97,6 +98,7 @@ class AnalysisReport:
     duplicate_rows: int
     config: RunConfig
     failures: list[str] = field(default_factory=list)
+    graph_rows_dropped: dict = field(default_factory=dict)  # cohort -> rows not shared
 
     @property
     def num_failed(self) -> int:
@@ -144,15 +146,28 @@ def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> tuple[TickerRecord, 
 
 
 def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list:
-    """Per-ticker results from a process pool; a dead worker fails its tickers."""
-    results = []
+    """Per-ticker results from a process pool.
+
+    A dead worker breaks the whole pool, and every future not yet done then
+    raises ``BrokenProcessPool``.  Each such ticker is run again alone in a
+    fresh one-worker pool, one after another; only a ticker whose own worker
+    dies again becomes a failed record.
+    """
+    results: list = [None] * len(tasks)
+    broken = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_process_ticker, task) for task in tasks]
-        for future, (series, _) in zip(futures, tasks):
+        for k, future in enumerate(futures):
             try:
-                results.append(future.result())
+                results[k] = future.result()
+            except BrokenProcessPool:
+                broken.append(k)
+    for k in broken:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            try:
+                results[k] = pool.submit(_process_ticker, tasks[k]).result()
             except BrokenProcessPool as exc:
-                results.append((_failed_record(series, exc), None))
+                results[k] = (_failed_record(tasks[k][0], exc), None)
     return results
 
 
@@ -274,19 +289,44 @@ def _associations(records: list[TickerRecord]) -> dict:
     return out
 
 
+def _aligned_returns(
+    pairs: list[tuple[PriceSeries, ReturnSeries]], config: RunConfig
+) -> tuple[list[ReturnSeries], int]:
+    """Returns on the timestamps every series shares, and the rows dropped for it.
+
+    A cohort whose series all have the same timestamps keeps the returns it has.
+    """
+    stamps = [series.timestamps() for series, _ in pairs]
+    if all(np.array_equal(stamps[0], t) for t in stamps[1:]):
+        return [returns for _, returns in pairs], 0
+    common = functools.reduce(np.intersect1d, stamps)
+    aligned, dropped = [], 0
+    for (series, _), t in zip(pairs, stamps):
+        keep = np.isin(t, common)
+        dropped += len(t) - int(np.count_nonzero(keep))
+        points = tuple(p for p, k in zip(series.points, keep) if k)
+        aligned.append(_returns_for(replace(series, points=points), config))
+    return aligned, dropped
+
+
 def _graph_outputs(
     records: list[TickerRecord],
-    returns_by_ticker: dict[str, dict[str, ReturnSeries]],
+    analysed: dict[str, dict[str, tuple[PriceSeries, ReturnSeries]]],
+    config: RunConfig,
     out: Path,
     failures: list[str],
-) -> dict:
+) -> tuple[dict, dict[str, int]]:
+    """Graph files per cohort; also the rows each cohort dropped to align."""
     info = {}
+    rows_dropped = {}
     for label, cohort in sorted(_cohorts(records).items()):
-        tickers = [r.ticker for r in cohort]
-        series = [returns_by_ticker[label][t] for t in tickers if t in returns_by_ticker[label]]
-        if len(series) < 3:
+        pairs = [analysed[label][r.ticker] for r in cohort if r.ticker in analysed[label]]
+        if len(pairs) < 3:
             continue
         try:
+            series, dropped = _aligned_returns(pairs, config)
+            if dropped:
+                rows_dropped[label] = dropped
             corr = correlation_matrix(series)
             graph = distance_graph(corr)
             entropy_attr = {r.ticker: {"entropy": r.ctw_entropy} for r in cohort}
@@ -309,7 +349,7 @@ def _graph_outputs(
             )
         except ValueError as exc:
             failures.append(f"graph[{label}]: {exc}")
-    return info
+    return info, rows_dropped
 
 
 def _graph_gml(filtered) -> str:
@@ -441,6 +481,10 @@ def _report_text(report: AnalysisReport) -> str:
         lines.append(f"entropy_bds_spearman[{label}][{estimator}]: {rho:.6f}")
     for (label, kind), info in sorted(report.graph_info.items()):
         lines.append(f"graph[{label}][{kind}]: nodes={info['nodes']} edges={info['edges']}")
+    for label, dropped in sorted(report.graph_rows_dropped.items()):
+        lines.append(
+            f"graph[{label}].rows_dropped: {dropped} (timestamps not shared by every ticker)"
+        )
     if report.backtest_info:
         bt = report.backtest_info
         lines.append(f"backtest.num_tickers: {bt['num_tickers']}")
@@ -495,10 +539,10 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         results = [_process_ticker(t) for t in tasks]
 
     records = [rec for rec, _ in results]
-    returns_by_ticker: dict[str, dict[str, ReturnSeries]] = {}
+    analysed: dict[str, dict[str, tuple[PriceSeries, ReturnSeries]]] = {}
     for (rec, returns), series in zip(results, all_series):
         if returns is not None:
-            returns_by_ticker.setdefault(series.sampling, {})[series.ticker] = returns
+            analysed.setdefault(series.sampling, {})[series.ticker] = (series, returns)
 
     failures: list[str] = []
     want = config.command
@@ -507,10 +551,10 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         _equality_tests(records, config, out) if want in ("compare", "report") else {}
     )
     associations = _associations(records) if want in ("bds", "report") else {}
-    graph_info = (
-        _graph_outputs(records, returns_by_ticker, out, failures)
+    graph_info, rows_dropped = (
+        _graph_outputs(records, analysed, config, out, failures)
         if want in ("graph", "report")
-        else {}
+        else ({}, {})
     )
     backtest_info = (
         _backtest_outputs(all_series, records, config, out, failures)
@@ -529,6 +573,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         duplicate_rows=duplicates,
         config=config,
         failures=failures,
+        graph_rows_dropped=rows_dropped,
     )
     _write_records(out, records)
     _atomic_write(out / "report.txt", _report_text(report))

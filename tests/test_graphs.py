@@ -6,6 +6,8 @@ import pytest
 
 from entrokit.graphs import (
     WeightedGraph,
+    _is_planar,
+    _sorted_edges,
     correlation_matrix,
     distance_graph,
     mst,
@@ -14,15 +16,65 @@ from entrokit.graphs import (
 from entrokit.series import ReturnSeries
 
 
-def random_complete_graph(n, seed):
+def random_complete_graph(n, seed, levels=None):
+    """Random distances in [0.1, 2.0]; with ``levels``, only that many distinct values."""
     rng = np.random.default_rng(seed)
     nodes = tuple(f"N{i:03d}" for i in range(n))
-    edges = tuple(
-        (nodes[i], nodes[j], float(rng.uniform(0.1, 2.0)))
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    m = n * (n - 1) // 2
+    if levels is None:
+        distances = rng.uniform(0.1, 2.0, m)
+    else:
+        distances = np.linspace(0.1, 2.0, levels)[rng.integers(0, levels, m)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = tuple((nodes[i], nodes[j], float(d)) for (i, j), d in zip(pairs, distances))
     return WeightedGraph(nodes=nodes, edges=edges)
+
+
+def nx_pmfg(graph):
+    """The greedy PMFG loop on networkx's planarity test: the reference for ``pmfg``."""
+    target = 3 * (len(graph.nodes) - 2)
+    g = nx.Graph()
+    g.add_nodes_from(graph.nodes)
+    kept = []
+    for i, j, d in _sorted_edges(graph):
+        g.add_edge(i, j)
+        if nx.check_planarity(g)[0]:
+            kept.append((i, j, d))
+            if len(kept) == target:
+                break
+        else:
+            g.remove_edge(i, j)
+    return tuple(kept)
+
+
+def is_planar(n, edges):
+    """``_is_planar`` on integer adjacency lists built from an edge list."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return _is_planar(n, adj)
+
+
+def nx_is_planar(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return nx.check_planarity(g)[0]
+
+
+def subdivide(n, edges, times, rng):
+    """Replace a random edge by a path through a new vertex, ``times`` times."""
+    edges = list(edges)
+    for _ in range(times):
+        a, b = edges.pop(int(rng.integers(len(edges))))
+        edges += [(a, n), (n, b)]
+        n += 1
+    return n, edges
+
+
+K5 = list(itertools.combinations(range(5), 2))
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 
 
 def brute_force_mst_weight(graph):
@@ -203,3 +255,79 @@ class TestPmfg:
     def test_too_small(self):
         with pytest.raises(ValueError):
             pmfg(random_complete_graph(2, seed=0))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 13, 21, 40])
+    @pytest.mark.parametrize("levels", [None, 3, 12])
+    def test_matches_networkx_greedy(self, n, levels):
+        graph = random_complete_graph(n, seed=300 + n, levels=levels)
+        assert pmfg(graph).edges == nx_pmfg(graph)
+
+
+class TestIsPlanar:
+    """``_is_planar`` against ``networkx.check_planarity`` as the oracle."""
+
+    def test_every_labelled_graph_up_to_five_vertices(self):
+        planar = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [p for k, p in enumerate(pairs) if mask >> k & 1]
+                expected = nx_is_planar(n, edges)
+                assert is_planar(n, edges) == expected, (n, edges)
+                planar += expected
+        assert planar == 1 + 2 + 8 + 64 + 1023  # only K5 itself fails on 5 vertices
+
+    def test_random_gnp(self):
+        rng = np.random.default_rng(2009)
+        verdicts = []
+        for _ in range(2000):
+            n = int(rng.integers(1, 31))
+            p = rng.uniform(0.0, min(1.0, 8.0 / n))
+            pairs = [pr for pr in itertools.combinations(range(n), 2) if rng.random() < p]
+            edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs]
+            rng.shuffle(edges)
+            expected = nx_is_planar(n, edges)
+            assert is_planar(n, edges) == expected, (n, edges)
+            verdicts.append(expected)
+        assert 0.2 < np.mean(verdicts) < 0.8  # both verdicts are exercised
+
+    def test_kuratowski_graphs_and_subdivisions(self):
+        rng = np.random.default_rng(5)
+        for n, edges in ((5, K5), (6, K33)):
+            assert not is_planar(n, edges)
+            for k in range(len(edges)):
+                assert is_planar(n, edges[:k] + edges[k + 1 :])
+            for times in (1, 3, 10, 40):
+                big_n, sub = subdivide(n, edges, times, rng)
+                assert not is_planar(big_n, sub)
+                assert nx_is_planar(big_n, sub) is False
+                # subdividing an edge-deleted Kuratowski graph keeps it planar
+                big_n, sub = subdivide(n, edges[1:], times, rng)
+                assert is_planar(big_n, sub)
+
+    def test_disconnected_and_isolated_vertices(self):
+        k4 = list(itertools.combinations(range(4), 2))
+
+        def shift(edges, k):
+            return [(a + k, b + k) for a, b in edges]
+
+        assert is_planar(0, [])
+        assert is_planar(7, [])
+        assert is_planar(12, k4 + shift(k4, 4) + shift(k4, 8))
+        assert is_planar(11, k4 + shift(k4, 6))  # isolated vertices 4, 5 and 10
+        assert not is_planar(9, k4 + shift(K5, 4))
+        assert not is_planar(13, shift(K33, 7) + k4)  # K3,3 after isolated vertices
+        assert not is_planar(8, shift(K5, 3))
+
+    def test_long_path_cycle_and_ladder(self):
+        n = 5000  # far deeper than the recursion limit
+        path = [(k, k + 1) for k in range(n - 1)]
+        assert is_planar(n, path)
+        assert is_planar(n, path + [(n - 1, 0)])
+        half = n // 2  # a ladder: two paths joined by rungs, with deep back edges
+        ladder = [(k, k + 1) for k in range(half - 1)]
+        ladder += [(half + k, half + k + 1) for k in range(half - 1)]
+        ladder += [(k, half + k) for k in range(half)]
+        assert is_planar(n, ladder)
+        assert not is_planar(n, ladder + [(0, n - 1), (half - 1, half)])
+        assert nx_is_planar(n, ladder + [(0, n - 1), (half - 1, half)]) is False

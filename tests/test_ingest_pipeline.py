@@ -226,7 +226,27 @@ class TestRunPipeline:
         assert len(rows) == 6
         assert rows["TK1"]["status"] == "failed"
         assert rows["TK1"]["error"].startswith("BrokenProcessPool: ")
+        # the tickers the broken pool left pending are run again, one per worker
+        for ticker in ("TK0", "TK2", "TK3", "TK4", "TK5"):
+            assert rows[ticker]["status"] == "ok", rows[ticker]["error"]
         assert "tickers: 6" in (out / "report.txt").read_text()
+        assert "tickers_failed: 1" in (out / "report.txt").read_text()
+
+    def test_graph_aligns_missing_row(self, tmp_path):
+        assert cli_main(["make-dataset", "--out", str(tmp_path / "d"), "--points", "120", "--seed", "3"]) == 0
+        lines = (tmp_path / "d" / "daily.csv").read_text().splitlines()
+        header, rows = lines[0], [r for r in lines[1:] if r.split(",")[1] < "SYN010"]
+        missing = [r for r in rows if r.split(",")[1] == "SYN005"][40]
+        path = write_csv(tmp_path / "m.csv", [r for r in rows if r != missing], header=header)
+        out = tmp_path / "g"
+        assert cli_main(["graph", "--input", str(path), "--out", str(out)]) == 0
+        for kind, edges in (("mst", 9), ("pmfg", 24)):
+            text = (out / f"graph_daily_{kind}_edges.csv").read_text()
+            assert len(text.splitlines()) - 1 == edges
+        report = (out / "report.txt").read_text()
+        # the other 9 tickers each lose the row at SYN005's missing timestamp
+        assert "graph[daily].rows_dropped: 9 " in report
+        assert "failure:" not in report
 
 
 class TestCli:
@@ -272,7 +292,7 @@ class TestCli:
         script = (
             "import sys; from entrokit.cli import main; "
             f"code = main(['report', '--input', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+            "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))"
         )
         src = os.path.dirname(os.path.dirname(entrokit.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -142,7 +142,7 @@ def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredG
         a, b = index[i], index[j]
         adj[a].append(b)
         adj[b].append(a)
-        if _is_planar(n, adj):
+        if _is_planar(adj):
             kept.append((i, j, d))
             if len(kept) == target:
                 break
@@ -162,8 +162,8 @@ def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredG
 _LL, _LH, _RL, _RH = 0, 1, 2, 3
 
 
-def _is_planar(n: int, adj: list[list[int]]) -> bool:
-    """Left-right planarity test of a simple graph on vertices 0..n-1.
+def _is_planar(adj: list[list[int]]) -> bool:
+    """Left-right planarity test of a simple graph on vertices 0..len(adj)-1.
 
     ``adj[v]`` lists the neighbours of v, each edge in both lists.  This is
     the boolean part of Brandes' LR algorithm ("The Left-Right Planarity
@@ -173,6 +173,7 @@ def _is_planar(n: int, adj: list[list[int]]) -> bool:
     a left/right partition.  Both passes use explicit stacks, so depth is
     not limited by the recursion limit.
     """
+    n = len(adj)
     m = sum(len(nbrs) for nbrs in adj) // 2
     if n > 2 and m > 3 * n - 6:
         return False

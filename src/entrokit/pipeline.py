@@ -123,7 +123,7 @@ def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
     )
 
 
-def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> tuple[TickerRecord, ReturnSeries | None]:
+def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> TickerRecord:
     series, config = args
     try:
         returns = _returns_for(series, config)
@@ -131,7 +131,7 @@ def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> tuple[TickerRecord, 
         lz = lz_entropy_rate(symbols)
         ctw = ctw_entropy_rate(symbols, depth_D=config.ctw_depth)
         bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
-        record = TickerRecord(
+        return TickerRecord(
             ticker=series.ticker,
             sampling=series.sampling,
             n=len(series),
@@ -140,20 +140,19 @@ def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> tuple[TickerRecord, 
             bds_statistic=bds.statistic,
             bds_p=bds.p_value,
         )
-        return record, returns
     except Exception as exc:  # crash isolation: the run continues
-        return _failed_record(series, exc), None
+        return _failed_record(series, exc)
 
 
-def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list:
-    """Per-ticker results from a process pool.
+def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list[TickerRecord]:
+    """Per-ticker records from a process pool.
 
     A dead worker breaks the whole pool, and every future not yet done then
     raises ``BrokenProcessPool``.  Each such ticker is run again alone in a
     fresh one-worker pool, one after another; only a ticker whose own worker
     dies again becomes a failed record.
     """
-    results: list = [None] * len(tasks)
+    results: list[TickerRecord] = [None] * len(tasks)
     broken = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_process_ticker, task) for task in tasks]
@@ -167,7 +166,7 @@ def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list
             try:
                 results[k] = pool.submit(_process_ticker, tasks[k]).result()
             except BrokenProcessPool as exc:
-                results[k] = (_failed_record(tasks[k][0], exc), None)
+                results[k] = _failed_record(tasks[k][0], exc)
     return results
 
 
@@ -290,18 +289,13 @@ def _associations(records: list[TickerRecord]) -> dict:
 
 
 def _aligned_returns(
-    pairs: list[tuple[PriceSeries, ReturnSeries]], config: RunConfig
+    cohort: list[PriceSeries], config: RunConfig
 ) -> tuple[list[ReturnSeries], int]:
-    """Returns on the timestamps every series shares, and the rows dropped for it.
-
-    A cohort whose series all have the same timestamps keeps the returns it has.
-    """
-    stamps = [series.timestamps() for series, _ in pairs]
-    if all(np.array_equal(stamps[0], t) for t in stamps[1:]):
-        return [returns for _, returns in pairs], 0
+    """Returns on the timestamps every series shares, and the rows dropped for it."""
+    stamps = [series.timestamps() for series in cohort]
     common = functools.reduce(np.intersect1d, stamps)
     aligned, dropped = [], 0
-    for (series, _), t in zip(pairs, stamps):
+    for series, t in zip(cohort, stamps):
         keep = np.isin(t, common)
         dropped += len(t) - int(np.count_nonzero(keep))
         points = tuple(p for p, k in zip(series.points, keep) if k)
@@ -310,21 +304,22 @@ def _aligned_returns(
 
 
 def _graph_outputs(
+    all_series: list[PriceSeries],
     records: list[TickerRecord],
-    analysed: dict[str, dict[str, tuple[PriceSeries, ReturnSeries]]],
     config: RunConfig,
     out: Path,
     failures: list[str],
 ) -> tuple[dict, dict[str, int]]:
     """Graph files per cohort; also the rows each cohort dropped to align."""
+    by_key = {(s.sampling, s.ticker): s for s in all_series}
     info = {}
     rows_dropped = {}
     for label, cohort in sorted(_cohorts(records).items()):
-        pairs = [analysed[label][r.ticker] for r in cohort if r.ticker in analysed[label]]
-        if len(pairs) < 3:
+        if len(cohort) < 3:
             continue
         try:
-            series, dropped = _aligned_returns(pairs, config)
+            prices = [by_key[label, r.ticker] for r in cohort]
+            series, dropped = _aligned_returns(prices, config)
             if dropped:
                 rows_dropped[label] = dropped
             corr = correlation_matrix(series)
@@ -534,15 +529,9 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
 
     tasks = [(s, config) for s in all_series]
     if config.jobs > 1:
-        results = _pool_results(tasks, config.jobs)
+        records = _pool_results(tasks, config.jobs)
     else:
-        results = [_process_ticker(t) for t in tasks]
-
-    records = [rec for rec, _ in results]
-    analysed: dict[str, dict[str, tuple[PriceSeries, ReturnSeries]]] = {}
-    for (rec, returns), series in zip(results, all_series):
-        if returns is not None:
-            analysed.setdefault(series.sampling, {})[series.ticker] = (series, returns)
+        records = [_process_ticker(t) for t in tasks]
 
     failures: list[str] = []
     want = config.command
@@ -552,7 +541,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     )
     associations = _associations(records) if want in ("bds", "report") else {}
     graph_info, rows_dropped = (
-        _graph_outputs(records, analysed, config, out, failures)
+        _graph_outputs(all_series, records, config, out, failures)
         if want in ("graph", "report")
         else ({}, {})
     )

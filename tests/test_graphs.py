@@ -53,7 +53,7 @@ def is_planar(n, edges):
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    return _is_planar(n, adj)
+    return _is_planar(adj)
 
 
 def nx_is_planar(n, edges):

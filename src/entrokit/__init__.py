@@ -9,18 +9,12 @@ mean-reversion backtest, plus a batch CLI tying them together.
 __version__ = "0.1.0"
 
 from .series import (
-    DiscreteDistribution,
     EntropyEstimate,
-    PricePoint,
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
-    conditional_entropy,
-    empirical_distribution,
-    joint_entropy,
     log_returns,
     quantile_discretize,
-    shannon_entropy,
 )
 from .lz import LzParse, MatchLengths, lz76_complexity, lz_entropy_rate, match_lengths
 from .ctw import (
@@ -44,7 +38,6 @@ from .synth import (
 from .backtest import (
     PerformanceReport,
     StrategyParams,
-    benchmark_average,
     entropy_cohort_report,
     mean_reversion_backtest,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import PriceSeries
 
@@ -20,9 +21,12 @@ __all__ = [
     "Trade",
     "PerformanceReport",
     "mean_reversion_backtest",
-    "benchmark_average",
     "entropy_cohort_report",
 ]
+
+
+# window elements reduced per block by _rolling_mean_std (8 MB of float64)
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,24 @@ class PerformanceReport:
     params: StrategyParams
 
 
+def _rolling_mean_std(prices: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of every trailing window of ``w`` prices.
+
+    Each row of the window view is reduced on its own, by the same pairwise
+    sums as ``prices[t - w + 1 : t + 1].mean()`` and ``.std()``, so the
+    figures are bit-identical to the per-window calls.  Rows are taken a
+    block at a time to keep the temporaries small on long series.
+    """
+    windows = sliding_window_view(prices, w)
+    means, sds = np.empty(len(windows)), np.empty(len(windows))
+    step = max(1, _BLOCK_ELEMENTS // w)
+    for a in range(0, len(windows), step):
+        block = windows[a : a + step]
+        means[a : a + step] = block.mean(axis=1)
+        sds[a : a + step] = block.std(axis=1, ddof=0)
+    return means, sds
+
+
 def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = StrategyParams()) -> PerformanceReport:
     """Run the z-score mean-reversion state machine over one price series.
 
@@ -71,61 +93,40 @@ def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = Strate
     n = len(series)
     if n <= params.window:
         raise ValueError(f"{series.ticker}: need more than {params.window} bars, got {n}")
-    prices = series.prices()
-    timestamps = series.timestamps()
     w = params.window
+    means, sds = _rolling_mean_std(series.prices, w)
+    prices = series.prices.tolist()
+    timestamps = series.timestamps.tolist()
 
-    cash = params.initial_capital
+    cash = float(params.initial_capital)
     shares = 0.0
     trades: list[Trade] = []
-    curve: list[tuple[int, float]] = []
-
-    for t in range(n):
-        price = prices[t]
-        if t >= w - 1:
-            window_slice = prices[t - w + 1 : t + 1]
-            mean = window_slice.mean()
-            sd = window_slice.std(ddof=0)
-            if sd > 0:
-                z = (price - mean) / sd
-                if shares == 0.0 and z <= params.entry_z:
-                    shares = cash / price
-                    cash = 0.0
-                    trades.append(Trade(int(timestamps[t]), "buy", float(price), shares))
-                elif shares > 0.0 and z >= params.exit_z:
-                    cash = shares * price
-                    trades.append(Trade(int(timestamps[t]), "sell", float(price), shares))
-                    shares = 0.0
-
-        curve.append((int(timestamps[t]), float(cash + shares * price)))
+    curve = [(ts, cash) for ts in timestamps[: w - 1]]
+    for ts, price, mean, sd in zip(timestamps[w - 1 :], prices[w - 1 :], means.tolist(), sds.tolist()):
+        if sd > 0:
+            z = (price - mean) / sd
+            if shares == 0.0 and z <= params.entry_z:
+                shares = cash / price
+                cash = 0.0
+                trades.append(Trade(ts, "buy", price, shares))
+            elif shares > 0.0 and z >= params.exit_z:
+                cash = shares * price
+                trades.append(Trade(ts, "sell", price, shares))
+                shares = 0.0
+        curve.append((ts, cash + shares * price))
 
     final_equity = curve[-1][1]
     strategy_pct = (final_equity / params.initial_capital - 1.0) * 100.0
     benchmark_pct = (prices[-1] / prices[0] - 1.0) * 100.0
     return PerformanceReport(
         ticker=series.ticker,
-        strategy_return_pct=float(strategy_pct),
-        benchmark_return_pct=float(benchmark_pct),
+        strategy_return_pct=strategy_pct,
+        benchmark_return_pct=benchmark_pct,
         num_trades=len(trades),
         equity_curve=tuple(curve),
         trades=tuple(trades),
         params=params,
     )
-
-
-def benchmark_average(series_list: list[PriceSeries]) -> float:
-    """Mean buy-and-hold % return across stocks over the common window."""
-    if not series_list:
-        raise ValueError("empty series list")
-    lengths = {len(s) for s in series_list}
-    if len(lengths) != 1:
-        raise ValueError(f"series cover different windows: lengths {sorted(lengths)}")
-    if lengths.pop() < 2:
-        raise ValueError("each series needs at least 2 points")
-    returns = [
-        (s.points[-1].price / s.points[0].price - 1.0) * 100.0 for s in series_list
-    ]
-    return float(np.mean(returns))
 
 
 def entropy_cohort_report(reports: list[PerformanceReport], entropies: dict[str, float]) -> dict:

@@ -101,7 +101,7 @@ def _pair_counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.nd
 
 def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: float) -> float:
     """C_{m}(eps): fraction of m-history pairs within eps under the max norm."""
-    x = values.as_array() if isinstance(values, ReturnSeries) else np.asarray(values, float)
+    x = values.values if isinstance(values, ReturnSeries) else np.asarray(values, float)
     if m < 1:
         raise ValueError("m must be >= 1")
     if epsilon <= 0:
@@ -115,7 +115,7 @@ def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: flo
 
 def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsParams()) -> BdsResult:
     """BDS statistic with epsilon = epsilon_multiplier * sample std."""
-    x = values.as_array() if isinstance(values, ReturnSeries) else np.asarray(values, float)
+    x = values.values if isinstance(values, ReturnSeries) else np.asarray(values, float)
     n = len(x)
     m = params.embedding_m
     if n < MIN_LENGTH:

@@ -68,12 +68,8 @@ def symbols_to_bits(seq: SymbolSequence) -> list[int]:
             f"alphabet size {a} is not a power of two; re-discretize into a "
             "power-of-two number of states before CTW estimation"
         )
-    width = a.bit_length() - 1
-    bits: list[int] = []
-    for s in seq.symbols:
-        for shift in range(width - 1, -1, -1):
-            bits.append((s >> shift) & 1)
-    return bits
+    shifts = np.arange(a.bit_length() - 2, -1, -1)
+    return ((seq.symbols[:, None] >> shifts) & 1).ravel().tolist()
 
 
 def kt_log_probability(count_zero: int, count_one: int) -> float:

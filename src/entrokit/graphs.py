@@ -66,9 +66,9 @@ def correlation_matrix(series: list[ReturnSeries]) -> CorrelationMatrix:
     if lengths.pop() < 3:
         raise ValueError("need at least 3 aligned observations")
     for s in series:
-        if np.std(s.as_array()) == 0:
+        if np.std(s.values) == 0:
             raise ValueError(f"zero-variance series: {s.ticker}")
-    data = np.vstack([s.as_array() for s in series])
+    data = np.vstack([s.values for s in series])
     rho = np.corrcoef(data)
     rho = (rho + rho.T) / 2.0
     np.fill_diagonal(rho, 1.0)

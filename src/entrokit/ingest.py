@@ -1,22 +1,23 @@
 """CSV price ingestion.
 
 Input format: header ``timestamp,ticker,close``; timestamp is epoch seconds
-or an ISO date (YYYY-MM-DD); UTF-8, comma-delimited.  Rows with missing or
-nonpositive prices are skipped and counted; duplicate timestamps keep the
-last row seen.  The sampling label (daily vs intraday) is inferred from the
-median timestamp spacing.
+or an ISO date (YYYY-MM-DD); UTF-8, comma-delimited.  Rows with missing,
+nonpositive or infinite prices, or timestamps outside int64, are skipped
+and counted; duplicate timestamps keep the last row seen.  The sampling
+label (daily vs intraday) is inferred from the median timestamp spacing.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .series import PricePoint, PriceSeries
+from .series import PriceSeries
 
 __all__ = ["IngestResult", "ingest_csv"]
 
@@ -33,17 +34,21 @@ class IngestResult:
     duplicate_rows: int
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _parse_timestamp(raw: str) -> int:
-    raw = raw.strip()
     try:
-        return int(raw)
+        ts = int(raw)
     except ValueError:
-        pass
-    dt = datetime.strptime(raw, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+        dt = datetime.strptime(raw, "%Y-%m-%d").replace(tzinfo=timezone.utc)
+        return int(dt.timestamp())
+    if not _INT64_MIN <= ts <= _INT64_MAX:
+        raise ValueError(f"timestamp out of range: {raw}")
+    return ts
 
 
-def _sampling_label(timestamps: list[int]) -> str:
+def _sampling_label(timestamps: np.ndarray) -> str:
     if len(timestamps) < 2:
         return "daily"
     spacing = float(np.median(np.diff(timestamps)))
@@ -55,6 +60,11 @@ def ingest_csv(path: str | Path) -> IngestResult:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
+    codes: dict[str, int] = {}  # ticker -> order of first appearance
+    row_codes: list[int] = []
+    row_ts: list[int] = []
+    row_prices: list[float] = []
+    skipped = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -64,39 +74,51 @@ def ingest_csv(path: str | Path) -> IngestResult:
         if [h.strip().lower() for h in header] != EXPECTED_HEADER:
             raise ValueError(f"{path}: expected header {','.join(EXPECTED_HEADER)}, got {header}")
 
-        per_ticker: dict[str, dict[int, float]] = {}
-        skipped = 0
-        duplicates = 0
         for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
             if len(row) != 3:
-                skipped += 1
+                skipped += any(c.strip() for c in row)  # blank lines are not counted
                 continue
-            raw_ts, ticker, raw_price = (c.strip() for c in row)
+            raw_ts, ticker, raw_price = row[0].strip(), row[1].strip(), row[2].strip()
+            if not (raw_ts or ticker or raw_price):
+                continue
             try:
                 ts = _parse_timestamp(raw_ts)
-                price = float(raw_price) if raw_price else float("nan")
+                price = float(raw_price) if raw_price else math.nan
             except ValueError:
                 skipped += 1
                 continue
-            if not ticker or not price > 0:  # also catches NaN
+            if not ticker or not 0 < price < math.inf:  # also catches NaN
                 skipped += 1
                 continue
-            book = per_ticker.setdefault(ticker, {})
-            if ts in book:
-                duplicates += 1
-            book[ts] = price
+            row_codes.append(codes.setdefault(ticker, len(codes)))
+            row_ts.append(ts)
+            row_prices.append(price)
 
-    if not per_ticker:
+    if not codes:
         raise ValueError(f"{path}: no valid rows")
 
-    series = []
-    for ticker in sorted(per_ticker):
-        book = per_ticker[ticker]
-        timestamps = sorted(book)
-        points = tuple(PricePoint(timestamp=ts, price=book[ts]) for ts in timestamps)
-        series.append(
-            PriceSeries(ticker=ticker, sampling=_sampling_label(timestamps), points=points)
+    # number the tickers in name order, then sort rows by (ticker, timestamp);
+    # the sort is stable, so of rows sharing both the last read comes last
+    tickers = sorted(codes)
+    rank = np.empty(len(tickers), dtype=np.int64)
+    rank[[codes[t] for t in tickers]] = np.arange(len(tickers))
+    code = rank[np.array(row_codes, dtype=np.int64)]
+    ts = np.array(row_ts, dtype=np.int64)
+    order = np.lexsort((ts, code))
+    code, ts, prices = code[order], ts[order], np.array(row_prices)[order]
+    last = np.ones(len(ts), dtype=bool)
+    last[:-1] = (code[1:] != code[:-1]) | (ts[1:] != ts[:-1])
+    code, ts, prices = code[last], ts[last], prices[last]
+    bounds = np.searchsorted(code, np.arange(len(tickers) + 1))
+    series = tuple(
+        PriceSeries(
+            ticker=ticker,
+            sampling=_sampling_label(ts[a:b]),
+            timestamps=ts[a:b],
+            prices=prices[a:b],
         )
-    return IngestResult(series=tuple(series), skipped_rows=skipped, duplicate_rows=duplicates)
+        for ticker, a, b in zip(tickers, bounds[:-1], bounds[1:])
+    )
+    return IngestResult(
+        series=series, skipped_rows=skipped, duplicate_rows=len(last) - len(ts)
+    )

@@ -45,7 +45,7 @@ def lz76_complexity(seq: SymbolSequence) -> LzParse:
     previously recorded phrase.  A final phrase that repeats an earlier one
     (because the input ended) still counts as one phrase.
     """
-    syms = seq.symbols
+    syms = seq.symbols.tolist()
     n = len(syms)
     if n == 0:
         raise ValueError("empty sequence")
@@ -72,7 +72,7 @@ def match_lengths(seq: SymbolSequence) -> MatchLengths:
     (remaining length) + 1, i.e. longest match plus one as if one more
     symbol were available.
     """
-    syms = seq.symbols
+    syms = seq.symbols.tolist()
     n = len(syms)
     if n == 0:
         raise ValueError("empty sequence")

@@ -109,8 +109,8 @@ def _returns_for(series: PriceSeries, config: RunConfig) -> ReturnSeries:
     returns = log_returns(series)
     if not (config.split_sessions and series.sampling == "intraday"):
         return returns
-    within = np.diff(series.timestamps()) < SESSION_GAP_SECONDS
-    return replace(returns, values=tuple(v for v, keep in zip(returns.values, within) if keep))
+    within = np.diff(series.timestamps) < SESSION_GAP_SECONDS
+    return replace(returns, values=returns.values[within])
 
 
 def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
@@ -144,29 +144,45 @@ def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> TickerRecord:
         return _failed_record(series, exc)
 
 
-def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list[TickerRecord]:
-    """Per-ticker records from a process pool.
-
-    A dead worker breaks the whole pool, and every future not yet done then
-    raises ``BrokenProcessPool``.  Each such ticker is run again alone in a
-    fresh one-worker pool, one after another; only a ticker whose own worker
-    dies again becomes a failed record.
-    """
-    results: list[TickerRecord] = [None] * len(tasks)
+def _run_pool(
+    tasks: list[tuple[PriceSeries, RunConfig]],
+    indices: list[int],
+    jobs: int,
+    results: list[TickerRecord | None],
+) -> list[int]:
+    """Run ``tasks[k]`` for each k in one fresh pool; return the k whose future broke."""
     broken = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_process_ticker, task) for task in tasks]
-        for k, future in enumerate(futures):
+        futures = [(k, pool.submit(_process_ticker, tasks[k])) for k in indices]
+        for k, future in futures:
             try:
                 results[k] = future.result()
             except BrokenProcessPool:
                 broken.append(k)
-    for k in broken:
+    return broken
+
+
+def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list[TickerRecord]:
+    """Per-ticker records from a process pool.
+
+    A dead worker breaks the whole pool, and every future not yet done then
+    raises ``BrokenProcessPool``.  Those tickers run again in one fresh pool.
+    Whenever a pool breaks again, the first broken ticker in submission
+    order runs alone, and fails if its own worker dies too; the rest go to
+    another fresh pool.
+    """
+    results: list[TickerRecord | None] = [None] * len(tasks)
+    pending = _run_pool(tasks, list(range(len(tasks))), jobs, results)
+    if pending:
+        pending = _run_pool(tasks, pending, jobs, results)
+    while pending:
+        k, rest = pending[0], pending[1:]
         with ProcessPoolExecutor(max_workers=1) as pool:
             try:
                 results[k] = pool.submit(_process_ticker, tasks[k]).result()
             except BrokenProcessPool as exc:
                 results[k] = _failed_record(tasks[k][0], exc)
+        pending = _run_pool(tasks, rest, jobs, results) if rest else []
     return results
 
 
@@ -292,14 +308,13 @@ def _aligned_returns(
     cohort: list[PriceSeries], config: RunConfig
 ) -> tuple[list[ReturnSeries], int]:
     """Returns on the timestamps every series shares, and the rows dropped for it."""
-    stamps = [series.timestamps() for series in cohort]
-    common = functools.reduce(np.intersect1d, stamps)
+    common = functools.reduce(np.intersect1d, [series.timestamps for series in cohort])
     aligned, dropped = [], 0
-    for series, t in zip(cohort, stamps):
-        keep = np.isin(t, common)
-        dropped += len(t) - int(np.count_nonzero(keep))
-        points = tuple(p for p, k in zip(series.points, keep) if k)
-        aligned.append(_returns_for(replace(series, points=points), config))
+    for series in cohort:
+        keep = np.isin(series.timestamps, common)
+        dropped += len(keep) - int(np.count_nonzero(keep))
+        shared = replace(series, timestamps=series.timestamps[keep], prices=series.prices[keep])
+        aligned.append(_returns_for(shared, config))
     return aligned, dropped
 
 

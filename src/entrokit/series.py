@@ -1,115 +1,95 @@
-"""Price/return/symbol data model and plug-in Shannon entropy utilities.
+"""Price/return/symbol data model.
 
 Pipeline order: prices -> log returns -> quantile symbols -> entropy
-estimators.  Everything here is a pure function of its inputs; the
-dataclasses are treated as immutable after construction.
+estimators.  Every series holds read-only numpy arrays, validated in
+vectorised form when it is built, and everything here is a pure function
+of its inputs.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "PricePoint",
     "PriceSeries",
     "ReturnSeries",
     "SymbolSequence",
-    "DiscreteDistribution",
     "EntropyEstimate",
     "log_returns",
     "quantile_discretize",
-    "shannon_entropy",
-    "empirical_distribution",
-    "joint_entropy",
-    "conditional_entropy",
 ]
 
-PROB_SUM_TOL = 1e-9
 
-# Estimators may overshoot log2(A) slightly (CTW does on near-uniform data);
-# anything above this slack is a hard error.
-ENTROPY_OVERSHOOT_SLACK = 0.15
-
-
-@dataclass(frozen=True)
-class PricePoint:
-    timestamp: int  # epoch seconds, UTC
-    price: float
-
-    def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise ValueError(f"price must be positive, got {self.price}")
+def _frozen(values, dtype, name: str) -> np.ndarray:
+    """A read-only 1-D copy of ``values``; the caller's array is left as it is."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value; compare fields
 class PriceSeries:
     ticker: str
     sampling: str  # "daily" or "intraday"; metadata only
-    points: tuple[PricePoint, ...]
+    timestamps: np.ndarray  # int64 epoch seconds, UTC, strictly increasing
+    prices: np.ndarray  # float64, positive and finite
 
     def __post_init__(self) -> None:
         if self.sampling not in ("daily", "intraday"):
             raise ValueError(f"unknown sampling label {self.sampling!r}")
-        ts = [p.timestamp for p in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        ts = _frozen(self.timestamps, np.int64, "timestamps")
+        prices = _frozen(self.prices, np.float64, "prices")
+        if len(ts) != len(prices):
+            raise ValueError(f"{self.ticker}: {len(ts)} timestamps for {len(prices)} prices")
+        if np.any(ts[1:] <= ts[:-1]):
             raise ValueError(f"{self.ticker}: timestamps must be strictly increasing")
+        if not np.all(np.isfinite(prices) & (prices > 0)):
+            raise ValueError(f"{self.ticker}: prices must be positive and finite")
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, "prices", prices)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.prices)
 
-    def prices(self) -> np.ndarray:
-        return np.array([p.price for p in self.points], dtype=float)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([p.timestamp for p in self.points], dtype=np.int64)
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled copy is read-only too
+        return type(self), (self.ticker, self.sampling, self.timestamps, self.prices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     ticker: str
-    values: tuple[float, ...]
+    values: np.ndarray  # float64
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _frozen(self.values, np.float64, "values"))
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolSequence:
     alphabet_size: int
-    symbols: tuple[int, ...]
+    symbols: np.ndarray  # int64 in [0, alphabet_size)
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 2:
             raise ValueError("alphabet_size must be >= 2")
-        if len(self.symbols) == 0:
+        symbols = _frozen(self.symbols, np.int64, "symbols")
+        if len(symbols) == 0:
             raise ValueError("symbol sequence must be nonempty")
-        for s in self.symbols:
-            if not 0 <= s < self.alphabet_size:
-                raise ValueError(f"symbol {s} outside [0, {self.alphabet_size})")
+        outside = (symbols < 0) | (symbols >= self.alphabet_size)
+        if outside.any():
+            raise ValueError(f"symbol {symbols[outside][0]} outside [0, {self.alphabet_size})")
+        object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    probabilities: dict
-
-    def __post_init__(self) -> None:
-        total = float(sum(self.probabilities.values()))
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        for k, p in self.probabilities.items():
-            if p < 0 or p > 1 + PROB_SUM_TOL:
-                raise ValueError(f"probability for {k!r} outside [0,1]: {p}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +110,7 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
     """Consecutive log price ratios: r_t = ln(p_{t+1} / p_t)."""
     if len(series) < 2:
         raise ValueError(f"{series.ticker}: need at least 2 points for returns")
-    prices = series.prices()
-    if np.any(prices <= 0):
-        raise ValueError(f"{series.ticker}: nonpositive price")
-    values = np.diff(np.log(prices))
-    return ReturnSeries(ticker=series.ticker, values=tuple(float(v) for v in values))
+    return ReturnSeries(ticker=series.ticker, values=np.diff(np.log(series.prices)))
 
 
 def quantile_discretize(returns: ReturnSeries, num_states: int = 4) -> SymbolSequence:
@@ -151,64 +127,12 @@ def quantile_discretize(returns: ReturnSeries, num_states: int = 4) -> SymbolSeq
     n = len(returns)
     if n < num_states:
         raise ValueError(f"need at least {num_states} observations, got {n}")
-    values = returns.as_array()
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(returns.values, kind="stable")
     base, rem = divmod(n, num_states)
-    symbols = np.empty(n, dtype=int)
+    symbols = np.empty(n, dtype=np.int64)
     start = 0
     for state in range(num_states):
         size = base + (1 if state < rem else 0)
         symbols[order[start : start + size]] = state
         start += size
-    return SymbolSequence(alphabet_size=num_states, symbols=tuple(int(s) for s in symbols))
-
-
-def shannon_entropy(dist: DiscreteDistribution) -> float:
-    """Plug-in entropy -sum p log2 p in bits, with 0*log0 := 0."""
-    h = 0.0
-    for p in dist.probabilities.values():
-        if p > 0:
-            h -= p * math.log2(p)
-    return max(h, 0.0)
-
-
-def _word_key(word: tuple[int, ...]):
-    if len(word) == 1:
-        return word[0]
-    return "".join(str(s) for s in word)
-
-
-def empirical_distribution(seq: SymbolSequence, word_len: int = 1) -> DiscreteDistribution:
-    """Relative frequencies of overlapping words of ``word_len`` symbols.
-
-    Single-symbol words are keyed by the symbol itself, longer words by
-    their digit string (e.g. "01").
-    """
-    if word_len < 1:
-        raise ValueError("word_len must be >= 1")
-    n = len(seq)
-    if word_len > n:
-        raise ValueError(f"word_len {word_len} exceeds sequence length {n}")
-    count = Counter(
-        _word_key(tuple(seq.symbols[i : i + word_len])) for i in range(n - word_len + 1)
-    )
-    total = n - word_len + 1
-    return DiscreteDistribution({k: c / total for k, c in count.items()})
-
-
-def _paired(x: SymbolSequence, y: SymbolSequence) -> DiscreteDistribution:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    count = Counter(zip(x.symbols, y.symbols))
-    n = len(x)
-    return DiscreteDistribution({f"{a},{b}": c / n for (a, b), c in count.items()})
-
-
-def joint_entropy(x: SymbolSequence, y: SymbolSequence) -> float:
-    """Plug-in entropy of the paired symbols (x_i, y_i)."""
-    return shannon_entropy(_paired(x, y))
-
-
-def conditional_entropy(x: SymbolSequence, y: SymbolSequence) -> float:
-    """H(X|Y) = H(X,Y) - H(Y), computed on empirical distributions."""
-    return joint_entropy(x, y) - shannon_entropy(empirical_distribution(y, 1))
+    return SymbolSequence(alphabet_size=num_states, symbols=symbols)

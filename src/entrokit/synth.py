@@ -87,11 +87,10 @@ def generate(source: SyntheticSource, n: int) -> SymbolSequence:
         raise ValueError("n must be >= 1")
     a = source.alphabet_size
     if source.kind == "constant":
-        return SymbolSequence(alphabet_size=a, symbols=(0,) * n)
+        return SymbolSequence(alphabet_size=a, symbols=np.zeros(n, dtype=np.int64))
     rng = np.random.default_rng(source.seed)
     if source.kind == "uniform_iid":
-        symbols = rng.integers(0, a, size=n)
-        return SymbolSequence(alphabet_size=a, symbols=tuple(int(s) for s in symbols))
+        return SymbolSequence(alphabet_size=a, symbols=rng.integers(0, a, size=n))
     # markov: start from the stationary distribution
     t = np.asarray(source.transition, dtype=float)
     mu = stationary_distribution(t)
@@ -102,7 +101,7 @@ def generate(source: SyntheticSource, n: int) -> SymbolSequence:
     for i in range(1, n):
         state = int(np.searchsorted(cdf[state], u[i]))
         symbols.append(state)
-    return SymbolSequence(alphabet_size=a, symbols=tuple(symbols))
+    return SymbolSequence(alphabet_size=a, symbols=symbols)
 
 
 def convergence_curve(

@@ -49,9 +49,10 @@ from entrokit.densities import density_equality_test
 from entrokit.graphs import WeightedGraph, mst, pmfg
 from entrokit.lz import lz76_complexity, lz_entropy_rate, match_lengths
 from entrokit.pipeline import RunConfig, run_pipeline
-from entrokit.series import PricePoint, PriceSeries, SymbolSequence
+from entrokit.series import SymbolSequence
 from entrokit.synth import SyntheticSource, generate, markov_entropy_rate, shift_register_chain
 
+from builders import price_series
 from test_ctw import brute_force_mixture, enumerate_suffix_sets, prior_weight
 from test_graphs import brute_force_mst_weight, random_complete_graph, verify_planar_embedding
 from test_lz import brute_force_lambdas
@@ -303,29 +304,23 @@ def test_criterion_10_end_to_end_report(tmp_path):
 
 
 def test_criterion_11_backtest_accounting():
-    def prices(values):
-        return PriceSeries(
-            ticker="T", sampling="daily",
-            points=tuple(PricePoint(timestamp=i * 86_400, price=p) for i, p in enumerate(values)),
-        )
-
     ok = True
-    constant = mean_reversion_backtest(prices([100.0] * 30))
+    constant = mean_reversion_backtest(price_series([100.0] * 30))
     ok &= constant.num_trades == 0 and constant.strategy_return_pct == 0.0
 
-    uptrend = mean_reversion_backtest(prices(list(100.0 * 2 ** (np.arange(40) / 39.0))))
+    uptrend = mean_reversion_backtest(price_series(list(100.0 * 2 ** (np.arange(40) / 39.0))))
     ok &= uptrend.strategy_return_pct == 0.0
     ok &= math.isclose(uptrend.benchmark_return_pct, 100.0, rel_tol=1e-9)
 
     osc = mean_reversion_backtest(
-        prices([100.0 if t % 2 == 0 else 80.0 for t in range(12)]),
+        price_series([100.0 if t % 2 == 0 else 80.0 for t in range(12)]),
         StrategyParams(window=4, entry_z=-1.0, exit_z=0.0),
     )
     ok &= osc.strategy_return_pct > 0
     ok &= math.isclose(osc.equity_curve[-1][1], 24414.0625, rel_tol=1e-12)
 
     rng = np.random.default_rng(7)
-    noisy = prices(list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 300)))))
+    noisy = price_series(list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 300)))))
     replay = mean_reversion_backtest(noisy, StrategyParams(window=10))
     cash, shares = replay.params.initial_capital, 0.0
     for trade in replay.trades:
@@ -333,6 +328,6 @@ def test_criterion_11_backtest_accounting():
             cash, shares = 0.0, cash / trade.price
         else:
             cash, shares = shares * trade.price, 0.0
-    final = cash + shares * noisy.points[-1].price
+    final = cash + shares * noisy.prices[-1]
     ok &= math.isclose(final, replay.equity_curve[-1][1], rel_tol=1e-12)
     _report("11", "backtest replay exact; constant/uptrend/oscillation examples", ok)

@@ -1,20 +1,53 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from builders import price_series
+from entrokit import backtest
 from entrokit.backtest import (
+    PerformanceReport,
     StrategyParams,
-    benchmark_average,
+    Trade,
     entropy_cohort_report,
     mean_reversion_backtest,
 )
-from entrokit.series import PricePoint, PriceSeries
 
 
-def make_prices(prices, ticker="T"):
-    return PriceSeries(
-        ticker=ticker,
-        sampling="daily",
-        points=tuple(PricePoint(timestamp=i * 86400, price=p) for i, p in enumerate(prices)),
+def loop_backtest(series, params=StrategyParams()):
+    """Reference: the state machine with one ``mean`` and ``std`` call per window."""
+    prices = series.prices
+    timestamps = series.timestamps
+    w = params.window
+    cash = params.initial_capital
+    shares = 0.0
+    trades = []
+    curve = []
+    for t in range(len(series)):
+        price = prices[t]
+        if t >= w - 1:
+            window_slice = prices[t - w + 1 : t + 1]
+            mean = window_slice.mean()
+            sd = window_slice.std(ddof=0)
+            if sd > 0:
+                z = (price - mean) / sd
+                if shares == 0.0 and z <= params.entry_z:
+                    shares = cash / price
+                    cash = 0.0
+                    trades.append(Trade(int(timestamps[t]), "buy", float(price), shares))
+                elif shares > 0.0 and z >= params.exit_z:
+                    cash = shares * price
+                    trades.append(Trade(int(timestamps[t]), "sell", float(price), shares))
+                    shares = 0.0
+        curve.append((int(timestamps[t]), float(cash + shares * price)))
+    return PerformanceReport(
+        ticker=series.ticker,
+        strategy_return_pct=float((curve[-1][1] / params.initial_capital - 1.0) * 100.0),
+        benchmark_return_pct=float((prices[-1] / prices[0] - 1.0) * 100.0),
+        num_trades=len(trades),
+        equity_curve=tuple(curve),
+        trades=tuple(trades),
+        params=params,
     )
 
 
@@ -23,14 +56,14 @@ OSC_PARAMS = StrategyParams(window=4, entry_z=-1.0, exit_z=0.0, initial_capital=
 
 class TestMeanReversionBacktest:
     def test_constant_prices_no_trades(self):
-        report = mean_reversion_backtest(make_prices([100.0] * 30))
+        report = mean_reversion_backtest(price_series([100.0] * 30))
         assert report.num_trades == 0
         assert report.strategy_return_pct == 0.0
         assert report.benchmark_return_pct == 0.0
 
     def test_monotone_uptrend_stays_flat(self):
         prices = list(100.0 * 2 ** (np.arange(40) / 39.0))
-        report = mean_reversion_backtest(make_prices(prices))
+        report = mean_reversion_backtest(price_series(prices))
         assert report.num_trades == 0
         assert report.strategy_return_pct == 0.0
         assert report.benchmark_return_pct == pytest.approx(100.0)
@@ -42,7 +75,7 @@ class TestMeanReversionBacktest:
         # full times and re-enters on the final bar:
         # 10000 * 1.25^4 = 24414.0625
         prices = [100.0 if t % 2 == 0 else 80.0 for t in range(12)]
-        report = mean_reversion_backtest(make_prices(prices), OSC_PARAMS)
+        report = mean_reversion_backtest(price_series(prices), OSC_PARAMS)
         assert report.strategy_return_pct > 0
         assert report.equity_curve[-1][1] == pytest.approx(24414.0625)
         assert report.strategy_return_pct == pytest.approx(144.140625)
@@ -52,7 +85,7 @@ class TestMeanReversionBacktest:
     def test_accounting_replay(self):
         rng = np.random.default_rng(3)
         prices = list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 200))))
-        report = mean_reversion_backtest(make_prices(prices), StrategyParams(window=10))
+        report = mean_reversion_backtest(price_series(prices), StrategyParams(window=10))
         # replay the trade log: final equity must compound exactly
         cash = report.params.initial_capital
         shares = 0.0
@@ -71,9 +104,9 @@ class TestMeanReversionBacktest:
     def test_no_lookahead(self):
         rng = np.random.default_rng(4)
         prices = list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 300))))
-        full = mean_reversion_backtest(make_prices(prices), StrategyParams(window=10))
+        full = mean_reversion_backtest(price_series(prices), StrategyParams(window=10))
         cut = 150
-        prefix = mean_reversion_backtest(make_prices(prices[:cut]), StrategyParams(window=10))
+        prefix = mean_reversion_backtest(price_series(prices[:cut]), StrategyParams(window=10))
         full_prefix_trades = [t for t in full.trades if t.timestamp < cut * 86400]
         # the truncated run may close differently at its last bar; all earlier
         # decisions must agree
@@ -82,38 +115,93 @@ class TestMeanReversionBacktest:
         assert full.equity_curve[: cut - 1] == prefix.equity_curve[: cut - 1]
 
     def test_equity_curve_starts_at_initial_capital(self):
-        report = mean_reversion_backtest(make_prices([100.0] * 25))
+        report = mean_reversion_backtest(price_series([100.0] * 25))
         assert report.equity_curve[0][1] == report.params.initial_capital
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            mean_reversion_backtest(make_prices([100.0] * 10), StrategyParams(window=10))
+            mean_reversion_backtest(price_series([100.0] * 10), StrategyParams(window=10))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             StrategyParams(entry_z=0.5, exit_z=0.0)
 
 
-class TestBenchmarkAverage:
-    def test_single_stock(self):
-        assert benchmark_average([make_prices([100.0, 150.0])]) == pytest.approx(50.0)
+# windows straddling numpy's 8-way unrolled and 128-block pairwise sums
+ORACLE_WINDOWS = (2, 7, 8, 9, 20, 129, 300)
 
-    def test_offsetting_pair(self):
-        a = make_prices([100.0, 110.0], "A")
-        b = make_prices([100.0, 90.0], "B")
-        assert benchmark_average([a, b]) == pytest.approx(0.0)
 
-    def test_three_stocks_mean(self):
-        series = [
-            make_prices([100.0, 120.0], "A"),
-            make_prices([50.0, 55.0], "B"),
-            make_prices([200.0, 150.0], "C"),
-        ]
-        assert benchmark_average(series) == pytest.approx((20.0 + 10.0 - 25.0) / 3)
+def _walk(seed, n, decimals=None):
+    rng = np.random.default_rng(seed)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, n)))
+    return prices if decimals is None else np.round(prices, decimals)
 
-    def test_window_mismatch(self):
-        with pytest.raises(ValueError):
-            benchmark_average([make_prices([1.0, 2.0], "A"), make_prices([1.0, 2.0, 3.0], "B")])
+
+def _flat_stretches(seed, n, window):
+    """A walk held constant over runs longer than the window, so some sd == 0 exactly."""
+    prices = _walk(seed, n, decimals=2)
+    rng = np.random.default_rng(seed + 1)
+    for start in rng.integers(0, n - window, size=6):
+        prices[start : start + window + int(rng.integers(0, 200))] = prices[start]
+    return prices
+
+
+class TestAgainstLoop:
+    """The window-array backtest gives the per-window loop's report exactly."""
+
+    def _same(self, prices, window, **kw):
+        series = price_series(prices)
+        params = StrategyParams(window=window, **kw)
+        got, want = mean_reversion_backtest(series, params), loop_backtest(series, params)
+        assert got.trades == want.trades
+        assert got.equity_curve == want.equity_curve
+        assert got.strategy_return_pct == want.strategy_return_pct
+        assert got.benchmark_return_pct == want.benchmark_return_pct
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("window", ORACLE_WINDOWS)
+    def test_random_walks(self, window):
+        trades = 0
+        for seed in range(3):
+            trades += self._same(_walk(seed, 1_500), window).num_trades
+        assert trades > 0
+
+    @pytest.mark.parametrize("window", ORACLE_WINDOWS)
+    def test_flat_stretches(self, window):
+        prices = _flat_stretches(10 + window, 3_000, window)
+        sds = [prices[t - window + 1 : t + 1].std() for t in range(window - 1, len(prices))]
+        assert 0.0 in sds
+        self._same(prices, window)
+
+    @pytest.mark.parametrize("window", ORACLE_WINDOWS)
+    def test_two_decimal_ties(self, window):
+        for seed in range(3):
+            self._same(_walk(100 + seed, 1_200, decimals=2), window, entry_z=-0.5, exit_z=0.5)
+
+    @pytest.mark.parametrize("window", ORACLE_WINDOWS)
+    def test_one_bar_past_window(self, window):
+        for seed in range(5):
+            self._same(_walk(200 + seed, window + 1), window, entry_z=-0.2, exit_z=0.1)
+
+    def test_integer_capital(self):
+        self._same(_walk(7, 300), 20, initial_capital=5_000)
+
+    @pytest.mark.parametrize("window", (7, 20, 129))
+    def test_window_blocks(self, window, monkeypatch):
+        # blocks of a few rows, so block edges fall all through the series
+        monkeypatch.setattr(backtest, "_BLOCK_ELEMENTS", 3 * window + 1)
+        self._same(_walk(300 + window, 1_000), window)
+
+    def test_memory_bounded_on_long_series(self):
+        series = price_series(_walk(9, 50_000), step=60, sampling="intraday")
+        tracemalloc.start()
+        try:
+            mean_reversion_backtest(series, StrategyParams(window=300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # one window view of the whole series would take 120 MB
 
 
 class TestEntropyCohortReport:
@@ -149,8 +237,6 @@ class TestEntropyCohortReport:
 
 
 def _fake_report(ticker, strategy_pct, benchmark_pct):
-    from entrokit.backtest import PerformanceReport
-
     return PerformanceReport(
         ticker=ticker,
         strategy_return_pct=strategy_pct,

@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,16 @@ class TestIngestCsv:
         assert len(result.series[0]) == 3
         assert result.skipped_rows == 1
 
+    def test_infinite_price_and_huge_timestamp_skipped(self, tmp_path):
+        path = write_csv(
+            tmp_path / "p.csv",
+            ["0,AAA,100", "86400,AAA,inf", f"{2**63},AAA,101", "172800,AAA,102"],
+        )
+        result = ingest_csv(path)
+        assert result.skipped_rows == 2
+        assert result.series[0].timestamps.tolist() == [0, 172800]
+        assert result.series[0].prices.tolist() == [100.0, 102.0]
+
     def test_interleaved_tickers_sorted(self, tmp_path):
         path = write_csv(
             tmp_path / "p.csv",
@@ -55,19 +67,21 @@ class TestIngestCsv:
         result = ingest_csv(path)
         assert [s.ticker for s in result.series] == ["AAA", "BBB"]
         for s in result.series:
-            ts = [p.timestamp for p in s.points]
-            assert ts == sorted(ts)
+            assert s.timestamps.tolist() == [0, 86400]
+        assert result.series[0].prices.tolist() == [100.0, 101.0]
+        assert result.series[1].prices.tolist() == [49.0, 50.0]
 
     def test_duplicate_timestamp_last_wins(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["0,AAA,100", "0,AAA,200", "86400,AAA,150"])
         result = ingest_csv(path)
         assert result.duplicate_rows == 1
-        assert result.series[0].points[0].price == 200
+        assert result.series[0].timestamps.tolist() == [0, 86400]
+        assert result.series[0].prices.tolist() == [200.0, 150.0]
 
     def test_iso_dates(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["2020-01-01,AAA,10", "2020-01-02,AAA,11"])
         series = ingest_csv(path).series[0]
-        assert series.points[1].timestamp - series.points[0].timestamp == 86400
+        assert series.timestamps.tolist() == [1577836800, 1577923200]
         assert series.sampling == "daily"
 
     def test_intraday_label(self, tmp_path):
@@ -86,13 +100,13 @@ class TestIngestCsv:
             ingest_csv(path)
 
 
-def tiny_market(tmp_path, n_tickers=6, n_points=120, seed=0):
+def tiny_market(tmp_path, n_tickers=6, n_points=120, seed=0, step=86400, name="market.csv"):
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(n_tickers):
         prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, n_points)))
-        rows.extend(f"{i * 86400},TK{k},{p:.4f}" for i, p in enumerate(prices))
-    return write_csv(tmp_path / "market.csv", rows)
+        rows.extend(f"{i * step},TK{k},{p:.4f}" for i, p in enumerate(prices))
+    return write_csv(tmp_path / name, rows)
 
 
 class TestRunPipeline:
@@ -148,6 +162,27 @@ class TestRunPipeline:
             RunConfig(inputs=(path,), out_dir=tmp_path / "p", command="estimate", jobs=3)
         )
         assert r1.records == r2.records
+        # every file `report` writes on a daily and an intraday cohort is the
+        # same at one job and at two
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        outputs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"report{jobs}"
+            config = RunConfig(
+                inputs=(path, intraday), out_dir=out, command="report", jobs=jobs, permutations=99
+            )
+            run_pipeline(config)
+            outputs[jobs] = {p.name: p.read_text() for p in sorted(out.iterdir())}
+        assert len(outputs[1]) == 17  # records, report, 2 densities, 3 backtest, 2 x 5 graph
+        assert outputs[1].keys() == outputs[2].keys()
+        for name, text in outputs[1].items():
+            if name == "report.txt":  # the time stamp and the output path may differ
+                text, other = (
+                    re.sub(r"generated_at: .*|report[12]", "", t) for t in (text, outputs[2][name])
+                )
+                assert text == other
+            else:
+                assert text == outputs[2][name], name
 
     def test_empty_inputs_error(self, tmp_path):
         with pytest.raises(ValueError):
@@ -211,9 +246,9 @@ class TestRunPipeline:
         series = ingest_csv(path).series[0]
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "x", split_sessions=True)
         returns = pipeline._returns_for(series, config)
-        one_minute = np.diff(series.timestamps()) == 60
+        one_minute = np.diff(series.timestamps) == 60
         assert len(returns) == 117
-        assert returns.values == tuple(np.diff(np.log(series.prices()))[one_minute])
+        assert np.array_equal(returns.values, np.diff(np.log(series.prices))[one_minute])
 
     def test_dead_worker_fails_its_ticker(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path)
@@ -231,6 +266,28 @@ class TestRunPipeline:
             assert rows[ticker]["status"] == "ok", rows[ticker]["error"]
         assert "tickers: 6" in (out / "report.txt").read_text()
         assert "tickers_failed: 1" in (out / "report.txt").read_text()
+
+    def test_dead_worker_reruns_keep_parallelism(self, tmp_path, monkeypatch):
+        path = tiny_market(tmp_path, n_tickers=40)
+        monkeypatch.setattr(pipeline, "_process_ticker", _worker_dies_on_tk1)
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        out = tmp_path / "o"
+        code = cli_main(["estimate", "--input", str(path), "--out", str(out), "--jobs", "2"])
+        assert code == 2
+        with (out / "records.csv").open(newline="") as fh:
+            status = {row["ticker"]: row["status"] for row in csv.DictReader(fh)}
+        assert len(status) == 40
+        assert [t for t, s in status.items() if s != "ok"] == ["TK1"]
+        # one pool for the run, one rerun pool, then one ticker alone per further break
+        assert len(pools) < 10, pools
+        assert pools[:2] == [2, 2]
 
     def test_graph_aligns_missing_row(self, tmp_path):
         assert cli_main(["make-dataset", "--out", str(tmp_path / "d"), "--points", "120", "--seed", "3"]) == 0

@@ -1,58 +1,49 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from builders import price_series
 from entrokit.series import (
-    DiscreteDistribution,
-    PricePoint,
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
-    conditional_entropy,
-    empirical_distribution,
-    joint_entropy,
     log_returns,
     quantile_discretize,
-    shannon_entropy,
 )
-
-
-def make_prices(prices, ticker="T"):
-    return PriceSeries(
-        ticker=ticker,
-        sampling="daily",
-        points=tuple(PricePoint(timestamp=i * 86400, price=p) for i, p in enumerate(prices)),
-    )
 
 
 class TestLogReturns:
     def test_simple_ratio(self):
-        r = log_returns(make_prices([100, 105]))
+        r = log_returns(price_series([100, 105]))
         assert r.values == pytest.approx([math.log(1.05)])
         assert math.isclose(r.values[0], 0.048790, abs_tol=1e-6)
 
     def test_constant_prices(self):
-        assert log_returns(make_prices([100, 100, 100])).values == (0.0, 0.0)
+        values = log_returns(price_series([100, 100, 100])).values
+        assert values.dtype == np.float64
+        assert values.tolist() == [0.0, 0.0]
 
     def test_symmetry(self):
-        r = log_returns(make_prices([100, 50, 100]))
+        r = log_returns(price_series([100, 50, 100]))
         assert r.values == pytest.approx([-math.log(2), math.log(2)])
-        assert sum(r.values) == pytest.approx(0.0)
+        assert r.values.sum() == pytest.approx(0.0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            log_returns(make_prices([100]))
+            log_returns(price_series([100]))
 
     def test_nonpositive_price_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            PricePoint(timestamp=0, price=0.0)
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                price_series([100.0, bad, 101.0])
 
     def test_cumsum_recovers_log_ratio(self):
         rng = np.random.default_rng(7)
         prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 50)))
-        series = make_prices(list(prices))
+        series = price_series(list(prices))
         r = np.cumsum(log_returns(series).values)
         expected = np.log(prices[1:] / prices[0])
         assert np.max(np.abs(r - expected)) < 1e-12
@@ -61,16 +52,16 @@ class TestLogReturns:
 class TestQuantileDiscretize:
     def test_distinct_sorted_values(self):
         seq = quantile_discretize(ReturnSeries("T", tuple(range(1, 9))), 4)
-        assert seq.symbols == (0, 0, 1, 1, 2, 2, 3, 3)
+        assert seq.symbols.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
         assert seq.alphabet_size == 4
 
     def test_all_ties_balanced(self):
         seq = quantile_discretize(ReturnSeries("T", (5.0, 5.0, 5.0, 5.0)), 4)
-        assert seq.symbols == (0, 1, 2, 3)
+        assert seq.symbols.tolist() == [0, 1, 2, 3]
 
     def test_median_split(self):
         seq = quantile_discretize(ReturnSeries("T", (3.0, 1.0, 4.0, 2.0)), 2)
-        assert seq.symbols == (1, 0, 1, 0)
+        assert seq.symbols.tolist() == [1, 0, 1, 0]
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
@@ -84,77 +75,60 @@ class TestQuantileDiscretize:
         seq = quantile_discretize(ReturnSeries("T", tuple(values)), k)
         counts = np.bincount(seq.symbols, minlength=k)
         assert counts.max() - counts.min() <= k - 1
-        assert all(0 <= s < k for s in seq.symbols)
+        assert seq.symbols.min() >= 0 and seq.symbols.max() < k
 
 
-class TestShannonEntropy:
-    def test_uniform_four(self):
-        d = DiscreteDistribution({i: 0.25 for i in range(4)})
-        assert shannon_entropy(d) == pytest.approx(2.0)
+class TestArrays:
+    def test_price_series_holds_read_only_arrays(self):
+        series = price_series([100.0, 101.0, 99.5], step=60, ticker="A", sampling="intraday")
+        assert series.timestamps.dtype == np.int64
+        assert series.prices.dtype == np.float64
+        assert series.timestamps.tolist() == [0, 60, 120]
+        assert series.prices.tolist() == [100.0, 101.0, 99.5]
+        assert len(series) == 3
+        for arr in (series.timestamps, series.prices):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
-    def test_degenerate(self):
-        assert shannon_entropy(DiscreteDistribution({"a": 1.0})) == 0.0
+    def test_caller_array_is_copied(self):
+        prices = np.array([100.0, 101.0])
+        series = price_series(prices)
+        prices[0] = 5.0
+        assert prices.flags.writeable
+        assert series.prices[0] == 100.0
 
-    def test_fair_coin(self):
-        assert shannon_entropy(DiscreteDistribution({"a": 0.5, "b": 0.5})) == pytest.approx(1.0)
+    def test_unpickled_series_is_validated_and_read_only(self):
+        series = price_series([100.0, 101.0, 102.0])
+        copy = pickle.loads(pickle.dumps(series))
+        assert (copy.ticker, copy.sampling) == (series.ticker, series.sampling)
+        assert np.array_equal(copy.prices, series.prices)
+        assert np.array_equal(copy.timestamps, series.timestamps)
+        assert not copy.prices.flags.writeable
+        assert not copy.timestamps.flags.writeable
 
-    def test_invalid_distribution(self):
+    @pytest.mark.parametrize("timestamps", [[0, 0, 60], [0, 120, 60]])
+    def test_timestamps_must_increase(self, timestamps):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PriceSeries("A", "daily", timestamps, [1.0, 2.0, 3.0])
+
+    def test_lengths_and_shape_checked(self):
+        with pytest.raises(ValueError, match="timestamps for"):
+            PriceSeries("A", "daily", [0, 60], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="1-D"):
+            PriceSeries("A", "daily", [[0, 60]], [[1.0, 2.0]])
+
+    def test_symbols_validated(self):
+        seq = SymbolSequence(4, (0, 3, 1))
+        assert seq.symbols.dtype == np.int64
+        assert not seq.symbols.flags.writeable
+        for bad in ((0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="outside"):
+                SymbolSequence(4, bad)
+        with pytest.raises(ValueError, match="nonempty"):
+            SymbolSequence(4, ())
+
+    def test_return_values_read_only(self):
+        r = ReturnSeries("A", (0.1, -0.2))
+        assert r.values.dtype == np.float64
         with pytest.raises(ValueError):
-            DiscreteDistribution({"a": 0.6, "b": 0.6})
-
-    def test_uniform_is_maximum(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(8))
-            h = shannon_entropy(DiscreteDistribution({i: float(v) for i, v in enumerate(p)}))
-            assert h <= 3.0 + 1e-12
-
-
-class TestEmpiricalDistribution:
-    def test_single_symbols(self):
-        d = empirical_distribution(SymbolSequence(2, (0, 1, 0, 1)), 1)
-        assert d.probabilities == {0: 0.5, 1: 0.5}
-
-    def test_repeated_word(self):
-        d = empirical_distribution(SymbolSequence(2, (0, 0, 0)), 2)
-        assert d.probabilities == {"00": 1.0}
-
-    def test_overlapping_words(self):
-        d = empirical_distribution(SymbolSequence(2, (0, 1, 0, 1)), 2)
-        assert d.probabilities["01"] == pytest.approx(2 / 3)
-        assert d.probabilities["10"] == pytest.approx(1 / 3)
-
-    def test_word_too_long(self):
-        with pytest.raises(ValueError):
-            empirical_distribution(SymbolSequence(2, (0, 1)), 3)
-
-
-class TestJointConditional:
-    def test_identical_sequences(self):
-        x = SymbolSequence(2, (0, 1, 0, 1))
-        assert conditional_entropy(x, x) == pytest.approx(0.0, abs=1e-12)
-
-    def test_independent_uniform(self):
-        x = SymbolSequence(2, (0, 0, 1, 1))
-        y = SymbolSequence(2, (0, 1, 0, 1))
-        assert joint_entropy(x, y) == pytest.approx(2.0)
-        assert conditional_entropy(x, y) == pytest.approx(1.0)
-
-    def test_constant_condition(self):
-        x = SymbolSequence(2, (0, 1, 1, 0))
-        y = SymbolSequence(2, (0, 0, 0, 0))
-        hx = shannon_entropy(empirical_distribution(x, 1))
-        assert conditional_entropy(x, y) == pytest.approx(hx)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_entropy(SymbolSequence(2, (0, 1)), SymbolSequence(2, (0, 1, 0)))
-
-    def test_chain_rule_identity_exact(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            x = SymbolSequence(3, tuple(int(v) for v in rng.integers(0, 3, 30)))
-            y = SymbolSequence(3, tuple(int(v) for v in rng.integers(0, 3, 30)))
-            lhs = conditional_entropy(x, y)
-            rhs = joint_entropy(x, y) - shannon_entropy(empirical_distribution(y, 1))
-            assert lhs == rhs
+            r.values[0] = 0.0

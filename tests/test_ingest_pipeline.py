@@ -261,7 +261,7 @@ class TestRunPipeline:
         assert len(rows) == 6
         assert rows["TK1"]["status"] == "failed"
         assert rows["TK1"]["error"].startswith("BrokenProcessPool: ")
-        # the tickers the broken pool left pending are run again, one per worker
+        # the tickers the broken pool left pending run again in a fresh pool
         for ticker in ("TK0", "TK2", "TK3", "TK4", "TK5"):
             assert rows[ticker]["status"] == "ok", rows[ticker]["error"]
         assert "tickers: 6" in (out / "report.txt").read_text()

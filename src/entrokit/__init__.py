@@ -9,12 +9,15 @@ mean-reversion backtest, plus a batch CLI tying them together.
 __version__ = "0.1.0"
 
 from .series import (
+    DiscreteDistribution,
     EntropyEstimate,
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
+    empirical_distribution,
     log_returns,
     quantile_discretize,
+    shannon_entropy,
 )
 from .lz import LzParse, MatchLengths, lz76_complexity, lz_entropy_rate, match_lengths
 from .ctw import (

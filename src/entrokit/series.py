@@ -1,4 +1,4 @@
-"""Price/return/symbol data model.
+"""Price/return/symbol data model and plug-in Shannon entropy utilities.
 
 Pipeline order: prices -> log returns -> quantile symbols -> entropy
 estimators.  Every series holds read-only numpy arrays, validated in
@@ -8,6 +8,8 @@ of its inputs.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +18,15 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "SymbolSequence",
+    "DiscreteDistribution",
     "EntropyEstimate",
     "log_returns",
     "quantile_discretize",
+    "shannon_entropy",
+    "empirical_distribution",
 ]
+
+PROB_SUM_TOL = 1e-9
 
 
 def _frozen(values, dtype, name: str) -> np.ndarray:
@@ -93,6 +100,19 @@ class SymbolSequence:
 
 
 @dataclass(frozen=True)
+class DiscreteDistribution:
+    probabilities: dict
+
+    def __post_init__(self) -> None:
+        total = float(sum(self.probabilities.values()))
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        for k, p in self.probabilities.items():
+            if p < 0 or p > 1 + PROB_SUM_TOL:
+                raise ValueError(f"probability for {k!r} outside [0,1]: {p}")
+
+
+@dataclass(frozen=True)
 class EntropyEstimate:
     bits_per_symbol: float
     estimator: str  # "lz", "ctw" or "plugin"
@@ -136,3 +156,26 @@ def quantile_discretize(returns: ReturnSeries, num_states: int = 4) -> SymbolSeq
         symbols[order[start : start + size]] = state
         start += size
     return SymbolSequence(alphabet_size=num_states, symbols=symbols)
+
+
+def shannon_entropy(dist: DiscreteDistribution) -> float:
+    """Plug-in entropy -sum p log2 p in bits, with 0*log0 := 0."""
+    h = -sum(p * math.log2(p) for p in dist.probabilities.values() if p > 0)
+    return max(0.0, h)  # 0.0 first, so a zero sum never comes back as -0.0
+
+
+def empirical_distribution(seq: SymbolSequence, word_len: int = 1) -> DiscreteDistribution:
+    """Relative frequencies of overlapping words of ``word_len`` symbols.
+
+    Single-symbol words are keyed by the symbol itself, longer words by
+    their digit string (e.g. "01").
+    """
+    if word_len < 1:
+        raise ValueError("word_len must be >= 1")
+    n = len(seq)
+    if word_len > n:
+        raise ValueError(f"word_len {word_len} exceeds sequence length {n}")
+    total = n - word_len + 1
+    words = zip(*(seq.symbols[i : total + i].tolist() for i in range(word_len)))
+    count = Counter(w[0] if word_len == 1 else "".join(map(str, w)) for w in words)
+    return DiscreteDistribution({k: c / total for k, c in count.items()})

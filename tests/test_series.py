@@ -7,11 +7,14 @@ from hypothesis import given, strategies as st
 
 from builders import price_series
 from entrokit.series import (
+    DiscreteDistribution,
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
+    empirical_distribution,
     log_returns,
     quantile_discretize,
+    shannon_entropy,
 )
 
 
@@ -76,6 +79,48 @@ class TestQuantileDiscretize:
         counts = np.bincount(seq.symbols, minlength=k)
         assert counts.max() - counts.min() <= k - 1
         assert seq.symbols.min() >= 0 and seq.symbols.max() < k
+
+
+class TestShannonEntropy:
+    def test_uniform_four(self):
+        d = DiscreteDistribution({i: 0.25 for i in range(4)})
+        assert shannon_entropy(d) == pytest.approx(2.0)
+
+    def test_degenerate(self):
+        assert shannon_entropy(DiscreteDistribution({"a": 1.0})) == 0.0
+
+    def test_fair_coin(self):
+        assert shannon_entropy(DiscreteDistribution({"a": 0.5, "b": 0.5})) == pytest.approx(1.0)
+
+    def test_invalid_distribution(self):
+        with pytest.raises(ValueError):
+            DiscreteDistribution({"a": 0.6, "b": 0.6})
+
+    def test_uniform_is_maximum(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(8))
+            h = shannon_entropy(DiscreteDistribution({i: float(v) for i, v in enumerate(p)}))
+            assert h <= 3.0 + 1e-12
+
+
+class TestEmpiricalDistribution:
+    def test_single_symbols(self):
+        d = empirical_distribution(SymbolSequence(2, (0, 1, 0, 1)), 1)
+        assert d.probabilities == {0: 0.5, 1: 0.5}
+
+    def test_repeated_word(self):
+        d = empirical_distribution(SymbolSequence(2, (0, 0, 0)), 2)
+        assert d.probabilities == {"00": 1.0}
+
+    def test_overlapping_words(self):
+        d = empirical_distribution(SymbolSequence(2, (0, 1, 0, 1)), 2)
+        assert d.probabilities["01"] == pytest.approx(2 / 3)
+        assert d.probabilities["10"] == pytest.approx(1 / 3)
+
+    def test_word_too_long(self):
+        with pytest.raises(ValueError):
+            empirical_distribution(SymbolSequence(2, (0, 1)), 3)
 
 
 class TestArrays:

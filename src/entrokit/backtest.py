@@ -9,6 +9,7 @@ cost model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class StrategyParams:
     def __post_init__(self) -> None:
         if self.window < 2:
             raise ValueError("window must be >= 2")
+        for name in ("entry_z", "exit_z", "initial_capital"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.entry_z >= self.exit_z:
             raise ValueError("entry_z must be below exit_z")
         if self.initial_capital <= 0:

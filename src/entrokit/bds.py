@@ -11,11 +11,20 @@ deviation assembled from C = C_1 and the triple statistic K:
 V_m is asymptotically standard Normal under iid.  The test runs on raw
 real-valued log returns, not on discretized symbols.
 
-Every count comes from one pass over the upper triangle of the pair
-matrix |x_s - x_t| <= epsilon, BLOCK rows at a time (Kanzler 1999): each
-tile yields its share of the m-history pairs, the single-point pairs and
-every point's neighbour count, from which C_m, C_1, C and K follow as
-exact integer ratios.  Time is O(n^2 / 2) comparisons, memory O(BLOCK * n).
+Every count is an exact integer, so C_m, C_1, C and K follow as exact
+integer ratios and both count paths give bit-identical floats:
+
+- m = 2 (the default): ranks (Kanzler 1999).  After one sort, the points
+  within epsilon of x_s form one run [lo_s, hi_s) of sorted positions,
+  found with the same float test as the pair matrix.  A pair of 2-histories
+  is then a point (rank x_t, rank x_{t+1}) inside the rectangle
+  [lo_s, hi_s) x [lo_{s+1}, hi_{s+1}), and all n rectangles are counted
+  offline by descending a wavelet matrix over the successor ranks.  Time is
+  O(n log n), memory O(n).
+- m >= 3 (and m = 1): tiles.  One pass over the upper triangle of the pair
+  matrix |x_s - x_t| <= epsilon, BLOCK rows at a time; each tile yields its
+  share of the m-history pairs, the single-point pairs and every point's
+  neighbour count.  Time is O(n^2 / 2) comparisons, memory O(BLOCK * n).
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
 
 MIN_LENGTH = 50  # asymptotic validity floor
 BLOCK = 128  # rows per pair-counting tile: memory is O(BLOCK * n)
+QUERY_CHUNK = 1 << 16  # rank-path queries moved down each level at a time
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,10 @@ class BdsParams:
     def __post_init__(self) -> None:
         if not 2 <= self.embedding_m <= 10:
             raise ValueError(f"embedding_m must be in [2, 10], got {self.embedding_m}")
-        if self.epsilon_multiplier <= 0:
-            raise ValueError("epsilon_multiplier must be positive")
+        if not (math.isfinite(self.epsilon_multiplier) and self.epsilon_multiplier > 0):
+            raise ValueError(
+                f"epsilon_multiplier must be finite and positive, got {self.epsilon_multiplier}"
+            )
 
 
 @dataclass(frozen=True)
@@ -99,17 +111,136 @@ def _pair_counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.nd
     return pairs_m, pairs_1, deg
 
 
+def _bisect(test, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest j in [a, b] with ``test(j)``, element-wise.
+
+    ``test`` is monotone (false, then true) on each interval and holds at b.
+    """
+    while np.any(a < b):
+        mid = (a + b) // 2
+        hit = test(mid) | (a >= b)  # a finished interval stays where it is
+        b = np.where(hit, mid, b)
+        a = np.where(hit, a, mid + 1)
+    return a
+
+
+def _neighbour_ranges(
+    x: np.ndarray, v: np.ndarray, rank: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point s, the run [lo_s, hi_s) of sorted positions j with
+    ``abs(x_s - v_j) <= epsilon``, the float test of the pair matrix.
+
+    fl(x_s - v_j) is monotone in v_j because rounding is monotone, so the run
+    is contiguous and holds rank_s.  The shifted bounds x_s -+ epsilon may
+    miss the test by an ulp; the points whose edge disagrees are bisected.
+    """
+    n = len(v)
+    # sentinels: sorted position -1 and n fail the test for every finite x_s
+    padded = np.concatenate(([-np.inf], v, [np.inf]))
+
+    def near(xs, j):
+        return np.abs(xs - padded[j + 1]) <= epsilon
+
+    lo = np.searchsorted(v, x - epsilon, "left")
+    hi = np.searchsorted(v, x + epsilon, "right")
+    # lo_s is the first j in [0, rank_s] that passes
+    bad = np.flatnonzero(~near(x, lo) | near(x, lo - 1))
+    if len(bad):
+        xs = x[bad]
+        lo[bad] = _bisect(lambda j: near(xs, j), np.zeros_like(bad), rank[bad])
+    # hi_s is the first j in (rank_s, n] that fails
+    bad = np.flatnonzero(~near(x, hi - 1) | near(x, hi))
+    if len(bad):
+        xs = x[bad]
+        hi[bad] = _bisect(lambda j: ~near(xs, j), rank[bad] + 1, np.full_like(bad, n))
+    return lo, hi
+
+
+def _count_in_boxes(
+    y: np.ndarray, lo: np.ndarray, hi: np.ndarray, c_lo: np.ndarray, c_hi: np.ndarray
+) -> int:
+    """Sum over queries q of #{i in [lo_q, hi_q) : c_lo_q <= y_i < c_hi_q}.
+
+    A wavelet matrix over y, built and descended one bit level at a time so
+    that only the current level is held: each level is a stable 0/1
+    partition of y by that bit with a prefix count of its zeros, and each
+    query range moves into the zeros or the ones by gathers alone.  The
+    queries go down QUERY_CHUNK at a time, which bounds the temporaries.
+    """
+    caps = np.stack((c_hi, c_lo))
+    # [cap, start/end, query]: the range each cap's descent has reached
+    ranges = np.stack((np.stack((lo, hi)), np.stack((lo, hi))))
+    below = np.zeros(2, dtype=np.int64)  # counts below c_hi and below c_lo
+    zeros_before = np.zeros(len(y) + 1, dtype=np.intp)
+    cur = y
+    for level in reversed(range(int(y.max()).bit_length())):
+        bit = 1 << level
+        ones = (cur & bit).astype(bool)
+        zeros = ~ones
+        np.add.accumulate(zeros, dtype=np.intp, out=zeros_before[1:])
+        n_zeros = zeros_before[-1]
+        for a in range(0, len(lo), QUERY_CHUNK):
+            part = ranges[:, :, a : a + QUERY_CHUNK]
+            z = zeros_before[part]
+            up = (caps[:, a : a + QUERY_CHUNK] & bit).astype(bool)
+            # where the cap has a one, every zero in the range is below it
+            below += ((z[:, 1] - z[:, 0]) * up).sum(axis=1)
+            part[...] = np.where(up[:, None], part + (n_zeros - z), z)
+        cur = np.concatenate((cur[zeros], cur[ones]))
+    return int(below[0] - below[1])
+
+
+def _rank_counts(x: np.ndarray, epsilon: float) -> tuple[int, int, np.ndarray]:
+    """``_pair_counts(x, epsilon, 2)`` from sorted ranks in O(n log n) time.
+
+    Pairs s < t of 2-histories within epsilon are the t whose rank lies in
+    [lo_s, hi_s) and whose successor's rank lies in [lo_{s+1}, hi_{s+1}):
+    summed over s < N this counts each pair twice and each s once with itself.
+    """
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    v = x[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    lo, hi = _neighbour_ranges(x, v, rank, epsilon)
+    width = hi - lo
+    deg = width.astype(np.int64) - 1
+    n_emb = n - 1
+    # single points s < t < N: the last point is the one not embedded
+    last = rank[-1]
+    with_last = int(np.count_nonzero((lo[:-1] <= last) & (last < hi[:-1])))
+    pairs_1 = (int(width[:-1].sum()) - with_last - n_emb) // 2
+    # successor rank of the point at each sorted position; n (no rank) for the last point
+    succ = np.full(n, n, dtype=np.intp)
+    succ[rank[:-1]] = rank[1:]
+    in_boxes = _count_in_boxes(succ, lo[:-1], hi[:-1], lo[1:], hi[1:])
+    pairs_m = (in_boxes - n_emb) // 2
+    return pairs_m, pairs_1, deg
+
+
+def _counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.ndarray]:
+    """``(pairs_m, pairs_1, deg)`` by ranks at m = 2 and by tiles otherwise."""
+    return _rank_counts(x, epsilon) if m == 2 else _pair_counts(x, epsilon, m)
+
+
+def _require_finite(x: np.ndarray) -> None:
+    # a NaN fails every pair test and an inf makes the sample sd non-finite
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series holds NaN or infinite values")
+
+
 def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: float) -> float:
     """C_{m}(eps): fraction of m-history pairs within eps under the max norm."""
     x = values.values if isinstance(values, ReturnSeries) else np.asarray(values, float)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if len(x) < m + 1:
         raise ValueError(f"need at least {m + 1} observations, got {len(x)}")
+    _require_finite(x)
     n_emb = len(x) - m + 1
-    pairs_m, _, _ = _pair_counts(x, epsilon, m)
+    pairs_m, _, _ = _counts(x, epsilon, m)
     return pairs_m / (n_emb * (n_emb - 1) / 2)
 
 
@@ -120,12 +251,15 @@ def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsPara
     m = params.embedding_m
     if n < MIN_LENGTH:
         raise ValueError(f"need at least {MIN_LENGTH} observations, got {n}")
+    _require_finite(x)
     sd = float(np.std(x, ddof=1))
     if sd == 0.0:
         raise ValueError("zero-variance series")
     epsilon = params.epsilon_multiplier * sd
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon = {params.epsilon_multiplier} * {sd} is not finite")
 
-    pairs_m, pairs_1, deg = _pair_counts(x, epsilon, m)
+    pairs_m, pairs_1, deg = _counts(x, epsilon, m)
     n_emb = n - m + 1
     emb_pairs = n_emb * (n_emb - 1) / 2
     c_m = pairs_m / emb_pairs

@@ -8,6 +8,7 @@ estimators are judged against.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +95,14 @@ def generate(source: SyntheticSource, n: int) -> SymbolSequence:
     # markov: start from the stationary distribution
     t = np.asarray(source.transition, dtype=float)
     mu = stationary_distribution(t)
-    cdf = np.cumsum(t, axis=1)
     u = rng.random(n)
     state = int(np.searchsorted(np.cumsum(mu), u[0]))
+    # bisect_left on the rows as Python floats is np.searchsorted's "left"
+    # side, without a numpy call per symbol
+    cdf = np.cumsum(t, axis=1).tolist()
     symbols = [state]
-    for i in range(1, n):
-        state = int(np.searchsorted(cdf[state], u[i]))
+    for draw in u[1:].tolist():
+        state = bisect_left(cdf[state], draw)
         symbols.append(state)
     return SymbolSequence(alphabet_size=a, symbols=symbols)
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,21 @@ class TestMeanReversionBacktest:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             StrategyParams(entry_z=0.5, exit_z=0.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"entry_z": math.nan},
+            {"entry_z": -math.inf},
+            {"exit_z": math.nan},
+            {"exit_z": math.inf},
+            {"initial_capital": math.nan},
+            {"initial_capital": math.inf},
+        ],
+    )
+    def test_non_finite_params(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            StrategyParams(**kw)
 
 
 # windows straddling numpy's 8-way unrolled and 128-block pairwise sums

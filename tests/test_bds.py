@@ -9,6 +9,7 @@ from entrokit.bds import (
     BLOCK,
     BdsParams,
     _pair_counts,
+    _rank_counts,
     bds_statistic,
     correlation_integral,
     entropy_bds_association,
@@ -34,6 +35,12 @@ SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, TWO_TILES, 1000]
 
 def _size(n, m):
     return 2 * BLOCK + m - 1 if n == TWO_TILES else n
+
+
+def market_returns(rng, n):
+    """Returns shaped like the bundled market: four levels plus a small jitter."""
+    levels = np.array([-0.03, -0.01, 0.01, 0.03])
+    return levels[rng.integers(0, 4, n)] + rng.uniform(-0.004, 0.004, n)
 
 
 def matrix_counts(x, epsilon, m):
@@ -123,6 +130,90 @@ class TestCorrelationIntegral:
         with pytest.raises(ValueError):
             correlation_integral(np.arange(10.0), 2, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            correlation_integral(np.random.default_rng(0).standard_normal(200), 2, epsilon)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, m, bad):
+        x = np.random.default_rng(0).standard_normal(200)
+        x[57] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            correlation_integral(x, m, 0.5)
+
+
+def assert_same_counts(got, want):
+    assert got[:2] == want[:2]
+    assert got[2].dtype == want[2].dtype
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+class TestRankCounts:
+    """The m = 2 rank path against the tiles and the full matrices."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_grid(self, n):
+        rng = np.random.default_rng(21)
+        size = _size(n, 2)
+        # integers put many pairs exactly at epsilon; one decimal gives ties
+        inputs = [
+            (rng.integers(-4, 5, size).astype(float), 2.0),
+            (rng.integers(-4, 5, size).astype(float), 1.0),
+            (np.round(rng.standard_normal(size), 1), 0.5),
+            (np.round(rng.standard_normal(size), 1), 0.3),
+            (rng.standard_normal(size), 0.7),
+        ]
+        for x, eps in inputs:
+            got = _rank_counts(x, eps)
+            assert_same_counts(got, _pair_counts(x, eps, 2))
+            assert_same_counts(got, matrix_counts(x, eps, 2))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 50, 749, 1000])
+    def test_market_shaped(self, n):
+        rng = np.random.default_rng(22 + n)
+        for _ in range(5):
+            x = market_returns(rng, n)
+            for eps in (0.002, 0.02, float(np.std(x, ddof=1)), 0.0600000001, 1.0):
+                got = _rank_counts(x, eps)
+                assert_same_counts(got, _pair_counts(x, eps, 2))
+                assert_same_counts(got, matrix_counts(x, eps, 2))
+
+    def test_edges_one_ulp_from_shifted_bounds(self):
+        # x_t a few ulps either side of x_s -+ eps, where fl(x_s -+ eps) and
+        # fl(x_s - x_t) can disagree
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            centre = np.round(rng.standard_normal(8), 1)
+            eps = float(rng.choice([0.1, 0.3, 0.7]))
+            edges = np.concatenate([centre - eps, centre + eps])
+            near = [np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+            x = rng.permutation(np.concatenate([centre, edges, *near, edges]))
+            assert_same_counts(_rank_counts(x, eps), matrix_counts(x, eps, 2))
+
+    def test_statistics_bit_identical_to_matrices(self):
+        rng = np.random.default_rng(24)
+        for n in (50, 51, 749, 1000):
+            x = market_returns(rng, n)
+            for multiplier in (0.25, 0.5, 1.0, 1.5, 2.0):
+                params = BdsParams(2, multiplier)
+                res = bds_statistic(x, params)
+                assert (res.statistic, res.p_value, res.c_m, res.c_1) == matrix_bds(x, params)
+                eps = multiplier * float(np.std(x, ddof=1))
+                assert correlation_integral(x, 2, eps) == res.c_m
+
+    def test_memory_linear_at_large_n(self):
+        # the tiles would need minutes and a BLOCK x n tile of 200 MB here
+        x = market_returns(np.random.default_rng(25), 200_000)
+        tracemalloc.start()
+        try:
+            bds_statistic(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
 
 class TestBdsStatistic:
     def test_periodic_series_rejects(self):
@@ -191,6 +282,24 @@ class TestBdsStatistic:
     def test_zero_variance(self):
         with pytest.raises(ValueError):
             bds_statistic(np.ones(100))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, m, bad):
+        x = np.random.default_rng(0).standard_normal(200)
+        x[123] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            bds_statistic(x, BdsParams(m, 1.0))
+
+    def test_epsilon_overflow(self):
+        x = 1e10 * np.random.default_rng(0).standard_normal(200)
+        with pytest.raises(ValueError, match="not finite"):
+            bds_statistic(x, BdsParams(2, 1e308))
+
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_multiplier(self, multiplier):
+        with pytest.raises(ValueError, match="finite and positive"):
+            BdsParams(2, multiplier)
 
 
 class TestEntropyBdsAssociation:

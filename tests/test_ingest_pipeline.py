@@ -319,6 +319,12 @@ class TestCli:
             ("--bds-m", "0"),
             ("--bds-eps", "-1"),
             ("--permutations", "0"),
+            ("--bds-eps", "nan"),
+            ("--bds-eps", "inf"),
+            ("--entry-z", "nan"),
+            ("--exit-z", "nan"),
+            ("--capital", "nan"),
+            ("--capital", "inf"),
         ],
     )
     def test_bad_parameter_rejected_before_work(self, tmp_path, flag, value, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entrokit.series import SymbolSequence
 from entrokit.synth import (
     SyntheticSource,
     convergence_curve,
@@ -11,6 +12,26 @@ from entrokit.synth import (
     shift_register_chain,
     stationary_distribution,
 )
+
+
+def loop_generate(source, n):
+    """Oracle: the Markov chain stepped by one ``np.searchsorted`` per symbol."""
+    rng = np.random.default_rng(source.seed)
+    t = np.asarray(source.transition, dtype=float)
+    cdf = np.cumsum(t, axis=1)
+    u = rng.random(n)
+    state = int(np.searchsorted(np.cumsum(stationary_distribution(t)), u[0]))
+    symbols = [state]
+    for i in range(1, n):
+        state = int(np.searchsorted(cdf[state], u[i]))
+        symbols.append(state)
+    return SymbolSequence(alphabet_size=t.shape[0], symbols=symbols)
+
+
+def _sticky(k, stay):
+    t = np.full((k, k), (1.0 - stay) / (k - 1))
+    np.fill_diagonal(t, stay)
+    return t
 
 
 class TestGenerate:
@@ -37,6 +58,28 @@ class TestGenerate:
     def test_seed_determinism(self):
         src = SyntheticSource(kind="uniform_iid", alphabet_size=4, seed=77)
         assert np.array_equal(generate(src, 500).symbols, generate(src, 500).symbols)
+
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            shift_register_chain(0.0),
+            shift_register_chain(1.72),
+            shift_register_chain(1.9),
+            shift_register_chain(2.0),
+            _sticky(2, 0.9),
+            _sticky(8, 0.3),
+            np.array([[0.2, 0.3, 0.5], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]]),
+        ],
+    )
+    def test_markov_matches_searchsorted_loop(self, transition):
+        for seed in (0, 1, 2, 41, 7_000_090):
+            for n in (1, 2, 749, 3000):
+                source = SyntheticSource(
+                    kind="markov", alphabet_size=len(transition), seed=seed, transition=transition
+                )
+                got, want = generate(source, n), loop_generate(source, n)
+                assert got.symbols.dtype == want.symbols.dtype
+                assert np.array_equal(got.symbols, want.symbols)
 
     def test_invalid_transition(self):
         bad = np.array([[0.5, 0.6], [0.5, 0.5]])

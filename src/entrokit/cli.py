@@ -66,7 +66,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "make-dataset":
-        daily, intraday = write_synthetic_market(args.out, n_points=args.points, seed=args.seed)
+        try:
+            daily, intraday = write_synthetic_market(args.out, n_points=args.points, seed=args.seed)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         print(f"wrote {daily}")
         print(f"wrote {intraday}")
         return EXIT_OK

@@ -9,7 +9,6 @@ deterministic end-to-end input.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +48,12 @@ def _write_cohort(
     seed: int,
 ) -> None:
     transition = shift_register_chain(entropy_bits)
+    # The same bytes csv.writer gives, written one string per ticker: the
+    # tickers are SYN000-SYN090 and the other fields are numbers, so no field
+    # ever needs quoting.
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "ticker", "close"])
+        fh.write("timestamp,ticker,close\r\n")
+        timestamps = range(t0, t0 + n_points * spacing, spacing)
         for k in range(NUM_TICKERS):
             ticker = f"SYN{k:03d}"
             source = SyntheticSource(
@@ -60,8 +62,9 @@ def _write_cohort(
             seq = generate(source, n_points - 1)
             rng = np.random.default_rng(seed + 100_000 + k)
             prices = _symbols_to_prices(seq.symbols, rng)
-            for i, price in enumerate(prices):
-                writer.writerow([t0 + i * spacing, ticker, f"{price:.6f}"])
+            fh.write(
+                "".join(f"{t},{ticker},{p:.6f}\r\n" for t, p in zip(timestamps, prices.tolist()))
+            )
 
 
 def write_synthetic_market(
@@ -70,6 +73,10 @@ def write_synthetic_market(
     seed: int = 0,
 ) -> tuple[Path, Path]:
     """Write daily.csv and intraday.csv under ``out_dir``; returns the paths."""
+    if n_points < 2:
+        raise ValueError("points must be >= 2")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     daily = out_dir / "daily.csv"

@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.permutations < 1:
             raise ValueError("permutations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         CtwParams(self.ctw_depth)  # each raises ValueError on a bad value
         BdsParams(self.bds_m, self.bds_eps)
 

@@ -157,24 +157,40 @@ def _cycle_row_entropy(q: float) -> float:
     return h
 
 
+def _cycle_q(target_bits: float) -> float:
+    """q in (0, 1/4] whose row entropy is ``target_bits``, to one float step.
+
+    The row entropy rises monotonically from 0 to 2 bits on [0, 1/4], so
+    bisection keeps h(lo) < target <= h(hi) and stops when lo and hi are
+    adjacent floats: their midpoint rounds back to one of them.
+    """
+    lo, hi = 0.0, 0.25
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        if _cycle_row_entropy(mid) < target_bits:
+            lo = mid
+        else:
+            hi = mid
+
+
 def shift_register_chain(target_bits: float) -> np.ndarray:
     """4-state chain with analytic entropy rate ``target_bits``.
 
     Row i puts mass 1-3q on state (i+1) mod 4 and q on each of the three
     remaining states (including staying put); the
     matrix is doubly stochastic, so the stationary distribution is uniform
-    and the entropy rate equals the row entropy.  q is solved numerically.
+    and the entropy rate equals the row entropy.  q is solved by bisection.
     """
     if not 0.0 <= target_bits <= 2.0:
         raise ValueError("target must be in [0, 2] bits")
     if target_bits == 0.0:
         q = 0.0
     elif target_bits == 2.0:
-        q = 0.25
+        q = 0.25  # the row entropy is flat at 1/4, so bisection stops short
     else:
-        from scipy.optimize import brentq  # deferred: keeps scipy out of start-up
-
-        q = brentq(lambda v: _cycle_row_entropy(v) - target_bits, 1e-15, 0.25)
+        q = _cycle_q(target_bits)
     t = np.full((4, 4), q)
     for i in range(4):
         t[i, (i + 1) % 4] = 1.0 - 3.0 * q

@@ -325,6 +325,7 @@ class TestCli:
             ("--exit-z", "nan"),
             ("--capital", "nan"),
             ("--capital", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_parameter_rejected_before_work(self, tmp_path, flag, value, capsys):

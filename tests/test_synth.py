@@ -114,11 +114,35 @@ class TestMarkovEntropyRate:
         assert np.allclose(mu, 0.25, atol=1e-9)  # doubly stochastic
 
 
+def _row_entropy(q):
+    p = 1.0 - 3.0 * q
+    return -sum(v * math.log2(v) for v in (p, q, q, q) if v > 0)
+
+
+TARGETS = [1e-9, 1e-6, 0.01, 0.25, 0.5, 0.8, 1.0, 1.2, 1.5, 1.72, 1.9, 1.99, 2 - 1e-6, 2 - 1e-9]
+
+
 class TestShiftRegisterChain:
-    @pytest.mark.parametrize("target", [0.25, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("target", TARGETS + [0.0, 2.0])
     def test_hits_target(self, target):
         t = shift_register_chain(target)
-        assert markov_entropy_rate(t) == pytest.approx(target, abs=1e-9)
+        assert markov_entropy_rate(t) == pytest.approx(target, abs=1e-12)
+
+    @pytest.mark.parametrize("target", TARGETS + np.linspace(0.005, 1.995, 100).tolist())
+    def test_root_matches_brentq(self, target):
+        from scipy.optimize import brentq
+
+        root = brentq(lambda v: _row_entropy(v) - target, 1e-15, 0.25)
+        assert abs(shift_register_chain(target)[0, 0] - root) <= 1e-12
+
+    def test_endpoints(self):
+        assert np.array_equal(shift_register_chain(0.0), np.roll(np.eye(4), 1, axis=1))
+        assert np.array_equal(shift_register_chain(2.0), np.full((4, 4), 0.25))
+
+    @pytest.mark.parametrize("target", [-1e-9, 2 + 1e-9, float("nan"), float("inf")])
+    def test_out_of_range_rejected(self, target):
+        with pytest.raises(ValueError):
+            shift_register_chain(target)
 
     def test_rows_stochastic(self):
         t = shift_register_chain(0.8)

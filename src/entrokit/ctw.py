@@ -6,10 +6,10 @@ suffix-set source of depth <= D, with Krichevsky-Trofimov
 Tjalkens, IEEE Trans. IT 41(3), 1995).  A node's weighted probability
 depends only on its own final (zeros, ones) counts and on its children's
 weighted probabilities, so the mixture is computed from the final
-per-context counts, folded from depth D up to the root.  That costs
-O(n*D log n) numpy work and O(n) memory, not a per-bit tree walk.  All
-probabilities are kept in the log2 domain; products over tens of thousands
-of bits underflow any linear-domain representation.
+per-context counts, folded from depth D up to the root.  That costs one
+O(n log n) sort plus O(n*D) numpy work and O(n) memory, not a per-bit tree
+walk.  All probabilities are kept in the log2 domain; products over tens
+of thousands of bits underflow any linear-domain representation.
 
 Multi-symbol sequences are handled by fixed-width binary expansion (MSB
 first) and the per-bit entropy is scaled back to bits per symbol.
@@ -60,8 +60,8 @@ class CtwResult:
     node_count: int
 
 
-def symbols_to_bits(seq: SymbolSequence) -> list[int]:
-    """Expand each symbol to ceil(log2 A) bits, most-significant first."""
+def symbols_to_bits(seq: SymbolSequence) -> np.ndarray:
+    """Expand each symbol to ceil(log2 A) bits, most-significant first, as int64."""
     a = seq.alphabet_size
     if a & (a - 1) != 0:
         raise ValueError(
@@ -69,7 +69,7 @@ def symbols_to_bits(seq: SymbolSequence) -> list[int]:
             "power-of-two number of states before CTW estimation"
         )
     shifts = np.arange(a.bit_length() - 2, -1, -1)
-    return ((seq.symbols[:, None] >> shifts) & 1).ravel().tolist()
+    return ((seq.symbols[:, None] >> shifts) & 1).ravel()
 
 
 def kt_log_probability(count_zero: int, count_one: int) -> float:
@@ -92,48 +92,87 @@ def kt_log_probability(count_zero: int, count_one: int) -> float:
 
 
 def _context_keys(bits: np.ndarray, depth: int) -> np.ndarray:
-    """Bit k of key t is the bit k+1 places before t; D copies of bits[0] pad the start."""
+    """Bit depth-1-k of key t is the bit k+1 places before t; D copies of bits[0] pad the start.
+
+    The most recent bit is the most significant, so ``key >> (depth - d)`` is
+    the depth-d context and sorting the keys sorts every depth's contexts.
+    """
     n = len(bits)
-    padded = np.concatenate([np.full(depth, bits[0]), bits]).astype(np.int64)
+    padded = np.concatenate([np.full(depth, bits[0]), bits])
     keys = np.zeros(n, dtype=np.int64)
-    for k in range(depth):
-        keys |= padded[depth - 1 - k : depth - 1 - k + n] << k
+    for j in range(depth):
+        keys |= padded[j : j + n] << j
     return keys
 
 
-def ctw_log_mixture(bits: list[int], params: CtwParams) -> CtwResult:
-    """Exact log2 mixture probability of ``bits`` under the depth-D prior.
+_lg_half = np.empty(0)  # math.lgamma(k + 0.5) for k = 0, 1, ...
+_lg_int = np.empty(0)  # math.lgamma(k + 1.0)
+
+
+def _lgamma_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lgamma tables over at least 0..n, built once and grown by doubling."""
+    global _lg_half, _lg_int
+    have = len(_lg_half)
+    if have <= n:
+        ks = range(have, max(n + 1, 2 * have))
+        _lg_half = np.concatenate([_lg_half, [math.lgamma(k + 0.5) for k in ks]])
+        _lg_int = np.concatenate([_lg_int, [math.lgamma(k + 1.0) for k in ks]])
+        _lg_half.flags.writeable = _lg_int.flags.writeable = False
+    return _lg_half, _lg_int
+
+
+def ctw_log_mixture(bits: np.ndarray | list[int], params: CtwParams) -> CtwResult:
+    """Exact log2 mixture probability of ``bits`` (0/1 values) under the depth-D prior.
 
     The D bits of context before the first input bit are taken as copies of
     the first input bit, so all n bits contribute to the estimate (no
     burn-in discard) and complementing the input leaves the probability
     unchanged.
+
+    One sort of ``(key << 1) | bit`` puts every leaf context's bits in one
+    run.  Dropping the oldest context bit (``key >> 1``) keeps that order,
+    so a shallower depth's nodes are runs of adjacent deeper nodes: two
+    neighbours share a node once every bit in which their keys differ is
+    dropped, the bit length of their XOR.  Each depth finds its runs with
+    one comparison on those lengths and sums them with ``np.add.reduceat``;
+    a depth where no two nodes merge keeps its counts and KT values.  A
+    parent has at most two children and float addition commutes, so every
+    sum is the one any child order gives.
     """
     n = len(bits)
     if n == 0:
         raise ValueError("empty bit sequence")
     depth = params.depth_D
     bit_array = np.asarray(bits, dtype=np.int64)
-    # kt_log_probability over whole count arrays, from lgamma tables over 0..n
-    lg_half = np.array([math.lgamma(k + 0.5) for k in range(n + 1)])
-    lg_int = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    lg_half, lg_int = _lgamma_tables(n)
 
     def kt(zeros: np.ndarray, ones: np.ndarray) -> np.ndarray:
         ln = lg_half[zeros] + lg_half[ones] - lg_int[zeros + ones] - 2.0 * _LGAMMA_HALF
         return ln / _LN2
 
-    keys, inverse = np.unique(_context_keys(bit_array, depth), return_inverse=True)
-    ones = np.bincount(inverse, weights=bit_array).astype(np.int64)
-    zeros = np.bincount(inverse) - ones
-    log_pw = kt(zeros, ones)  # leaves: P_w = P_e
-    node_count = len(keys)
-    for d in range(depth - 1, -1, -1):
-        keys, inverse = np.unique(keys & ((1 << d) - 1), return_inverse=True)
-        zeros = np.bincount(inverse, weights=zeros).astype(np.int64)
-        ones = np.bincount(inverse, weights=ones).astype(np.int64)
-        children = np.bincount(inverse, weights=log_pw)
-        log_pw = np.logaddexp2(kt(zeros, ones), children) - 1.0
-        node_count += len(keys)
+    codes = np.sort((_context_keys(bit_array, depth) << 1) | bit_array)
+    keys = codes >> 1
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # the leaves' runs
+    ones = np.add.reduceat(codes & 1, starts)
+    zeros = np.diff(starts, append=n) - ones
+    log_pe = kt(zeros, ones)
+    log_pw = log_pe  # leaves: P_w = P_e
+    # gaps[i]: the context bits to drop before nodes i and i+1 share a node;
+    # frexp's exponent is the bit length, exact for keys below 2**53
+    gaps = np.frexp(np.bitwise_xor(keys[starts[1:]], keys[starts[:-1]]))[1]
+    merging = set(np.unique(gaps).tolist())
+    node_count = len(starts)
+    for drop in range(1, depth + 1):
+        if drop in merging:
+            kept = gaps > drop
+            starts = np.flatnonzero(np.concatenate(([True], kept)))
+            gaps = gaps[kept]
+            zeros = np.add.reduceat(zeros, starts)
+            ones = np.add.reduceat(ones, starts)
+            log_pw = np.add.reduceat(log_pw, starts)
+            log_pe = kt(zeros, ones)
+        log_pw = np.logaddexp2(log_pe, log_pw) - 1.0
+        node_count += len(log_pw)
     log_p = float(log_pw[0])
     return CtwResult(
         log2_mixture_probability=log_p,

@@ -152,9 +152,13 @@ def _run_pool(
     jobs: int,
     results: list[TickerRecord | None],
 ) -> list[int]:
-    """Run ``tasks[k]`` for each k in one fresh pool; return the k whose future broke."""
+    """Run ``tasks[k]`` for each k in one fresh pool; return the k whose future broke.
+
+    The pool has no more workers than tasks: under the fork start method
+    every worker is forked at the first submit.
+    """
     broken = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
         futures = [(k, pool.submit(_process_ticker, tasks[k])) for k in indices]
         for k, future in futures:
             try:
@@ -522,8 +526,17 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
 
     all_series: list[PriceSeries] = []
     skipped = duplicates = 0
+    source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
     for path in config.inputs:
         result = ingest_csv(path)
+        for series in result.series:
+            key = (series.ticker, series.sampling)
+            if key in source:
+                raise ValueError(
+                    f"ticker {series.ticker!r} of the {series.sampling} cohort is in "
+                    f"both {source[key]} and {path}"
+                )
+            source[key] = path
         all_series.extend(result.series)
         skipped += result.skipped_rows
         duplicates += result.duplicate_rows

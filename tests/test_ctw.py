@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from entrokit import ctw as ctw_module
 from entrokit.ctw import (
     CtwParams,
+    CtwResult,
     ctw_entropy_rate,
     ctw_log_mixture,
     kt_log_probability,
@@ -111,6 +113,42 @@ def sequential_mixture(bits, depth):
     return root.log_pw, node_count
 
 
+def unique_fold(bits, depth):
+    """Third oracle: the per-depth ``np.unique`` fold of the final context counts.
+
+    Bit k of a context key is the bit k+1 places before (most recent
+    least significant); each shallower depth masks the keys, re-finds its
+    nodes with ``np.unique`` and sums the children with ``np.bincount``.
+    """
+    n = len(bits)
+    bit_array = np.asarray(bits, dtype=np.int64)
+    lg_half = np.array([math.lgamma(k + 0.5) for k in range(n + 1)])
+    lg_int = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+    def kt(zeros, ones):
+        ln = lg_half[zeros] + lg_half[ones] - lg_int[zeros + ones] - 2.0 * math.lgamma(0.5)
+        return ln / math.log(2.0)
+
+    padded = np.concatenate([np.full(depth, bit_array[0]), bit_array])
+    keys = np.zeros(n, dtype=np.int64)
+    for k in range(depth):
+        keys |= padded[depth - 1 - k : depth - 1 - k + n] << k
+    keys, inverse = np.unique(keys, return_inverse=True)
+    ones = np.bincount(inverse, weights=bit_array).astype(np.int64)
+    zeros = np.bincount(inverse) - ones
+    log_pw = kt(zeros, ones)
+    node_count = len(keys)
+    for d in range(depth - 1, -1, -1):
+        keys, inverse = np.unique(keys & ((1 << d) - 1), return_inverse=True)
+        zeros = np.bincount(inverse, weights=zeros).astype(np.int64)
+        ones = np.bincount(inverse, weights=ones).astype(np.int64)
+        children = np.bincount(inverse, weights=log_pw)
+        log_pw = np.logaddexp2(kt(zeros, ones), children) - 1.0
+        node_count += len(keys)
+    log_p = float(log_pw[0])
+    return CtwResult(log_p, n, -log_p / n, node_count)
+
+
 def _random_symbols(alphabet, n, seed):
     return tuple(int(s) for s in np.random.default_rng(seed).integers(0, alphabet, n))
 
@@ -124,13 +162,15 @@ DEGENERATE = {
 
 class TestSymbolsToBits:
     def test_four_state_expansion(self):
-        assert symbols_to_bits(SymbolSequence(4, (0, 1, 2, 3))) == [0, 0, 0, 1, 1, 0, 1, 1]
+        bits = symbols_to_bits(SymbolSequence(4, (0, 1, 2, 3)))
+        assert bits.dtype == np.int64
+        assert bits.tolist() == [0, 0, 0, 1, 1, 0, 1, 1]
 
     def test_binary_passthrough(self):
-        assert symbols_to_bits(SymbolSequence(2, (1,))) == [1]
+        assert symbols_to_bits(SymbolSequence(2, (1,))).tolist() == [1]
 
     def test_msb_first(self):
-        assert symbols_to_bits(SymbolSequence(4, (3, 0))) == [1, 1, 0, 0]
+        assert symbols_to_bits(SymbolSequence(4, (3, 0))).tolist() == [1, 1, 0, 0]
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="re-discretize"):
@@ -246,7 +286,7 @@ class TestAgainstSequentialTree:
     def _compare(seq, depth):
         bits = symbols_to_bits(seq)
         res = ctw_log_mixture(bits, CtwParams(depth))
-        log_p, node_count = sequential_mixture(bits, depth)
+        log_p, node_count = sequential_mixture(bits.tolist(), depth)
         assert res.node_count == node_count
         assert res.n_bits == len(bits)
         assert res.log2_mixture_probability == pytest.approx(log_p, rel=1e-12, abs=1e-12)
@@ -271,3 +311,35 @@ class TestAgainstSequentialTree:
             state = state if u < 0.8 else (state + 1) % 4
             symbols.append(state)
         self._compare(SymbolSequence(4, tuple(symbols)), 20)
+
+
+def _bit_source(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "biased":
+        return (rng.random(n) < 0.2).astype(np.int64)
+    if kind == "uniform":
+        return rng.integers(0, 2, n)
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.int64)
+    return np.resize(np.array([0, 0, 1, 0, 1, 1, 1], dtype=np.int64), n)  # cyclic
+
+
+class TestAgainstUniqueFold:
+    """The one-sort fold equals the per-depth ``np.unique`` fold in every field."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 20, 48])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1498, 10_000])
+    @pytest.mark.parametrize("kind", ["biased", "uniform", "zeros", "cyclic"])
+    def test_equal(self, kind, n, depth):
+        for seed in (1, 2):
+            bits = _bit_source(kind, n, seed)
+            assert ctw_log_mixture(bits, CtwParams(depth)) == unique_fold(bits, depth)
+
+    def test_lgamma_tables_grow(self, monkeypatch):
+        # start from empty tables: a longer input after a shorter one grows them
+        monkeypatch.setattr(ctw_module, "_lg_half", np.empty(0))
+        monkeypatch.setattr(ctw_module, "_lg_int", np.empty(0))
+        for n in (5, 3, 40, 2_000, 7):
+            bits = _bit_source("biased", n, n)
+            assert ctw_log_mixture(bits, CtwParams(4)) == unique_fold(bits, 4)
+        assert 2_001 <= len(ctw_module._lg_half) == len(ctw_module._lg_int)

@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -289,6 +289,36 @@ class TestRunPipeline:
         assert len(pools) < 10, pools
         assert pools[:2] == [2, 2]
 
+    def test_pool_no_larger_than_its_tickers(self, tmp_path, monkeypatch):
+        path = tiny_market(tmp_path)
+        sizes = []
+
+        class InlinePool:
+            """Stand-in pool: records its size and runs each task at submit, here."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        args = ["estimate", "--input", str(path), "--out"]
+        assert cli_main(args + [str(tmp_path / "p"), "--jobs", "10000"]) == 0
+        assert sizes == [6]
+        assert cli_main(args + [str(tmp_path / "s"), "--jobs", "1"]) == 0
+        assert sizes == [6]
+        records = [(tmp_path / d / "records.csv").read_text() for d in ("p", "s")]
+        assert records[0] == records[1]
+
     def test_graph_aligns_missing_row(self, tmp_path):
         assert cli_main(["make-dataset", "--out", str(tmp_path / "d"), "--points", "120", "--seed", "3"]) == 0
         lines = (tmp_path / "d" / "daily.csv").read_text().splitlines()
@@ -335,6 +365,36 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_ticker_in_two_inputs_rejected_before_work(self, tmp_path, monkeypatch, capsys):
+        path = tiny_market(tmp_path)
+        other = tiny_market(tmp_path, n_tickers=9, seed=1, name="other.csv")
+
+        def no_estimates(args):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(pipeline, "_process_ticker", no_estimates)
+        out = tmp_path / "o"
+        for second in (path, other):
+            assert cli_main(
+                ["report", "--input", str(path), "--input", str(second), "--out", str(out)]
+            ) == 1
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "'TK0'" in err and "daily" in err
+            assert f"{path} and {second}" in err
+
+    def test_ticker_in_daily_and_intraday_inputs_valid(self, tmp_path):
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        out = tmp_path / "o"
+        assert cli_main(
+            ["estimate", "--input", str(daily), "--input", str(intraday), "--out", str(out)]
+        ) == 0
+        with (out / "records.csv").open(newline="") as fh:
+            keys = sorted((row["ticker"], row["sampling"]) for row in csv.DictReader(fh))
+        assert keys == sorted((f"TK{k}", s) for k in range(6) for s in ("daily", "intraday"))
+
     def test_exit_code_success_and_partial(self, tmp_path):
         path = tiny_market(tmp_path)
         assert cli_main(["estimate", "--input", str(path), "--out", str(tmp_path / "ok")]) == 0
@@ -364,6 +424,32 @@ class TestCli:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
         assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+    @staticmethod
+    def _blas_probe(env_value):
+        """Thread count and OPENBLAS_NUM_THREADS after entrokit, numpy and a matmul."""
+        script = (
+            "import os, entrokit, numpy as np; a = np.ones((300, 300)); a @ a; "
+            "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        src = os.path.dirname(os.path.dirname(entrokit.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if env_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = env_value
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        threads, setting = proc.stdout.split()
+        return int(threads), setting
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_one_blas_thread(self):
+        assert self._blas_probe(None) == (1, "1")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_caller_blas_setting_kept(self):
+        assert self._blas_probe("2")[1] == "2"
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -43,7 +43,7 @@ from .ctw import (
     symbols_to_bits,
 )
 from .bds import BdsParams, BdsResult, bds_statistic, correlation_integral, entropy_bds_association
-from .densities import KernelDensity, density_equality_test, kde, summary_stats
+from .densities import density_equality_test, summary_stats
 from .graphs import correlation_matrix, distance_graph, mst, pmfg
 from .synth import (
     SyntheticSource,

@@ -1,4 +1,4 @@
-"""Gaussian KDE of entropy-rate samples and a permutation equality test.
+"""Gaussian-KDE permutation test of density equality for entropy-rate samples.
 
 The equality test smooths both samples with one pooled bandwidth (reference
 bands are meaningless if the two curves are smoothed differently), measures
@@ -12,25 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "KernelDensity",
-    "EqualityTestResult",
-    "kde",
-    "density_equality_test",
-    "summary_stats",
-]
+__all__ = ["EqualityTestResult", "density_equality_test", "summary_stats"]
 
 GRID_POINTS = 512
 DEFAULT_PERMUTATIONS = 1000
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class KernelDensity:
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
 
 
 @dataclass(frozen=True)
@@ -60,19 +47,6 @@ def _kernel_matrix(samples: np.ndarray, grid: np.ndarray, h: float) -> np.ndarra
     """Row i = Gaussian kernel at samples[i] evaluated on the grid."""
     z = (grid[None, :] - samples[:, None]) / h
     return np.exp(-0.5 * z * z) / (h * _SQRT_2PI)
-
-
-def kde(samples) -> KernelDensity:
-    """Gaussian-kernel density on a 512-point grid spanning the data +/- 3h."""
-    x = np.asarray(list(samples), dtype=float)
-    if len(x) < 5:
-        raise ValueError(f"need at least 5 samples, got {len(x)}")
-    h = _reference_bandwidth(x)
-    if h <= 0:
-        raise ValueError("degenerate samples: zero bandwidth")
-    grid = np.linspace(x.min() - 3 * h, x.max() + 3 * h, GRID_POINTS)
-    density = _kernel_matrix(x, grid, h).mean(axis=0)
-    return KernelDensity(grid=grid, density=density, bandwidth=h)
 
 
 def density_equality_test(

@@ -1,11 +1,19 @@
 """Batch analysis pipeline: ingest -> estimate -> compare -> emit.
 
+One table says what every command does.  ``COMMANDS`` maps each command to
+its stages, in the order they run, and ``STAGES`` maps each stage to its
+function and the ``RunConfig`` fields it reads.  ``command_fields`` reads
+the two: the CLI gives each subcommand the flags of those fields and no
+other, and ``report.txt`` lists those settings and no other.
+
 Per ticker: log returns -> quartile discretization -> LZ and CTW entropy
 rates -> BDS on the raw returns.  Cross-sectional stages compare estimate
-densities across sampling cohorts, build correlation graphs and optionally
-run the mean-reversion backtest.  A failing ticker is recorded and skipped;
-it never aborts the run.  All files are written atomically under the
-output directory.
+densities across sampling cohorts, build correlation graphs and run the
+mean-reversion backtest.  A failing ticker is recorded and skipped; it
+never aborts the run.  A ticker belongs to its sampling cohort, the input
+of every cross-sectional stage, only if LZ, CTW and BDS all succeed on it:
+a flat series or one of fewer than 50 returns fails BDS, and so is left out.
+All files are written atomically under the output directory.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +41,35 @@ from .lz import lz_entropy_rate
 from .series import PriceSeries, ReturnSeries, log_returns, quantile_discretize
 from .synth import SyntheticSource, convergence_curve
 
-__all__ = ["RunConfig", "TickerRecord", "AnalysisReport", "run_pipeline"]
+__all__ = [
+    "COMMANDS", "RunConfig", "TickerRecord", "AnalysisReport", "command_fields", "run_pipeline",
+]
 
 SESSION_GAP_SECONDS = 4 * 3600  # intraday gap treated as a session boundary
 
-COMMANDS = ("estimate", "validate", "bds", "compare", "graph", "backtest", "report")
+# command -> its stages, in the order they run; STAGES below defines each one
+COMMANDS = {
+    "estimate": ("estimates", "summaries"),
+    "validate": ("curves",),
+    "bds": ("estimates", "associations"),
+    "compare": ("estimates", "summaries", "equality_tests"),
+    "graph": ("estimates", "graphs"),
+    "backtest": ("estimates", "backtest"),
+    "report": ("estimates", "summaries", "equality_tests", "associations", "graphs", "backtest"),
+}
+
+# the settings report.txt lists, in its order, when the command reads them;
+# jobs and the output directory change no result, and the backtest section
+# lists the strategy
+_PROVENANCE = (
+    "seed", "states", "ctw_depth", "bds_m", "bds_eps", "permutations", "split_sessions", "inputs",
+)
+
+
+def command_fields(command: str) -> tuple[str, ...]:
+    """The ``RunConfig`` fields ``command`` reads, in field order: ``out_dir`` and its stages'."""
+    read = {"out_dir"}.union(*(STAGES[stage][1] for stage in COMMANDS[command]))
+    return tuple(f.name for f in fields(RunConfig) if f.name in read)
 
 
 @dataclass(frozen=True)
@@ -60,7 +92,7 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.states not in (4, 8):
             raise ValueError("states must be 4 or 8")
-        if not self.inputs and self.command != "validate":
+        if not self.inputs and "inputs" in command_fields(self.command):
             raise ValueError("at least one input file is required")
         for p in self.inputs:
             if not Path(p).is_file():
@@ -90,21 +122,40 @@ class TickerRecord:
 
 @dataclass
 class AnalysisReport:
-    records: list[TickerRecord]
-    summaries: dict
-    equality_tests: dict
-    associations: dict
-    graph_info: dict
-    backtest_info: dict
-    skipped_rows: int
-    duplicate_rows: int
     config: RunConfig
+    records: list[TickerRecord] = field(default_factory=list)
+    summaries: dict = field(default_factory=dict)
+    equality_tests: dict = field(default_factory=dict)
+    associations: dict = field(default_factory=dict)
+    graph_info: dict = field(default_factory=dict)
+    backtest_info: dict = field(default_factory=dict)
+    skipped_rows: int = 0
+    duplicate_rows: int = 0
     failures: list[str] = field(default_factory=list)
     graph_rows_dropped: dict = field(default_factory=dict)  # cohort -> rows not shared
 
     @property
     def num_failed(self) -> int:
         return sum(1 for r in self.records if r.failed) + len(self.failures)
+
+
+@dataclass
+class _Run:
+    """What one command's stages share: each stage reads and fills it in turn."""
+
+    report: AnalysisReport
+    series: list[PriceSeries] = field(default_factory=list)  # by (ticker, sampling)
+    cohorts: dict[str, list[TickerRecord]] = field(default_factory=dict)  # label -> ok records
+    # (label, "lz" or "ctw") -> the cohort's entropy rates, in cohort order
+    entropies: dict[tuple[str, str], list[float]] = field(default_factory=dict)
+
+    @property
+    def config(self) -> RunConfig:
+        return self.report.config
+
+    @property
+    def out(self) -> Path:
+        return Path(self.report.config.out_dir)
 
 
 def _returns_for(series: PriceSeries, config: RunConfig) -> ReturnSeries:
@@ -193,6 +244,7 @@ def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
@@ -236,39 +288,63 @@ def _write_records(out: Path, records: list[TickerRecord]) -> None:
     _atomic_write(out / "records.csv", _csv_text(header, rows))
 
 
-def _cohorts(records: list[TickerRecord]) -> dict[str, list[TickerRecord]]:
-    out: dict[str, list[TickerRecord]] = {}
-    for r in records:
+def _estimates(run: _Run) -> None:
+    """Ingest every input, then run LZ, CTW and BDS on each ticker."""
+    config, report = run.config, run.report
+    source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
+    for path in config.inputs:
+        result = ingest_csv(path)
+        for series in result.series:
+            key = (series.ticker, series.sampling)
+            if key in source:
+                raise ValueError(
+                    f"ticker {series.ticker!r} of the {series.sampling} cohort is in "
+                    f"both {source[key]} and {path}"
+                )
+            source[key] = path
+        run.series.extend(result.series)
+        report.skipped_rows += result.skipped_rows
+        report.duplicate_rows += result.duplicate_rows
+    if not run.series:
+        raise ValueError("no tickers found in inputs")
+    run.series.sort(key=lambda s: (s.ticker, s.sampling))
+
+    tasks = [(s, config) for s in run.series]
+    if config.jobs > 1:
+        report.records = _pool_results(tasks, config.jobs)
+    else:
+        report.records = [_process_ticker(t) for t in tasks]
+    _write_records(run.out, report.records)
+
+    cohorts: dict[str, list[TickerRecord]] = {}
+    for r in report.records:
         if not r.failed:
-            out.setdefault(r.sampling, []).append(r)
-    return out
+            cohorts.setdefault(r.sampling, []).append(r)
+    run.cohorts = dict(sorted(cohorts.items()))
+    for label, cohort in run.cohorts.items():
+        run.entropies[label, "lz"] = [r.lz_entropy for r in cohort]
+        run.entropies[label, "ctw"] = [r.ctw_entropy for r in cohort]
 
 
-def _summaries(records: list[TickerRecord]) -> dict:
-    summaries = {}
-    for label, cohort in sorted(_cohorts(records).items()):
-        for estimator, getter in (("lz", lambda r: r.lz_entropy), ("ctw", lambda r: r.ctw_entropy)):
-            values = [getter(r) for r in cohort]
-            if len(values) >= 2:
-                mean, sd = summary_stats(values)
-                summaries[(label, estimator)] = {"mean": mean, "sd": sd, "n": len(values)}
-    return summaries
+def _summaries(run: _Run) -> None:
+    for key, values in run.entropies.items():
+        if len(values) >= 2:
+            mean, sd = summary_stats(values)
+            run.report.summaries[key] = {"mean": mean, "sd": sd, "n": len(values)}
 
 
-def _equality_tests(records: list[TickerRecord], config: RunConfig, out: Path) -> dict:
-    cohorts = _cohorts(records)
-    labels = sorted(cohorts)
-    results = {}
-    if len(labels) != 2:
-        return results
-    a_label, b_label = labels
-    for estimator, getter in (("lz", lambda r: r.lz_entropy), ("ctw", lambda r: r.ctw_entropy)):
-        a = [getter(r) for r in cohorts[a_label]]
-        b = [getter(r) for r in cohorts[b_label]]
-        if len(a) < 5 or len(b) < 5:
+def _equality_tests(run: _Run) -> None:
+    if len(run.cohorts) != 2:
+        return
+    a_label, b_label = run.cohorts
+    for (label, estimator), a in run.entropies.items():  # one test per estimator
+        b = run.entropies[b_label, estimator]
+        if label != a_label or len(a) < 5 or len(b) < 5:
             continue
-        res = density_equality_test(a, b, num_permutations=config.permutations, seed=config.seed)
-        results[estimator] = {
+        res = density_equality_test(
+            a, b, num_permutations=run.config.permutations, seed=run.config.seed
+        )
+        run.report.equality_tests[estimator] = {
             "cohort_a": a_label,
             "cohort_b": b_label,
             "statistic": res.statistic,
@@ -277,37 +353,25 @@ def _equality_tests(records: list[TickerRecord], config: RunConfig, out: Path) -
             "method": "permutation stand-in for the reference-band equality test",
         }
         rows = [
-            [
-                _fmt(float(g)),
-                _fmt(float(da)),
-                _fmt(float(db)),
-                _fmt(float(lo)),
-                _fmt(float(hi)),
-            ]
-            for g, da, db, lo, hi in zip(
+            [_fmt(float(v)) for v in row]
+            for row in zip(
                 res.grid, res.density_a, res.density_b,
                 res.reference_band_low, res.reference_band_high,
             )
         ]
         header = ["grid", f"density_{a_label}", f"density_{b_label}", "band_low", "band_high"]
-        _atomic_write(out / f"density_{estimator}.csv", _csv_text(header, rows))
-    return results
+        _atomic_write(run.out / f"density_{estimator}.csv", _csv_text(header, rows))
 
 
-def _associations(records: list[TickerRecord]) -> dict:
-    out = {}
-    for label, cohort in sorted(_cohorts(records).items()):
-        if len(cohort) < 3:
+def _associations(run: _Run) -> None:
+    for (label, estimator), values in run.entropies.items():
+        bds = [r.bds_statistic for r in run.cohorts[label]]
+        if len(bds) < 3:
             continue
-        for estimator, getter in (("lz", lambda r: r.lz_entropy), ("ctw", lambda r: r.ctw_entropy)):
-            try:
-                rho = entropy_bds_association(
-                    [getter(r) for r in cohort], [r.bds_statistic for r in cohort]
-                )
-            except ValueError:
-                continue
-            out[(label, estimator)] = rho
-    return out
+        try:
+            run.report.associations[label, estimator] = entropy_bds_association(values, bds)
+        except ValueError:
+            continue
 
 
 def _aligned_returns(
@@ -324,25 +388,18 @@ def _aligned_returns(
     return aligned, dropped
 
 
-def _graph_outputs(
-    all_series: list[PriceSeries],
-    records: list[TickerRecord],
-    config: RunConfig,
-    out: Path,
-    failures: list[str],
-) -> tuple[dict, dict[str, int]]:
+def _graphs(run: _Run) -> None:
     """Graph files per cohort; also the rows each cohort dropped to align."""
-    by_key = {(s.sampling, s.ticker): s for s in all_series}
-    info = {}
-    rows_dropped = {}
-    for label, cohort in sorted(_cohorts(records).items()):
+    report = run.report
+    by_key = {(s.sampling, s.ticker): s for s in run.series}
+    for label, cohort in run.cohorts.items():
         if len(cohort) < 3:
             continue
         try:
             prices = [by_key[label, r.ticker] for r in cohort]
-            series, dropped = _aligned_returns(prices, config)
+            series, dropped = _aligned_returns(prices, run.config)
             if dropped:
-                rows_dropped[label] = dropped
+                report.graph_rows_dropped[label] = dropped
             corr = correlation_matrix(series)
             graph = distance_graph(corr)
             entropy_attr = {r.ticker: {"entropy": r.ctw_entropy} for r in cohort}
@@ -350,22 +407,23 @@ def _graph_outputs(
                 filtered = builder(graph, node_attributes=entropy_attr)
                 rows = [[i, j, _fmt(d)] for i, j, d in filtered.edges]
                 _atomic_write(
-                    out / f"graph_{label}_{kind}_edges.csv",
+                    run.out / f"graph_{label}_{kind}_edges.csv",
                     _csv_text(["source", "target", "distance"], rows),
                 )
-                _atomic_write(out / f"graph_{label}_{kind}.gml", _graph_gml(filtered))
-                info[(label, kind)] = {"nodes": len(filtered.nodes), "edges": len(filtered.edges)}
+                _atomic_write(run.out / f"graph_{label}_{kind}.gml", _graph_gml(filtered))
+                report.graph_info[label, kind] = {
+                    "nodes": len(filtered.nodes), "edges": len(filtered.edges),
+                }
             corr_rows = [
                 [corr.tickers[i]] + [_fmt(float(v)) for v in corr.rho[i]]
                 for i in range(len(corr.tickers))
             ]
             _atomic_write(
-                out / f"correlation_{label}.csv",
+                run.out / f"correlation_{label}.csv",
                 _csv_text(["ticker"] + list(corr.tickers), corr_rows),
             )
         except ValueError as exc:
-            failures.append(f"graph[{label}]: {exc}")
-    return info, rows_dropped
+            report.failures.append(f"graph[{label}]: {exc}")
 
 
 def _graph_gml(filtered) -> str:
@@ -391,24 +449,17 @@ def _graph_gml(filtered) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _backtest_outputs(
-    all_series: list[PriceSeries],
-    records: list[TickerRecord],
-    config: RunConfig,
-    out: Path,
-    failures: list[str],
-) -> dict:
-    daily = [s for s in all_series if s.sampling == "daily"]
-    if not daily:
-        daily = list(all_series)
+def _backtest(run: _Run) -> None:
+    config, out = run.config, run.out
+    daily = [s for s in run.series if s.sampling == "daily"] or run.series
     reports = []
     for series in sorted(daily, key=lambda s: s.ticker):
         try:
             reports.append(mean_reversion_backtest(series, config.strategy))
         except ValueError as exc:
-            failures.append(f"backtest[{series.ticker}]: {exc}")
+            run.report.failures.append(f"backtest[{series.ticker}]: {exc}")
     if not reports:
-        return {}
+        return
     trade_rows = [
         [r.ticker, t.timestamp, t.side, _fmt(t.price), _fmt(t.shares)]
         for r in reports
@@ -433,51 +484,58 @@ def _backtest_outputs(
         out / "backtest_summary.csv",
         _csv_text(["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary_rows),
     )
-    entropies = {
-        r.ticker: r.ctw_entropy for r in records if not r.failed and r.sampling == "daily"
-    }
-    if not entropies:
-        entropies = {r.ticker: r.ctw_entropy for r in records if not r.failed}
-    cohort = {}
+    # CTW entropies of the daily cohort, or of the intraday one when no daily ticker is ok
+    cohort = run.cohorts.get("daily") or run.cohorts.get("intraday", [])
+    entropies = {r.ticker: r.ctw_entropy for r in cohort}
     covered = [r for r in reports if r.ticker in entropies]
-    if len(covered) >= 2:
-        cohort = entropy_cohort_report(covered, {t: entropies[t] for t in entropies})
-    return {
+    run.report.backtest_info = {
         "num_tickers": len(reports),
         "params": config.strategy,
-        "cohorts": cohort,
+        "cohorts": entropy_cohort_report(covered, entropies) if len(covered) >= 2 else {},
     }
 
 
-def _validate_outputs(config: RunConfig, out: Path) -> None:
+def _curves(run: _Run) -> None:
+    """Convergence curves of both estimators on two known-entropy sources."""
     sizes = [100, 300, 1000, 3000, 10000]
     rows = []
-    for name, source in (
-        ("constant", SyntheticSource(kind="constant", alphabet_size=4, seed=config.seed)),
-        ("uniform_iid", SyntheticSource(kind="uniform_iid", alphabet_size=4, seed=config.seed)),
-    ):
-        curve = convergence_curve(source, sizes, trials=10, ctw_depth=config.ctw_depth)
+    for name in ("constant", "uniform_iid"):
+        source = SyntheticSource(kind=name, alphabet_size=4, seed=run.config.seed)
+        curve = convergence_curve(source, sizes, trials=10, ctw_depth=run.config.ctw_depth)
         for size, lz_m, ctw_m in zip(curve.sizes, curve.estimates_lz, curve.estimates_ctw):
             rows.append([name, size, _fmt(lz_m), _fmt(ctw_m), _fmt(curve.true_entropy)])
     _atomic_write(
-        out / "convergence.csv",
+        run.out / "convergence.csv",
         _csv_text(["source", "size", "lz_mean", "ctw_mean", "true_entropy"], rows),
     )
 
 
+# stage -> (its function, the RunConfig fields it reads)
+STAGES = {
+    "estimates": (
+        _estimates,
+        ("inputs", "states", "ctw_depth", "bds_m", "bds_eps", "jobs", "split_sessions"),
+    ),
+    "summaries": (_summaries, ()),
+    "equality_tests": (_equality_tests, ("permutations", "seed")),
+    "associations": (_associations, ()),
+    "graphs": (_graphs, ("split_sessions",)),
+    "backtest": (_backtest, ("strategy",)),
+    "curves": (_curves, ("seed", "ctw_depth")),
+}
+
+
 def _report_text(report: AnalysisReport) -> str:
     cfg = report.config
-    lines = [
-        "entrokit analysis report",
-        f"command: {cfg.command}",
-        f"seed: {cfg.seed}",
-        f"states: {cfg.states}",
-        f"ctw_depth: {cfg.ctw_depth}",
-        f"bds_m: {cfg.bds_m}",
-        f"bds_eps: {cfg.bds_eps}",
-        f"permutations: {cfg.permutations}",
-        f"split_sessions: {cfg.split_sessions}",
-        f"inputs: {', '.join(str(p) for p in cfg.inputs)}",
+    read = command_fields(cfg.command)
+    lines = ["entrokit analysis report", f"command: {cfg.command}"]
+    for name in _PROVENANCE:
+        if name in read:
+            value = getattr(cfg, name)
+            if name == "inputs":
+                value = ", ".join(str(p) for p in value)
+            lines.append(f"{name}: {value}")
+    lines += [
         f"skipped_rows: {report.skipped_rows}",
         f"duplicate_rows: {report.duplicate_rows}",
         f"tickers: {len(report.records)}",
@@ -521,79 +579,9 @@ def _report_text(report: AnalysisReport) -> str:
 
 
 def run_pipeline(config: RunConfig) -> AnalysisReport:
-    """Execute one command end to end and write its outputs."""
-    out = Path(config.out_dir)
-
-    all_series: list[PriceSeries] = []
-    skipped = duplicates = 0
-    source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
-    for path in config.inputs:
-        result = ingest_csv(path)
-        for series in result.series:
-            key = (series.ticker, series.sampling)
-            if key in source:
-                raise ValueError(
-                    f"ticker {series.ticker!r} of the {series.sampling} cohort is in "
-                    f"both {source[key]} and {path}"
-                )
-            source[key] = path
-        all_series.extend(result.series)
-        skipped += result.skipped_rows
-        duplicates += result.duplicate_rows
-    all_series.sort(key=lambda s: (s.ticker, s.sampling))
-
-    if config.command == "validate":
-        out.mkdir(parents=True, exist_ok=True)
-        report = AnalysisReport(
-            records=[], summaries={}, equality_tests={}, associations={},
-            graph_info={}, backtest_info={}, skipped_rows=skipped,
-            duplicate_rows=duplicates, config=config,
-        )
-        _validate_outputs(config, out)
-        _atomic_write(out / "report.txt", _report_text(report))
-        return report
-
-    if not all_series:
-        raise ValueError("no tickers found in inputs")
-    out.mkdir(parents=True, exist_ok=True)
-
-    tasks = [(s, config) for s in all_series]
-    if config.jobs > 1:
-        records = _pool_results(tasks, config.jobs)
-    else:
-        records = [_process_ticker(t) for t in tasks]
-
-    failures: list[str] = []
-    want = config.command
-    summaries = _summaries(records) if want in ("estimate", "compare", "report") else {}
-    equality = (
-        _equality_tests(records, config, out) if want in ("compare", "report") else {}
-    )
-    associations = _associations(records) if want in ("bds", "report") else {}
-    graph_info, rows_dropped = (
-        _graph_outputs(all_series, records, config, out, failures)
-        if want in ("graph", "report")
-        else ({}, {})
-    )
-    backtest_info = (
-        _backtest_outputs(all_series, records, config, out, failures)
-        if want in ("backtest", "report")
-        else {}
-    )
-
-    report = AnalysisReport(
-        records=records,
-        summaries=summaries,
-        equality_tests=equality,
-        associations=associations,
-        graph_info=graph_info,
-        backtest_info=backtest_info,
-        skipped_rows=skipped,
-        duplicate_rows=duplicates,
-        config=config,
-        failures=failures,
-        graph_rows_dropped=rows_dropped,
-    )
-    _write_records(out, records)
-    _atomic_write(out / "report.txt", _report_text(report))
-    return report
+    """Run the stages of ``config.command`` in order, then write ``report.txt``."""
+    run = _Run(AnalysisReport(config))
+    for stage in COMMANDS[config.command]:
+        STAGES[stage][0](run)
+    _atomic_write(run.out / "report.txt", _report_text(run.report))
+    return run.report

@@ -6,7 +6,6 @@ from entrokit.densities import (
     _kernel_matrix,
     _reference_bandwidth,
     density_equality_test,
-    kde,
     summary_stats,
 )
 
@@ -34,44 +33,6 @@ def looped_equality_test(xa, xb, num_permutations, seed):
         densities.append(da)
     p = (1 + sum(s >= observed for s in stats)) / (num_permutations + 1)
     return p, observed, fa, fb, np.std(densities, axis=0)
-
-
-class TestKde:
-    def test_standard_normal_peak(self):
-        x = np.random.default_rng(0).standard_normal(1000)
-        result = kde(x)
-        at_zero = result.density[np.argmin(np.abs(result.grid))]
-        assert 0.36 <= at_zero <= 0.44
-
-    def test_translation_equivariance(self):
-        x = np.random.default_rng(1).standard_normal(200)
-        base = kde(x)
-        shifted = kde(x + 5.0)
-        assert np.allclose(shifted.grid, base.grid + 5.0)
-        assert np.allclose(shifted.density, base.density)
-
-    def test_order_invariance(self):
-        x = np.random.default_rng(2).standard_normal(100)
-        interleaved = np.empty(200)
-        interleaved[0::2] = x
-        interleaved[1::2] = x
-        stacked = np.concatenate([x, x])
-        a, b = kde(interleaved), kde(stacked)
-        assert a.bandwidth == b.bandwidth
-        np.testing.assert_allclose(a.density, b.density, rtol=1e-12)
-
-    def test_mass_conservation(self):
-        for seed in range(5):
-            x = np.random.default_rng(seed).normal(2.0, 0.3, 150)
-            result = kde(x)
-            mass = np.trapezoid(result.density, result.grid)
-            assert 0.98 <= mass <= 1.02
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            kde(np.ones(50))
-        with pytest.raises(ValueError):
-            kde([1.0, 2.0, 3.0])
 
 
 class TestDensityEqualityTest:

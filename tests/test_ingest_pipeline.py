@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,9 +13,11 @@ import pytest
 
 import entrokit
 from entrokit import pipeline
+from entrokit.backtest import StrategyParams
+from entrokit.cli import build_parser
 from entrokit.cli import main as cli_main
 from entrokit.ingest import ingest_csv
-from entrokit.pipeline import RunConfig, run_pipeline
+from entrokit.pipeline import COMMANDS, RunConfig, run_pipeline
 
 _process_ticker = pipeline._process_ticker
 
@@ -336,6 +340,109 @@ class TestRunPipeline:
         assert "failure:" not in report
 
 
+RUN_FILES = {"records.csv", "report.txt"}
+GRAPH_FILES = {
+    f"{prefix}_{label}{suffix}"
+    for label in ("daily", "intraday")
+    for prefix, suffix in (
+        ("graph", "_mst_edges.csv"), ("graph", "_mst.gml"),
+        ("graph", "_pmfg_edges.csv"), ("graph", "_pmfg.gml"), ("correlation", ".csv"),
+    )
+}
+BACKTEST_FILES = {"backtest_trades.csv", "backtest_equity.csv", "backtest_summary.csv"}
+DENSITY_FILES = {"density_lz.csv", "density_ctw.csv"}
+ESTIMATE_SETTINGS = ["states", "ctw_depth", "bds_m", "bds_eps", "split_sessions", "inputs"]
+ALL_SETTINGS = [
+    "seed", "states", "ctw_depth", "bds_m", "bds_eps", "permutations", "split_sessions", "inputs",
+]
+
+
+def _settings(report_text):
+    """Names of the settings report.txt lists between its command and skipped_rows lines."""
+    lines = report_text.splitlines()
+    assert lines[1].startswith("command: ")
+    end = next(i for i, line in enumerate(lines) if line.startswith("skipped_rows: "))
+    return [line.split(":")[0] for line in lines[2:end]]
+
+
+class TestCommands:
+    """Every command on one tiny market of a daily and an intraday cohort."""
+
+    EXPECTED = {  # command -> (the files it writes, the settings report.txt lists)
+        "estimate": (RUN_FILES, ESTIMATE_SETTINGS),
+        "validate": ({"convergence.csv", "report.txt"}, ["seed", "ctw_depth"]),
+        "bds": (RUN_FILES, ESTIMATE_SETTINGS),
+        "compare": (RUN_FILES | DENSITY_FILES, ALL_SETTINGS),
+        "graph": (RUN_FILES | GRAPH_FILES, ESTIMATE_SETTINGS),
+        "backtest": (RUN_FILES | BACKTEST_FILES, ESTIMATE_SETTINGS),
+        "report": (RUN_FILES | DENSITY_FILES | GRAPH_FILES | BACKTEST_FILES, ALL_SETTINGS),
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        """command -> {file name: text} of its run."""
+        root = tmp_path_factory.mktemp("commands")
+        inputs = [
+            "--input", str(tiny_market(root)),
+            "--input", str(tiny_market(root, seed=1, step=60, name="intraday.csv")),
+        ]
+        outputs = {}
+        for command in COMMANDS:
+            out = root / command
+            if command == "validate":
+                argv = [command, "--out", str(out), "--ctw-depth", "8"]
+            else:
+                argv = [command, *inputs, "--out", str(out)]
+            if command in ("compare", "report"):
+                argv += ["--permutations", "20"]
+            assert cli_main(argv) == 0, command
+            outputs[command] = {p.name: p.read_text() for p in out.iterdir()}
+        return outputs
+
+    def test_files_and_settings(self, outputs):
+        assert outputs.keys() == COMMANDS.keys()
+        for command, (files, settings) in self.EXPECTED.items():
+            assert outputs[command].keys() == files, command
+            assert _settings(outputs[command]["report.txt"]) == settings, command
+
+    def test_commands_write_what_report_writes(self, outputs):
+        report = outputs["report"]
+        for command in ("estimate", "bds", "compare", "graph", "backtest"):
+            for name, text in outputs[command].items():
+                if name != "report.txt":
+                    assert text == report[name], (command, name)
+
+    @pytest.mark.parametrize("command", ["graph", "report"])
+    def test_failed_tickers_leave_every_cohort(self, tmp_path, command):
+        """A ticker BDS fails on (flat, or under 50 returns) joins no cross-sectional stage."""
+        rng = np.random.default_rng(5)
+        rows = [f"{i * 86400},FLAT,100" for i in range(120)]
+        rows += [f"{i * 86400},SHORT,{100 + i % 7}" for i in range(40)]
+        for k in range(6):
+            prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 120)))
+            rows += [f"{i * 86400},TK{k},{p:.4f}" for i, p in enumerate(prices)]
+        path = write_csv(tmp_path / "m.csv", rows)
+        out = tmp_path / "o"
+        report = run_pipeline(RunConfig(inputs=(path,), out_dir=out, command=command))
+        ok = {f"TK{k}" for k in range(6)}
+        with (out / "records.csv").open(newline="") as fh:
+            rows = {row["ticker"]: row for row in csv.DictReader(fh)}
+        assert {t: row["status"] for t, row in rows.items()} == {
+            **{t: "ok" for t in ok}, "FLAT": "failed", "SHORT": "failed",
+        }
+        assert rows["FLAT"]["error"] == "ValueError: zero-variance series"
+        assert rows["SHORT"]["error"] == "ValueError: need at least 50 observations, got 39"
+        for kind in ("mst", "pmfg"):
+            gml = (out / f"graph_daily_{kind}.gml").read_text()
+            assert set(re.findall(r'label "(\w+)"', gml)) == ok
+        assert report.graph_rows_dropped == {}
+        assert "rows_dropped" not in (out / "report.txt").read_text()
+        if command == "report":
+            split = report.backtest_info["cohorts"]
+            tickers = split["low_entropy"]["tickers"] + split["high_entropy"]["tickers"]
+            assert sorted(tickers) == sorted(ok)
+
+
 class TestCli:
     def test_exit_code_config_error(self, tmp_path):
         code = cli_main(["estimate", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
@@ -364,6 +471,63 @@ class TestCli:
         assert cli_main(["report", "--input", str(path), "--out", str(out), flag, value]) == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "report --input CSV --out OUT --states 5",
+            "estimate --input CSV --out OUT --jobs two",
+            "estimate --input CSV",
+            "validate --out OUT --input CSV",
+            "validate --out OUT --states 8",
+            "validate --out OUT --permutations 3",
+            "estimate --input CSV --out OUT --seed 1",
+            "bds --input CSV --out OUT --permutations 3",
+            "graph --input CSV --out OUT --seed 1",
+            "backtest --input CSV --out OUT --permutations 3",
+            "compare --input CSV --out OUT --window 5",
+            "report --input CSV --out OUT --no-such-flag",
+            "no-such-command --out OUT",
+        ],
+    )
+    def test_usage_error_exits_1(self, tmp_path, argv, capsys):
+        path = tiny_market(tmp_path)
+        out = tmp_path / "o"
+        names = {"CSV": str(path), "OUT": str(out)}
+        assert cli_main([names.get(a, a) for a in argv.split()]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", list(COMMANDS) + ["make-dataset"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: entrokit {command}")
+
+    def test_flags_follow_the_command_table(self):
+        """Each command takes the flags of the RunConfig fields its stages read, no other."""
+        config_fields = {f.name for f in dataclasses.fields(RunConfig)}
+        named = {
+            "inputs": {"--input"},
+            "out_dir": {"--out"},
+            "strategy": {"--window", "--entry-z", "--exit-z", "--capital"},
+        }
+        dests = config_fields | {f.name for f in dataclasses.fields(StrategyParams)}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        pairs = 0
+        for command, stages in COMMANDS.items():
+            read = {"out_dir"}.union(*(pipeline.STAGES[stage][1] for stage in stages))
+            assert read <= config_fields
+            expected = set().union(*(named.get(f, {"--" + f.replace("_", "-")}) for f in read))
+            actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+            assert {a.option_strings[0] for a in actions} == expected, command
+            assert {a.dest for a in actions} <= dests
+            pairs += len(actions)
+        assert {a.option_strings[0] for a in sub.choices["validate"]._actions} == {
+            "-h", "--out", "--seed", "--ctw-depth",
+        }
+        assert pairs == 63
 
     def test_ticker_in_two_inputs_rejected_before_work(self, tmp_path, monkeypatch, capsys):
         path = tiny_market(tmp_path)
@@ -456,5 +620,11 @@ class TestCli:
             [sys.executable, "-m", "entrokit.cli", "--help"], capture_output=True, text=True
         )
         assert proc.returncode == 0
-        for command in ("estimate", "validate", "bds", "compare", "graph", "backtest", "report"):
+        for command in COMMANDS:
             assert command in proc.stdout
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrokit.cli", "validate", "--out", "o", "--input", "x.csv"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")

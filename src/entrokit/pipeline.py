@@ -14,24 +14,37 @@ never aborts the run.  A ticker belongs to its sampling cohort, the input
 of every cross-sectional stage, only if LZ, CTW and BDS all succeed on it:
 a flat series or one of fewer than 50 returns fails BDS, and so is left out.
 All files are written atomically under the output directory.
+
+One executor runs a command's work: a process pool when ``jobs > 1``,
+else each task inline, at submit.  The estimates stage submits each piece
+of work the moment its inputs exist: every input file's ingest (to the
+pool only when there are two or more inputs), then, once the
+duplicate-ticker check has passed, the backtest, the per-ticker estimates
+in (sampling, ticker) order, each cohort's graph build as soon as its last
+ticker's record is in, and the two density tests once every record is.
+The later stages only collect those results, in the order of ``COMMANDS``,
+and write the files and the report in this process; workers write nothing.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
-from .backtest import StrategyParams, entropy_cohort_report, mean_reversion_backtest
+from .backtest import (
+    PerformanceReport, StrategyParams, entropy_cohort_report, mean_reversion_backtest,
+)
 from .bds import BdsParams, bds_statistic, entropy_bds_association
 from .ctw import DEFAULT_DEPTH, CtwParams, ctw_entropy_rate
 from .densities import DEFAULT_PERMUTATIONS, density_equality_test, summary_stats
@@ -139,15 +152,122 @@ class AnalysisReport:
         return sum(1 for r in self.records if r.failed) + len(self.failures)
 
 
+class _InlinePool:
+    """The pool at one job: each task runs here, at submit."""
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # raised again when the result is read, as from a worker
+            future.set_exception(exc)
+        return future
+
+
+@dataclass(eq=False)
+class _Task:
+    """One call given to the executor, kept so that a broken pool's loss can run again."""
+
+    fn: Callable
+    args: tuple
+    future: Future | None = None
+    breaks: int = 0  # pools that broke while it was pending or running in them
+    alone: bool = False  # it ran in a pool of its own, so its result is final
+
+
+class _Executor:
+    """The one executor of a command, and its recovery from a dead worker.
+
+    Tasks run inline until ``open`` asks for a process pool, which only
+    ``jobs > 1`` does.  A dead worker breaks the whole pool, and every task
+    of it not yet done then raises ``BrokenProcessPool``.  Those tasks run
+    again, in submission order, in one fresh pool of the same size.
+    Whenever a pool breaks again, the first lost task that had been lost
+    before runs alone, and its result is final: ``BrokenProcessPool`` if its
+    own worker dies too.  The rest go to another fresh pool.  So a task
+    fails only when it kills a pool it has to itself.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.workers = 0  # of the process pool; 0 while tasks run inline
+        self._pool: Any = _InlinePool()
+        self._stack = ExitStack()  # the process pool's with block
+        self._live: dict[_Task, None] = {}  # submitted to this pool, in order, not yet collected
+
+    def __enter__(self) -> _Executor:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stack.close()
+
+    def open(self, tasks: int) -> None:
+        """Make the pool ``min(jobs, tasks)`` workers if that is larger; no task may be pending.
+
+        Under the fork start method every worker is forked at the first
+        submit, so no pool has more workers than the tasks it was opened for.
+        """
+        workers = min(self.jobs, tasks)
+        if self.jobs > 1 and workers > self.workers:
+            self._replace(workers)
+
+    def _replace(self, workers: int) -> None:
+        # the old pool shuts down first, so no pool thread runs while the new one forks
+        self._stack.close()
+        self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        self.workers = workers
+
+    def submit(self, fn: Callable, *args) -> _Task:
+        task = _Task(fn, args)
+        self._start(task)
+        return task
+
+    def _start(self, task: _Task) -> None:
+        try:
+            task.future = self._pool.submit(task.fn, *task.args)
+        except BrokenProcessPool as exc:  # a worker died since the last submit
+            task.future = Future()
+            task.future.set_exception(exc)
+        self._live[task] = None
+
+    def result(self, task: _Task):
+        """The task's result; raises what the task raised, or ``BrokenProcessPool`` if it ran alone."""
+        while not task.alone and isinstance(task.future.exception(), BrokenProcessPool):
+            self._recover()
+        self._live.pop(task, None)
+        return task.future.result()
+
+    def _recover(self) -> None:
+        """Replace the broken pool and run again every task it lost."""
+        lost = [t for t in self._live if isinstance(t.future.exception(), BrokenProcessPool)]
+        self._live = {}
+        self._stack.close()
+        for task in lost:
+            task.breaks += 1
+        again = next((t for t in lost if t.breaks > 1), None)
+        if again is not None:
+            lost.remove(again)
+            again.alone = True
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                again.future = pool.submit(again.fn, *again.args)
+        self._replace(self.workers)
+        for task in lost:
+            self._start(task)
+
+
 @dataclass
 class _Run:
     """What one command's stages share: each stage reads and fills it in turn."""
 
     report: AnalysisReport
+    executor: _Executor
     series: list[PriceSeries] = field(default_factory=list)  # by (ticker, sampling)
     cohorts: dict[str, list[TickerRecord]] = field(default_factory=dict)  # label -> ok records
     # (label, "lz" or "ctw") -> the cohort's entropy rates, in cohort order
     entropies: dict[tuple[str, str], list[float]] = field(default_factory=dict)
+    # work submitted and not yet collected: ("ingest", input index), "backtest",
+    # ("graph", label) or ("density", estimator)
+    tasks: dict[Any, _Task] = field(default_factory=dict)
 
     @property
     def config(self) -> RunConfig:
@@ -156,6 +276,21 @@ class _Run:
     @property
     def out(self) -> Path:
         return Path(self.report.config.out_dir)
+
+    def collect(self, key, name: str):
+        """The result of the task submitted under ``key``, or None if there is none.
+
+        A task whose worker died with it alone leaves the named failure
+        ``name: BrokenProcessPool: ...`` in its place.
+        """
+        task = self.tasks.pop(key, None)
+        if task is None:
+            return None
+        try:
+            return self.executor.result(task)
+        except BrokenProcessPool as exc:
+            self.report.failures.append(f"{name}: {type(exc).__name__}: {exc}")
+            return None
 
 
 def _returns_for(series: PriceSeries, config: RunConfig) -> ReturnSeries:
@@ -195,52 +330,6 @@ def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> TickerRecord:
         )
     except Exception as exc:  # crash isolation: the run continues
         return _failed_record(series, exc)
-
-
-def _run_pool(
-    tasks: list[tuple[PriceSeries, RunConfig]],
-    indices: list[int],
-    jobs: int,
-    results: list[TickerRecord | None],
-) -> list[int]:
-    """Run ``tasks[k]`` for each k in one fresh pool; return the k whose future broke.
-
-    The pool has no more workers than tasks: under the fork start method
-    every worker is forked at the first submit.
-    """
-    broken = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:
-        futures = [(k, pool.submit(_process_ticker, tasks[k])) for k in indices]
-        for k, future in futures:
-            try:
-                results[k] = future.result()
-            except BrokenProcessPool:
-                broken.append(k)
-    return broken
-
-
-def _pool_results(tasks: list[tuple[PriceSeries, RunConfig]], jobs: int) -> list[TickerRecord]:
-    """Per-ticker records from a process pool.
-
-    A dead worker breaks the whole pool, and every future not yet done then
-    raises ``BrokenProcessPool``.  Those tickers run again in one fresh pool.
-    Whenever a pool breaks again, the first broken ticker in submission
-    order runs alone, and fails if its own worker dies too; the rest go to
-    another fresh pool.
-    """
-    results: list[TickerRecord | None] = [None] * len(tasks)
-    pending = _run_pool(tasks, list(range(len(tasks))), jobs, results)
-    if pending:
-        pending = _run_pool(tasks, pending, jobs, results)
-    while pending:
-        k, rest = pending[0], pending[1:]
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            try:
-                results[k] = pool.submit(_process_ticker, tasks[k]).result()
-            except BrokenProcessPool as exc:
-                results[k] = _failed_record(tasks[k][0], exc)
-        pending = _run_pool(tasks, rest, jobs, results) if rest else []
-    return results
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -288,12 +377,23 @@ def _write_records(out: Path, records: list[TickerRecord]) -> None:
     _atomic_write(out / "records.csv", _csv_text(header, rows))
 
 
-def _estimates(run: _Run) -> None:
-    """Ingest every input, then run LZ, CTW and BDS on each ticker."""
-    config, report = run.config, run.report
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    for name, text in files.items():
+        _atomic_write(out / name, text)
+
+
+def _ingest(run: _Run) -> None:
+    """Every input's series, sorted by (ticker, sampling); a ticker twice in one cohort is an error."""
+    config, report, executor = run.config, run.report, run.executor
+    if len(config.inputs) > 1:
+        executor.open(len(config.inputs))
+    for i, path in enumerate(config.inputs):
+        run.tasks["ingest", i] = executor.submit(ingest_csv, path)
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
-    for path in config.inputs:
-        result = ingest_csv(path)
+    for i, path in enumerate(config.inputs):
+        result = run.collect(("ingest", i), f"ingest[{path}]")
+        if result is None:
+            continue
         for series in result.series:
             key = (series.ticker, series.sampling)
             if key in source:
@@ -309,21 +409,60 @@ def _estimates(run: _Run) -> None:
         raise ValueError("no tickers found in inputs")
     run.series.sort(key=lambda s: (s.ticker, s.sampling))
 
-    tasks = [(s, config) for s in run.series]
-    if config.jobs > 1:
-        report.records = _pool_results(tasks, config.jobs)
-    else:
-        report.records = [_process_ticker(t) for t in tasks]
-    _write_records(run.out, report.records)
 
-    cohorts: dict[str, list[TickerRecord]] = {}
-    for r in report.records:
-        if not r.failed:
-            cohorts.setdefault(r.sampling, []).append(r)
-    run.cohorts = dict(sorted(cohorts.items()))
+def _estimates(run: _Run) -> None:
+    """Ingest every input, run LZ, CTW and BDS on each ticker, and submit the later stages' work.
+
+    The backtest is submitted once the inputs are in, a cohort's graph build
+    once the last of its tickers' records is, and the density tests once
+    every record is.
+    """
+    _ingest(run)
+    config, report, executor = run.config, run.report, run.executor
+    stages = COMMANDS[config.command]
+    executor.open(len(run.series))
+    if "backtest" in stages:
+        daily = [s for s in run.series if s.sampling == "daily"] or run.series
+        run.tasks["backtest"] = executor.submit(
+            _backtest_task, sorted(daily, key=lambda s: s.ticker), config.strategy
+        )
+    by_label: dict[str, list[int]] = {}  # label -> its series' indices, in ticker order
+    for k, series in enumerate(run.series):
+        by_label.setdefault(series.sampling, []).append(k)
+    by_label = dict(sorted(by_label.items()))
+    tickers = {
+        k: executor.submit(_process_ticker, (run.series[k], config))
+        for ks in by_label.values() for k in ks
+    }
+    records: list[TickerRecord] = [None] * len(run.series)
+    for label, ks in by_label.items():
+        for k in ks:
+            try:
+                records[k] = executor.result(tickers.pop(k))
+            except BrokenProcessPool as exc:
+                records[k] = _failed_record(run.series[k], exc)
+        ok = [k for k in ks if not records[k].failed]
+        if not ok:
+            continue
+        cohort = run.cohorts[label] = [records[k] for k in ok]
+        if "graphs" in stages and len(cohort) >= 3:
+            run.tasks["graph", label] = executor.submit(
+                _graph_task, label, [run.series[k] for k in ok],
+                {r.ticker: r.ctw_entropy for r in cohort}, config,
+            )
+    report.records = records
     for label, cohort in run.cohorts.items():
         run.entropies[label, "lz"] = [r.lz_entropy for r in cohort]
         run.entropies[label, "ctw"] = [r.ctw_entropy for r in cohort]
+    if "equality_tests" in stages and len(run.cohorts) == 2:
+        labels = tuple(run.cohorts)
+        for estimator in ("lz", "ctw"):
+            a, b = (run.entropies[label, estimator] for label in labels)
+            if len(a) >= 5 and len(b) >= 5:
+                run.tasks["density", estimator] = executor.submit(
+                    _density_task, a, b, labels, config.permutations, config.seed
+                )
+    _write_records(run.out, records)
 
 
 def _summaries(run: _Run) -> None:
@@ -333,34 +472,37 @@ def _summaries(run: _Run) -> None:
             run.report.summaries[key] = {"mean": mean, "sd": sd, "n": len(values)}
 
 
-def _equality_tests(run: _Run) -> None:
-    if len(run.cohorts) != 2:
-        return
-    a_label, b_label = run.cohorts
-    for (label, estimator), a in run.entropies.items():  # one test per estimator
-        b = run.entropies[b_label, estimator]
-        if label != a_label or len(a) < 5 or len(b) < 5:
-            continue
-        res = density_equality_test(
-            a, b, num_permutations=run.config.permutations, seed=run.config.seed
+def _density_task(
+    a: list[float], b: list[float], labels: tuple[str, str], permutations: int, seed: int
+) -> tuple[dict, str]:
+    """One estimator's density equality test: its report entry and its CSV text."""
+    res = density_equality_test(a, b, num_permutations=permutations, seed=seed)
+    a_label, b_label = labels
+    info = {
+        "cohort_a": a_label,
+        "cohort_b": b_label,
+        "statistic": res.statistic,
+        "p_value": res.p_value,
+        "bandwidth": res.bandwidth,
+        "method": "permutation stand-in for the reference-band equality test",
+    }
+    rows = [
+        [_fmt(float(v)) for v in row]
+        for row in zip(
+            res.grid, res.density_a, res.density_b,
+            res.reference_band_low, res.reference_band_high,
         )
-        run.report.equality_tests[estimator] = {
-            "cohort_a": a_label,
-            "cohort_b": b_label,
-            "statistic": res.statistic,
-            "p_value": res.p_value,
-            "bandwidth": res.bandwidth,
-            "method": "permutation stand-in for the reference-band equality test",
-        }
-        rows = [
-            [_fmt(float(v)) for v in row]
-            for row in zip(
-                res.grid, res.density_a, res.density_b,
-                res.reference_band_low, res.reference_band_high,
-            )
-        ]
-        header = ["grid", f"density_{a_label}", f"density_{b_label}", "band_low", "band_high"]
-        _atomic_write(run.out / f"density_{estimator}.csv", _csv_text(header, rows))
+    ]
+    header = ["grid", f"density_{a_label}", f"density_{b_label}", "band_low", "band_high"]
+    return info, _csv_text(header, rows)
+
+
+def _equality_tests(run: _Run) -> None:
+    for estimator in ("lz", "ctw"):
+        result = run.collect(("density", estimator), f"equality[{estimator}]")
+        if result is not None:
+            run.report.equality_tests[estimator], text = result
+            _atomic_write(run.out / f"density_{estimator}.csv", text)
 
 
 def _associations(run: _Run) -> None:
@@ -377,53 +519,71 @@ def _associations(run: _Run) -> None:
 def _aligned_returns(
     cohort: list[PriceSeries], config: RunConfig
 ) -> tuple[list[ReturnSeries], int]:
-    """Returns on the timestamps every series shares, and the rows dropped for it."""
-    common = functools.reduce(np.intersect1d, [series.timestamps for series in cohort])
+    """Returns on the timestamps every series shares, and the rows dropped for it.
+
+    Each series' timestamps are strictly increasing, so a stamp is shared
+    exactly when its count over the cohort equals the cohort's size.
+    """
+    stamps, counts = np.unique(
+        np.concatenate([series.timestamps for series in cohort]), return_counts=True
+    )
+    common = stamps[counts == len(cohort)]
     aligned, dropped = [], 0
     for series in cohort:
-        keep = np.isin(series.timestamps, common)
-        dropped += len(keep) - int(np.count_nonzero(keep))
-        shared = replace(series, timestamps=series.timestamps[keep], prices=series.prices[keep])
+        keep = np.searchsorted(series.timestamps, common)
+        dropped += len(series) - len(common)
+        shared = replace(series, timestamps=common, prices=series.prices[keep])
         aligned.append(_returns_for(shared, config))
     return aligned, dropped
+
+
+def _graph_task(
+    label: str, prices: list[PriceSeries], entropies: dict[str, float], config: RunConfig
+) -> tuple[dict[str, str], dict, int, str]:
+    """One cohort's graphs: files (name -> text), graph_info entries, rows dropped, error.
+
+    A ValueError ends the build; what was built before it is returned with
+    its message as the error, "" when there is none.
+    """
+    files: dict[str, str] = {}
+    info, dropped = {}, 0
+    try:
+        series, dropped = _aligned_returns(prices, config)
+        corr = correlation_matrix(series)
+        graph = distance_graph(corr)
+        entropy_attr = {ticker: {"entropy": e} for ticker, e in entropies.items()}
+        for kind, builder in (("mst", mst), ("pmfg", pmfg)):
+            filtered = builder(graph, node_attributes=entropy_attr)
+            rows = [[i, j, _fmt(d)] for i, j, d in filtered.edges]
+            files[f"graph_{label}_{kind}_edges.csv"] = _csv_text(
+                ["source", "target", "distance"], rows
+            )
+            files[f"graph_{label}_{kind}.gml"] = _graph_gml(filtered)
+            info[label, kind] = {"nodes": len(filtered.nodes), "edges": len(filtered.edges)}
+        corr_rows = [
+            [corr.tickers[i]] + [_fmt(float(v)) for v in corr.rho[i]]
+            for i in range(len(corr.tickers))
+        ]
+        files[f"correlation_{label}.csv"] = _csv_text(["ticker"] + list(corr.tickers), corr_rows)
+    except ValueError as exc:
+        return files, info, dropped, str(exc)
+    return files, info, dropped, ""
 
 
 def _graphs(run: _Run) -> None:
     """Graph files per cohort; also the rows each cohort dropped to align."""
     report = run.report
-    by_key = {(s.sampling, s.ticker): s for s in run.series}
-    for label, cohort in run.cohorts.items():
-        if len(cohort) < 3:
+    for label in run.cohorts:
+        result = run.collect(("graph", label), f"graph[{label}]")
+        if result is None:
             continue
-        try:
-            prices = [by_key[label, r.ticker] for r in cohort]
-            series, dropped = _aligned_returns(prices, run.config)
-            if dropped:
-                report.graph_rows_dropped[label] = dropped
-            corr = correlation_matrix(series)
-            graph = distance_graph(corr)
-            entropy_attr = {r.ticker: {"entropy": r.ctw_entropy} for r in cohort}
-            for kind, builder in (("mst", mst), ("pmfg", pmfg)):
-                filtered = builder(graph, node_attributes=entropy_attr)
-                rows = [[i, j, _fmt(d)] for i, j, d in filtered.edges]
-                _atomic_write(
-                    run.out / f"graph_{label}_{kind}_edges.csv",
-                    _csv_text(["source", "target", "distance"], rows),
-                )
-                _atomic_write(run.out / f"graph_{label}_{kind}.gml", _graph_gml(filtered))
-                report.graph_info[label, kind] = {
-                    "nodes": len(filtered.nodes), "edges": len(filtered.edges),
-                }
-            corr_rows = [
-                [corr.tickers[i]] + [_fmt(float(v)) for v in corr.rho[i]]
-                for i in range(len(corr.tickers))
-            ]
-            _atomic_write(
-                run.out / f"correlation_{label}.csv",
-                _csv_text(["ticker"] + list(corr.tickers), corr_rows),
-            )
-        except ValueError as exc:
-            report.failures.append(f"graph[{label}]: {exc}")
+        files, info, dropped, error = result
+        if dropped:
+            report.graph_rows_dropped[label] = dropped
+        _write_files(run.out, files)
+        report.graph_info.update(info)
+        if error:
+            report.failures.append(f"graph[{label}]: {error}")
 
 
 def _graph_gml(filtered) -> str:
@@ -449,48 +609,62 @@ def _graph_gml(filtered) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _backtest(run: _Run) -> None:
-    config, out = run.config, run.out
-    daily = [s for s in run.series if s.sampling == "daily"] or run.series
-    reports = []
-    for series in sorted(daily, key=lambda s: s.ticker):
+def _backtest_task(
+    series: list[PriceSeries], strategy: StrategyParams
+) -> tuple[dict[str, str], list[PerformanceReport], list[str]]:
+    """Backtest each series: the CSV files (name -> text), the reports and the failures.
+
+    The reports come without their equity curves and trades, which the
+    files hold; there are no files when no series could be backtested.
+    """
+    reports, failures = [], []
+    for s in series:
         try:
-            reports.append(mean_reversion_backtest(series, config.strategy))
+            reports.append(mean_reversion_backtest(s, strategy))
         except ValueError as exc:
-            run.report.failures.append(f"backtest[{series.ticker}]: {exc}")
+            failures.append(f"backtest[{s.ticker}]: {exc}")
     if not reports:
-        return
+        return {}, [], failures
     trade_rows = [
         [r.ticker, t.timestamp, t.side, _fmt(t.price), _fmt(t.shares)]
         for r in reports
         for t in r.trades
     ]
-    _atomic_write(
-        out / "backtest_trades.csv",
-        _csv_text(["ticker", "timestamp", "side", "price", "shares"], trade_rows),
-    )
     equity_rows = [
         [r.ticker, ts, _fmt(v)] for r in reports for ts, v in r.equity_curve
     ]
-    _atomic_write(
-        out / "backtest_equity.csv",
-        _csv_text(["ticker", "timestamp", "equity"], equity_rows),
-    )
     summary_rows = [
         [r.ticker, _fmt(r.strategy_return_pct), _fmt(r.benchmark_return_pct), r.num_trades]
         for r in reports
     ]
-    _atomic_write(
-        out / "backtest_summary.csv",
-        _csv_text(["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary_rows),
-    )
+    files = {
+        "backtest_trades.csv": _csv_text(
+            ["ticker", "timestamp", "side", "price", "shares"], trade_rows
+        ),
+        "backtest_equity.csv": _csv_text(["ticker", "timestamp", "equity"], equity_rows),
+        "backtest_summary.csv": _csv_text(
+            ["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary_rows
+        ),
+    }
+    return files, [replace(r, equity_curve=(), trades=()) for r in reports], failures
+
+
+def _backtest(run: _Run) -> None:
+    result = run.collect("backtest", "backtest")
+    if result is None:
+        return
+    files, reports, failures = result
+    run.report.failures.extend(failures)
+    if not reports:
+        return
+    _write_files(run.out, files)
     # CTW entropies of the daily cohort, or of the intraday one when no daily ticker is ok
     cohort = run.cohorts.get("daily") or run.cohorts.get("intraday", [])
     entropies = {r.ticker: r.ctw_entropy for r in cohort}
     covered = [r for r in reports if r.ticker in entropies]
     run.report.backtest_info = {
         "num_tickers": len(reports),
-        "params": config.strategy,
+        "params": run.config.strategy,
         "cohorts": entropy_cohort_report(covered, entropies) if len(covered) >= 2 else {},
     }
 
@@ -580,8 +754,9 @@ def _report_text(report: AnalysisReport) -> str:
 
 def run_pipeline(config: RunConfig) -> AnalysisReport:
     """Run the stages of ``config.command`` in order, then write ``report.txt``."""
-    run = _Run(AnalysisReport(config))
-    for stage in COMMANDS[config.command]:
-        STAGES[stage][0](run)
+    with _Executor(config.jobs) as executor:
+        run = _Run(AnalysisReport(config), executor)
+        for stage in COMMANDS[config.command]:
+            STAGES[stage][0](run)
     _atomic_write(run.out / "report.txt", _report_text(run.report))
     return run.report

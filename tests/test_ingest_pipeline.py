@@ -1,12 +1,14 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import os
 import re
 import subprocess
 import sys
 
 from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from entrokit.cli import build_parser
 from entrokit.cli import main as cli_main
 from entrokit.ingest import ingest_csv
 from entrokit.pipeline import COMMANDS, RunConfig, run_pipeline
+from entrokit.series import PriceSeries
 
 _process_ticker = pipeline._process_ticker
+_ingest_csv = pipeline.ingest_csv
+_pmfg = pipeline.pmfg
 
 
 def _worker_dies_on_tk1(args):
@@ -27,6 +32,57 @@ def _worker_dies_on_tk1(args):
     if args[0].ticker == "TK1":
         os._exit(1)
     return _process_ticker(args)
+
+
+def _estimator_marks_its_run(args):
+    """Stand-in for the per-ticker worker: leaves a file beside the output directory."""
+    Path(args[1].out_dir).with_name("estimator-ran").touch()
+    return _process_ticker(args)
+
+
+def _pmfg_dies_on_seven_nodes(graph, node_attributes=None):
+    """Stand-in for pmfg: the process filtering a 7-ticker cohort's graph exits."""
+    if len(graph.nodes) == 7:
+        os._exit(1)
+    return _pmfg(graph, node_attributes=node_attributes)
+
+
+def _ingest_dies_on_intraday(path):
+    """Stand-in for ingest_csv: the process reading intraday.csv exits."""
+    if Path(path).name == "intraday.csv":
+        os._exit(1)
+    return _ingest_csv(path)
+
+
+def inline_pool(sizes):
+    """Stand-in pool class: records each pool's size in ``sizes`` and runs each task at submit, here."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    return InlinePool
+
+
+def read_outputs(out):
+    """File name -> text of every file in ``out``."""
+    return {p.name: p.read_text() for p in sorted(out.iterdir())}
+
+
+def report_body(text):
+    """report.txt without its time stamp."""
+    return re.sub("generated_at: .*", "", text)
 
 
 def write_csv(path, rows, header="timestamp,ticker,close"):
@@ -166,27 +222,29 @@ class TestRunPipeline:
             RunConfig(inputs=(path,), out_dir=tmp_path / "p", command="estimate", jobs=3)
         )
         assert r1.records == r2.records
-        # every file `report` writes on a daily and an intraday cohort is the
-        # same at one job and at two
+        # every file each command writes on a daily and an intraday cohort is
+        # the same at one job, at two and at three
         intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
-        outputs = {}
-        for jobs in (1, 2):
-            out = tmp_path / f"report{jobs}"
-            config = RunConfig(
-                inputs=(path, intraday), out_dir=out, command="report", jobs=jobs, permutations=99
-            )
-            run_pipeline(config)
-            outputs[jobs] = {p.name: p.read_text() for p in sorted(out.iterdir())}
-        assert len(outputs[1]) == 17  # records, report, 2 densities, 3 backtest, 2 x 5 graph
-        assert outputs[1].keys() == outputs[2].keys()
-        for name, text in outputs[1].items():
-            if name == "report.txt":  # the time stamp and the output path may differ
-                text, other = (
-                    re.sub(r"generated_at: .*|report[12]", "", t) for t in (text, outputs[2][name])
+        for command in COMMANDS:
+            outputs = {}
+            for jobs in (1, 2, 3):
+                out = tmp_path / f"{command}{jobs}"
+                depth = {"ctw_depth": 8} if command == "validate" else {}
+                config = RunConfig(
+                    inputs=(path, intraday), out_dir=out, command=command, jobs=jobs,
+                    permutations=99, **depth,
                 )
-                assert text == other
-            else:
-                assert text == outputs[2][name], name
+                run_pipeline(config)
+                outputs[jobs] = read_outputs(out)
+            if command == "report":  # records, report, 2 densities, 3 backtest, 2 x 5 graph
+                assert len(outputs[1]) == 17
+            for jobs in (2, 3):
+                assert outputs[1].keys() == outputs[jobs].keys(), (command, jobs)
+                for name, text in outputs[1].items():
+                    other = outputs[jobs][name]
+                    if name == "report.txt":  # the time stamp may differ
+                        text, other = report_body(text), report_body(other)
+                    assert text == other, (command, jobs, name)
 
     def test_empty_inputs_error(self, tmp_path):
         with pytest.raises(ValueError):
@@ -257,19 +315,73 @@ class TestRunPipeline:
     def test_dead_worker_fails_its_ticker(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path)
         monkeypatch.setattr(pipeline, "_process_ticker", _worker_dies_on_tk1)
+        for command in ("estimate", "report"):
+            out = tmp_path / command
+            code = cli_main([command, "--input", str(path), "--out", str(out), "--jobs", "2"])
+            assert code == 2
+            with (out / "records.csv").open(newline="") as fh:
+                rows = {row["ticker"]: row for row in csv.DictReader(fh)}
+            assert len(rows) == 6
+            assert rows["TK1"]["status"] == "failed"
+            assert rows["TK1"]["error"].startswith("BrokenProcessPool: ")
+            # the tickers the broken pool left pending run again in a fresh pool
+            for ticker in ("TK0", "TK2", "TK3", "TK4", "TK5"):
+                assert rows[ticker]["status"] == "ok", rows[ticker]["error"]
+            report = (out / "report.txt").read_text()
+            assert "tickers: 6" in report
+            assert "tickers_failed: 1" in report
+            # the backtest and the graph build shared the broken pools, and
+            # neither fails for it
+            assert "failure:" not in report
+        summary = (out / "backtest_summary.csv").read_text().splitlines()
+        assert len(summary) == 7
+        gml = (out / "graph_daily_pmfg.gml").read_text()
+        assert set(re.findall(r'label "(\w+)"', gml)) == {"TK0", "TK2", "TK3", "TK4", "TK5"}
+
+    def test_dead_worker_fails_its_graph(self, tmp_path, monkeypatch):
+        """A worker that dies in one cohort's graph build fails that build alone."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, n_tickers=7, seed=1, step=60, name="intraday.csv")
+        argv = [
+            "report", "--input", str(daily), "--input", str(intraday),
+            "--jobs", "2", "--permutations", "99", "--out",
+        ]
+        assert cli_main(argv + [str(tmp_path / "clean")]) == 0
+        monkeypatch.setattr(pipeline, "pmfg", _pmfg_dies_on_seven_nodes)
+        assert cli_main(argv + [str(tmp_path / "dead")]) == 2
+        clean, dead = read_outputs(tmp_path / "clean"), read_outputs(tmp_path / "dead")
+        lost = {name for name in GRAPH_FILES if "intraday" in name}
+        assert len(lost) == 5
+        assert dead.keys() == clean.keys() - lost
+        for name in dead.keys() - {"report.txt"}:
+            assert dead[name] == clean[name], name
+        failures = [line for line in dead["report.txt"].splitlines() if line.startswith("failure:")]
+        assert len(failures) == 1
+        assert failures[0].startswith("failure: graph[intraday]: BrokenProcessPool: ")
+        # report.txt loses the failed cohort's graph lines and gains the failure, no other
+        kept = [
+            line for line in report_body(clean["report.txt"]).splitlines()
+            if not line.startswith("graph[intraday]")
+        ]
+        assert [
+            line for line in report_body(dead["report.txt"]).splitlines()
+            if not line.startswith("failure:")
+        ] == kept
+
+    def test_dead_worker_fails_its_input(self, tmp_path, monkeypatch):
+        """A worker that dies reading one input fails that input, and the run goes on."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        monkeypatch.setattr(pipeline, "ingest_csv", _ingest_dies_on_intraday)
         out = tmp_path / "o"
-        code = cli_main(["estimate", "--input", str(path), "--out", str(out), "--jobs", "2"])
-        assert code == 2
+        argv = ["report", "--input", str(daily), "--input", str(intraday), "--out", str(out)]
+        assert cli_main(argv + ["--jobs", "2", "--permutations", "20"]) == 2
+        report = (out / "report.txt").read_text()
+        assert f"failure: ingest[{intraday}]: BrokenProcessPool: " in report
+        assert "tickers: 6" in report
+        assert "tickers_failed: 0" in report
         with (out / "records.csv").open(newline="") as fh:
-            rows = {row["ticker"]: row for row in csv.DictReader(fh)}
-        assert len(rows) == 6
-        assert rows["TK1"]["status"] == "failed"
-        assert rows["TK1"]["error"].startswith("BrokenProcessPool: ")
-        # the tickers the broken pool left pending run again in a fresh pool
-        for ticker in ("TK0", "TK2", "TK3", "TK4", "TK5"):
-            assert rows[ticker]["status"] == "ok", rows[ticker]["error"]
-        assert "tickers: 6" in (out / "report.txt").read_text()
-        assert "tickers_failed: 1" in (out / "report.txt").read_text()
+            assert {row["sampling"] for row in csv.DictReader(fh)} == {"daily"}
 
     def test_dead_worker_reruns_keep_parallelism(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path, n_tickers=40)
@@ -296,25 +408,7 @@ class TestRunPipeline:
     def test_pool_no_larger_than_its_tickers(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path)
         sizes = []
-
-        class InlinePool:
-            """Stand-in pool: records its size and runs each task at submit, here."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", inline_pool(sizes))
         args = ["estimate", "--input", str(path), "--out"]
         assert cli_main(args + [str(tmp_path / "p"), "--jobs", "10000"]) == 0
         assert sizes == [6]
@@ -322,6 +416,26 @@ class TestRunPipeline:
         assert sizes == [6]
         records = [(tmp_path / d / "records.csv").read_text() for d in ("p", "s")]
         assert records[0] == records[1]
+
+    def test_pool_sizes_two_inputs(self, tmp_path, monkeypatch):
+        """Ingest opens a pool of one worker per input; the tickers' larger pool replaces it."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        sizes = []
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", inline_pool(sizes))
+        args = ["report", "--input", str(daily), "--input", str(intraday), "--permutations", "20"]
+        assert cli_main(args + ["--out", str(tmp_path / "p"), "--jobs", "10000"]) == 0
+        assert sizes == [2, 12]
+        assert cli_main(args + ["--out", str(tmp_path / "q"), "--jobs", "2"]) == 0
+        assert sizes == [2, 12, 2]
+        assert cli_main(args + ["--out", str(tmp_path / "s"), "--jobs", "1"]) == 0
+        assert sizes == [2, 12, 2]
+        outputs = {d: read_outputs(tmp_path / d) for d in ("p", "q", "s")}
+        for d in ("p", "q"):
+            assert outputs[d].keys() == outputs["s"].keys()
+            for name, text in outputs["s"].items():
+                if name != "report.txt":
+                    assert outputs[d][name] == text, (d, name)
 
     def test_graph_aligns_missing_row(self, tmp_path):
         assert cli_main(["make-dataset", "--out", str(tmp_path / "d"), "--points", "120", "--seed", "3"]) == 0
@@ -338,6 +452,86 @@ class TestRunPipeline:
         # the other 9 tickers each lose the row at SYN005's missing timestamp
         assert "graph[daily].rows_dropped: 9 " in report
         assert "failure:" not in report
+
+
+def reduce_aligned_returns(cohort, config):
+    """The stamp intersection and per-series membership test the count replaced: the oracle."""
+    common = functools.reduce(np.intersect1d, [series.timestamps for series in cohort])
+    aligned, dropped = [], 0
+    for series in cohort:
+        keep = np.isin(series.timestamps, common)
+        dropped += len(keep) - int(np.count_nonzero(keep))
+        shared = dataclasses.replace(
+            series, timestamps=series.timestamps[keep], prices=series.prices[keep]
+        )
+        aligned.append(pipeline._returns_for(shared, config))
+    return aligned, dropped
+
+
+def _cohort(stamps_per_ticker, seed=0, sampling="daily"):
+    rng = np.random.default_rng(seed)
+    return [
+        PriceSeries(
+            f"T{k}", sampling, np.asarray(stamps, dtype=np.int64),
+            100 * np.exp(np.cumsum(rng.normal(0, 0.02, len(stamps)))),
+        )
+        for k, stamps in enumerate(stamps_per_ticker)
+    ]
+
+
+class TestAlignedReturns:
+    """``_aligned_returns`` against the intersect1d/isin oracle."""
+
+    CONFIG = RunConfig(inputs=(), out_dir=Path("unused"), command="validate")
+
+    def assert_same(self, cohort, config=CONFIG):
+        try:
+            expected = reduce_aligned_returns(cohort, config)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                pipeline._aligned_returns(cohort, config)
+            assert str(raised.value) == str(exc)
+            return None
+        aligned, dropped = pipeline._aligned_returns(cohort, config)
+        assert dropped == expected[1]
+        assert [r.ticker for r in aligned] == [r.ticker for r in expected[0]]
+        for got, want in zip(aligned, expected[0]):
+            assert np.array_equal(got.values, want.values)
+        return aligned, dropped
+
+    def test_missing_row(self):
+        full = list(range(0, 50 * 86400, 86400))
+        aligned, dropped = self.assert_same(_cohort([full, full[:20] + full[21:], full]))
+        assert dropped == 2
+        assert [len(r) for r in aligned] == [48, 48, 48]
+
+    def test_identical_stamps(self):
+        full = list(range(0, 50 * 86400, 86400))
+        aligned, dropped = self.assert_same(_cohort([full] * 4))
+        assert dropped == 0
+        assert [len(r) for r in aligned] == [49] * 4
+
+    def test_disjoint_stamps(self):
+        assert self.assert_same(_cohort([range(0, 10), range(10, 20), range(0, 20)])) is None
+
+    def test_three_shared_stamps_fail_the_graph(self):
+        cohort = _cohort([[0, 5, 9, 12], [0, 5, 7, 9], [0, 1, 5, 9]])
+        aligned, dropped = self.assert_same(cohort)
+        assert dropped == 3
+        files, info, rows_dropped, error = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        assert (files, info, rows_dropped) == ({}, {}, 3)
+        assert error == "need at least 3 aligned observations"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        base = np.cumsum(rng.integers(1, 4, size=300)) * 60
+        cohort = [
+            base[rng.random(len(base)) < rng.uniform(0.7, 1.0)]
+            for _ in range(int(rng.integers(2, 12)))
+        ]
+        config = dataclasses.replace(self.CONFIG, split_sessions=bool(seed % 2))
+        self.assert_same(_cohort(cohort, seed=seed, sampling="intraday"), config)
 
 
 RUN_FILES = {"records.csv", "report.txt"}
@@ -532,17 +726,15 @@ class TestCli:
     def test_ticker_in_two_inputs_rejected_before_work(self, tmp_path, monkeypatch, capsys):
         path = tiny_market(tmp_path)
         other = tiny_market(tmp_path, n_tickers=9, seed=1, name="other.csv")
-
-        def no_estimates(args):
-            raise AssertionError("an estimator ran")
-
-        monkeypatch.setattr(pipeline, "_process_ticker", no_estimates)
+        monkeypatch.setattr(pipeline, "_process_ticker", _estimator_marks_its_run)
         out = tmp_path / "o"
-        for second in (path, other):
+        for second, jobs in ((path, "1"), (other, "1"), (path, "2"), (other, "2")):
             assert cli_main(
-                ["report", "--input", str(path), "--input", str(second), "--out", str(out)]
+                ["report", "--input", str(path), "--input", str(second), "--out", str(out),
+                 "--jobs", jobs]
             ) == 1
             assert not out.exists()
+            assert not (tmp_path / "estimator-ran").exists()
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert "'TK0'" in err and "daily" in err

@@ -28,7 +28,6 @@ from .series import (
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
-    empirical_distribution,
     log_returns,
     quantile_discretize,
     shannon_entropy,

@@ -3,12 +3,13 @@
 Correlations between return series are mapped to the ultrametric-compatible
 distance d = sqrt(2*(1 - rho)) in [0, 2]; the minimum spanning tree and the
 planar maximally filtered graph are the two standard backbones extracted
-from the resulting complete graph.
+from the resulting complete graph.  Each is a ``WeightedGraph`` on the
+complete graph's nodes, holding the edges it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .series import ReturnSeries
 __all__ = [
     "CorrelationMatrix",
     "WeightedGraph",
-    "FilteredGraph",
     "correlation_matrix",
     "distance_graph",
     "mst",
@@ -48,14 +48,6 @@ class WeightedGraph:
     edges: tuple[tuple[str, str, float], ...]  # (i, j, distance), i < j
 
 
-@dataclass(frozen=True)
-class FilteredGraph:
-    kind: str  # "mst" or "pmfg"
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]
-    node_attributes: dict = field(default_factory=dict)  # ticker -> {sector, entropy}
-
-
 def correlation_matrix(series: list[ReturnSeries]) -> CorrelationMatrix:
     """Pearson correlations of aligned log-return series."""
     if len(series) < 2:
@@ -77,13 +69,10 @@ def correlation_matrix(series: list[ReturnSeries]) -> CorrelationMatrix:
 
 def distance_graph(corr: CorrelationMatrix) -> WeightedGraph:
     """Complete graph with d_ij = sqrt(2*(1 - rho_ij))."""
-    n = len(corr.tickers)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.sqrt(max(2.0 * (1.0 - corr.rho[i, j]), 0.0)))
-            edges.append((corr.tickers[i], corr.tickers[j], d))
-    return WeightedGraph(nodes=corr.tickers, edges=tuple(edges))
+    i, j = np.triu_indices(len(corr.tickers), k=1)
+    d = np.sqrt(np.maximum(2.0 * (1.0 - corr.rho[i, j]), 0.0))
+    names = np.array(corr.tickers, dtype=object)
+    return WeightedGraph(corr.tickers, tuple(zip(names[i].tolist(), names[j].tolist(), d.tolist())))
 
 
 def _sorted_edges(graph: WeightedGraph) -> list[tuple[str, str, float]]:
@@ -91,8 +80,8 @@ def _sorted_edges(graph: WeightedGraph) -> list[tuple[str, str, float]]:
     return sorted(graph.edges, key=lambda e: (e[2], e[0], e[1]))
 
 
-def mst(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredGraph:
-    """Kruskal minimum spanning tree of the distance graph."""
+def mst(graph: WeightedGraph) -> WeightedGraph:
+    """Kruskal minimum spanning tree of the distance graph, on the same nodes."""
     parent = {v: v for v in graph.nodes}
 
     def find(v: str) -> str:
@@ -109,16 +98,11 @@ def mst(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredGr
             kept.append((i, j, d))
     if len(kept) != len(graph.nodes) - 1:
         raise ValueError("graph is disconnected; MST undefined")
-    return FilteredGraph(
-        kind="mst",
-        nodes=graph.nodes,
-        edges=tuple(kept),
-        node_attributes=dict(node_attributes or {}),
-    )
+    return WeightedGraph(graph.nodes, tuple(kept))
 
 
-def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredGraph:
-    """Planar maximally filtered graph: greedy ascending-distance insertion.
+def pmfg(graph: WeightedGraph) -> WeightedGraph:
+    """Planar maximally filtered graph of the distance graph, on the same nodes.
 
     Candidate edges are taken in ascending (distance, i, j) order and each
     is kept only if the graph stays planar, until the 3*(n-2) planar limit
@@ -149,12 +133,7 @@ def pmfg(graph: WeightedGraph, node_attributes: dict | None = None) -> FilteredG
         else:
             adj[a].pop()
             adj[b].pop()
-    return FilteredGraph(
-        kind="pmfg",
-        nodes=graph.nodes,
-        edges=tuple(kept),
-        node_attributes=dict(node_attributes or {}),
-    )
+    return WeightedGraph(graph.nodes, tuple(kept))
 
 
 # Conflict pairs of the LR test are 4-lists [left low, left high, right low,

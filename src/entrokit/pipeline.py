@@ -22,8 +22,12 @@ pool only when there are two or more inputs), then, once the
 duplicate-ticker check has passed, the backtest, the per-ticker estimates
 in (sampling, ticker) order, each cohort's graph build as soon as its last
 ticker's record is in, and the two density tests once every record is.
-The later stages only collect those results, in the order of ``COMMANDS``,
-and write the files and the report in this process; workers write nothing.
+Each task a later stage reads is kept under the name its failure takes
+("backtest", "graph[daily]", "equality[lz]").  The later stages only
+collect those results by name, in the order of ``COMMANDS``, and write the
+files and the report in this process; workers write nothing.  The graph
+files hold the MST and the PMFG as edge lists, and as GML with each node's
+CTW entropy.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .backtest import (
 from .bds import BdsParams, bds_statistic, entropy_bds_association
 from .ctw import DEFAULT_DEPTH, CtwParams, ctw_entropy_rate
 from .densities import DEFAULT_PERMUTATIONS, density_equality_test, summary_stats
-from .graphs import correlation_matrix, distance_graph, mst, pmfg
+from .graphs import WeightedGraph, correlation_matrix, distance_graph, mst, pmfg
 from .ingest import ingest_csv
 from .lz import lz_entropy_rate
 from .series import PriceSeries, ReturnSeries, log_returns, quantile_discretize
@@ -265,9 +269,9 @@ class _Run:
     cohorts: dict[str, list[TickerRecord]] = field(default_factory=dict)  # label -> ok records
     # (label, "lz" or "ctw") -> the cohort's entropy rates, in cohort order
     entropies: dict[tuple[str, str], list[float]] = field(default_factory=dict)
-    # work submitted and not yet collected: ("ingest", input index), "backtest",
-    # ("graph", label) or ("density", estimator)
-    tasks: dict[Any, _Task] = field(default_factory=dict)
+    # work submitted and not yet collected, by the name its failure takes:
+    # "backtest", "graph[<label>]" or "equality[<estimator>]"
+    tasks: dict[str, _Task] = field(default_factory=dict)
 
     @property
     def config(self) -> RunConfig:
@@ -277,13 +281,13 @@ class _Run:
     def out(self) -> Path:
         return Path(self.report.config.out_dir)
 
-    def collect(self, key, name: str):
-        """The result of the task submitted under ``key``, or None if there is none.
+    def collect(self, name: str, task: _Task | None = None):
+        """The result of ``task``, by default the one submitted as ``name``; None if there is none.
 
         A task whose worker died with it alone leaves the named failure
         ``name: BrokenProcessPool: ...`` in its place.
         """
-        task = self.tasks.pop(key, None)
+        task = task or self.tasks.pop(name, None)
         if task is None:
             return None
         try:
@@ -311,8 +315,7 @@ def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
     )
 
 
-def _process_ticker(args: tuple[PriceSeries, RunConfig]) -> TickerRecord:
-    series, config = args
+def _process_ticker(series: PriceSeries, config: RunConfig) -> TickerRecord:
     try:
         returns = _returns_for(series, config)
         symbols = quantile_discretize(returns, config.states)
@@ -387,11 +390,11 @@ def _ingest(run: _Run) -> None:
     config, report, executor = run.config, run.report, run.executor
     if len(config.inputs) > 1:
         executor.open(len(config.inputs))
-    for i, path in enumerate(config.inputs):
-        run.tasks["ingest", i] = executor.submit(ingest_csv, path)
+    # a list, not run.tasks: the same path given twice must reach the duplicate check
+    tasks = [executor.submit(ingest_csv, path) for path in config.inputs]
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
-    for i, path in enumerate(config.inputs):
-        result = run.collect(("ingest", i), f"ingest[{path}]")
+    for path, task in zip(config.inputs, tasks):
+        result = run.collect(f"ingest[{path}]", task)
         if result is None:
             continue
         for series in result.series:
@@ -431,7 +434,7 @@ def _estimates(run: _Run) -> None:
         by_label.setdefault(series.sampling, []).append(k)
     by_label = dict(sorted(by_label.items()))
     tickers = {
-        k: executor.submit(_process_ticker, (run.series[k], config))
+        k: executor.submit(_process_ticker, run.series[k], config)
         for ks in by_label.values() for k in ks
     }
     records: list[TickerRecord] = [None] * len(run.series)
@@ -446,7 +449,7 @@ def _estimates(run: _Run) -> None:
             continue
         cohort = run.cohorts[label] = [records[k] for k in ok]
         if "graphs" in stages and len(cohort) >= 3:
-            run.tasks["graph", label] = executor.submit(
+            run.tasks[f"graph[{label}]"] = executor.submit(
                 _graph_task, label, [run.series[k] for k in ok],
                 {r.ticker: r.ctw_entropy for r in cohort}, config,
             )
@@ -459,7 +462,7 @@ def _estimates(run: _Run) -> None:
         for estimator in ("lz", "ctw"):
             a, b = (run.entropies[label, estimator] for label in labels)
             if len(a) >= 5 and len(b) >= 5:
-                run.tasks["density", estimator] = executor.submit(
+                run.tasks[f"equality[{estimator}]"] = executor.submit(
                     _density_task, a, b, labels, config.permutations, config.seed
                 )
     _write_records(run.out, records)
@@ -499,7 +502,7 @@ def _density_task(
 
 def _equality_tests(run: _Run) -> None:
     for estimator in ("lz", "ctw"):
-        result = run.collect(("density", estimator), f"equality[{estimator}]")
+        result = run.collect(f"equality[{estimator}]")
         if result is not None:
             run.report.equality_tests[estimator], text = result
             _atomic_write(run.out / f"density_{estimator}.csv", text)
@@ -522,16 +525,19 @@ def _aligned_returns(
     """Returns on the timestamps every series shares, and the rows dropped for it.
 
     Each series' timestamps are strictly increasing, so a stamp is shared
-    exactly when its count over the cohort equals the cohort's size.
+    exactly when its count over the cohort equals the cohort's size.  Fewer
+    than two shared stamps give every series an empty return series.
     """
     stamps, counts = np.unique(
         np.concatenate([series.timestamps for series in cohort]), return_counts=True
     )
     common = stamps[counts == len(cohort)]
-    aligned, dropped = [], 0
+    dropped = sum(len(series) for series in cohort) - len(cohort) * len(common)
+    if len(common) < 2:
+        return [ReturnSeries(series.ticker, np.empty(0)) for series in cohort], dropped
+    aligned = []
     for series in cohort:
         keep = np.searchsorted(series.timestamps, common)
-        dropped += len(series) - len(common)
         shared = replace(series, timestamps=common, prices=series.prices[keep])
         aligned.append(_returns_for(shared, config))
     return aligned, dropped
@@ -551,14 +557,13 @@ def _graph_task(
         series, dropped = _aligned_returns(prices, config)
         corr = correlation_matrix(series)
         graph = distance_graph(corr)
-        entropy_attr = {ticker: {"entropy": e} for ticker, e in entropies.items()}
         for kind, builder in (("mst", mst), ("pmfg", pmfg)):
-            filtered = builder(graph, node_attributes=entropy_attr)
+            filtered = builder(graph)
             rows = [[i, j, _fmt(d)] for i, j, d in filtered.edges]
             files[f"graph_{label}_{kind}_edges.csv"] = _csv_text(
                 ["source", "target", "distance"], rows
             )
-            files[f"graph_{label}_{kind}.gml"] = _graph_gml(filtered)
+            files[f"graph_{label}_{kind}.gml"] = _graph_gml(kind, filtered, entropies)
             info[label, kind] = {"nodes": len(filtered.nodes), "edges": len(filtered.edges)}
         corr_rows = [
             [corr.tickers[i]] + [_fmt(float(v)) for v in corr.rho[i]]
@@ -574,7 +579,7 @@ def _graphs(run: _Run) -> None:
     """Graph files per cohort; also the rows each cohort dropped to align."""
     report = run.report
     for label in run.cohorts:
-        result = run.collect(("graph", label), f"graph[{label}]")
+        result = run.collect(f"graph[{label}]")
         if result is None:
             continue
         files, info, dropped, error = result
@@ -586,20 +591,17 @@ def _graphs(run: _Run) -> None:
             report.failures.append(f"graph[{label}]: {error}")
 
 
-def _graph_gml(filtered) -> str:
-    lines = ["graph [", "  directed 0", f'  kind "{filtered.kind}"']
-    index = {node: i for i, node in enumerate(filtered.nodes)}
-    for node in filtered.nodes:
+def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> str:
+    """GML text of ``graph``; ``entropies`` holds each node's CTW entropy rate."""
+    lines = ["graph [", "  directed 0", f'  kind "{kind}"']
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    for node in graph.nodes:
         lines.append("  node [")
         lines.append(f"    id {index[node]}")
         lines.append(f'    label "{node}"')
-        attrs = filtered.node_attributes.get(node, {})
-        if "sector" in attrs:
-            lines.append(f'    sector "{attrs["sector"]}"')
-        if attrs.get("entropy") is not None:
-            lines.append(f"    entropy {attrs['entropy']:.6f}")
+        lines.append(f"    entropy {entropies[node]:.6f}")
         lines.append("  ]")
-    for i, j, d in filtered.edges:
+    for i, j, d in graph.edges:
         lines.append("  edge [")
         lines.append(f"    source {index[i]}")
         lines.append(f"    target {index[j]}")
@@ -650,7 +652,7 @@ def _backtest_task(
 
 
 def _backtest(run: _Run) -> None:
-    result = run.collect("backtest", "backtest")
+    result = run.collect("backtest")
     if result is None:
         return
     files, reports, failures = result

@@ -9,7 +9,6 @@ of its inputs.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "log_returns",
     "quantile_discretize",
     "shannon_entropy",
-    "empirical_distribution",
 ]
 
 PROB_SUM_TOL = 1e-9
@@ -115,12 +113,12 @@ class DiscreteDistribution:
 @dataclass(frozen=True)
 class EntropyEstimate:
     bits_per_symbol: float
-    estimator: str  # "lz", "ctw" or "plugin"
+    estimator: str  # "lz" or "ctw"
     sample_size: int
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.estimator not in ("lz", "ctw", "plugin"):
+        if self.estimator not in ("lz", "ctw"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.bits_per_symbol < 0:
             raise ValueError("entropy estimate cannot be negative")
@@ -163,19 +161,3 @@ def shannon_entropy(dist: DiscreteDistribution) -> float:
     h = -sum(p * math.log2(p) for p in dist.probabilities.values() if p > 0)
     return max(0.0, h)  # 0.0 first, so a zero sum never comes back as -0.0
 
-
-def empirical_distribution(seq: SymbolSequence, word_len: int = 1) -> DiscreteDistribution:
-    """Relative frequencies of overlapping words of ``word_len`` symbols.
-
-    Single-symbol words are keyed by the symbol itself, longer words by
-    their digit string (e.g. "01").
-    """
-    if word_len < 1:
-        raise ValueError("word_len must be >= 1")
-    n = len(seq)
-    if word_len > n:
-        raise ValueError(f"word_len {word_len} exceeds sequence length {n}")
-    total = n - word_len + 1
-    words = zip(*(seq.symbols[i : total + i].tolist() for i in range(word_len)))
-    count = Counter(w[0] if word_len == 1 else "".join(map(str, w)) for w in words)
-    return DiscreteDistribution({k: c / total for k, c in count.items()})

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
@@ -27,24 +28,24 @@ _ingest_csv = pipeline.ingest_csv
 _pmfg = pipeline.pmfg
 
 
-def _worker_dies_on_tk1(args):
+def _worker_dies_on_tk1(series, config):
     """Stand-in for the per-ticker worker: the process running TK1 exits."""
-    if args[0].ticker == "TK1":
+    if series.ticker == "TK1":
         os._exit(1)
-    return _process_ticker(args)
+    return _process_ticker(series, config)
 
 
-def _estimator_marks_its_run(args):
+def _estimator_marks_its_run(series, config):
     """Stand-in for the per-ticker worker: leaves a file beside the output directory."""
-    Path(args[1].out_dir).with_name("estimator-ran").touch()
-    return _process_ticker(args)
+    Path(config.out_dir).with_name("estimator-ran").touch()
+    return _process_ticker(series, config)
 
 
-def _pmfg_dies_on_seven_nodes(graph, node_attributes=None):
+def _pmfg_dies_on_seven_nodes(graph):
     """Stand-in for pmfg: the process filtering a 7-ticker cohort's graph exits."""
     if len(graph.nodes) == 7:
         os._exit(1)
-    return _pmfg(graph, node_attributes=node_attributes)
+    return _pmfg(graph)
 
 
 def _ingest_dies_on_intraday(path):
@@ -73,6 +74,12 @@ def inline_pool(sizes):
             return future
 
     return InlinePool
+
+
+def _env_with_src():
+    """This environment, with the entrokit under test first on a subprocess's PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(entrokit.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def read_outputs(out):
@@ -512,7 +519,17 @@ class TestAlignedReturns:
         assert [len(r) for r in aligned] == [49] * 4
 
     def test_disjoint_stamps(self):
-        assert self.assert_same(_cohort([range(0, 10), range(10, 20), range(0, 20)])) is None
+        cohort = _cohort([range(0, 10), range(10, 20), range(0, 20)])
+        aligned, dropped = pipeline._aligned_returns(cohort, self.CONFIG)
+        assert dropped == 40
+        assert [len(r) for r in aligned] == [0, 0, 0]
+        result = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        assert result == ({}, {}, 40, "need at least 3 aligned observations")
+
+    def test_one_shared_stamp_fails_the_graph(self):
+        cohort = _cohort([[0, 5, 9], [3, 5, 7, 8], [5, 6]])
+        result = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        assert result == ({}, {}, 6, "need at least 3 aligned observations")
 
     def test_three_shared_stamps_fail_the_graph(self):
         cohort = _cohort([[0, 5, 9, 12], [0, 5, 7, 9], [0, 1, 5, 9]])
@@ -605,6 +622,43 @@ class TestCommands:
             for name, text in outputs[command].items():
                 if name != "report.txt":
                     assert text == report[name], (command, name)
+
+    def test_pool_tasks_per_command(self, tmp_path, monkeypatch):
+        """Each command submits the pool work its stages read, and no other."""
+        estimates = {"ingest_csv": 2, "_process_ticker": 12}
+        expected = {
+            "estimate": estimates,
+            "validate": {},
+            "bds": estimates,
+            "compare": {**estimates, "_density_task": 2},
+            "graph": {**estimates, "_graph_task": 2},
+            "backtest": {**estimates, "_backtest_task": 1},
+            "report": {**estimates, "_density_task": 2, "_graph_task": 2, "_backtest_task": 1},
+        }
+        assert expected.keys() == COMMANDS.keys()
+        submitted = collections.Counter()
+        submit = pipeline._Executor.submit
+
+        def counting_submit(executor, fn, *args):
+            submitted[fn.__name__] += 1
+            return submit(executor, fn, *args)
+
+        monkeypatch.setattr(pipeline._Executor, "submit", counting_submit)
+        inputs = [
+            "--input", str(tiny_market(tmp_path)),
+            "--input", str(tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")),
+        ]
+        for command, counts in expected.items():
+            submitted.clear()
+            out = ["--out", str(tmp_path / command)]
+            if command == "validate":
+                argv = [command, *out, "--ctw-depth", "8"]
+            else:
+                argv = [command, *inputs, *out, "--jobs", "1"]
+            if command in ("compare", "report"):
+                argv += ["--permutations", "20"]
+            assert cli_main(argv) == 0, command
+            assert dict(submitted) == counts, command
 
     @pytest.mark.parametrize("command", ["graph", "report"])
     def test_failed_tickers_leave_every_cohort(self, tmp_path, command):
@@ -740,6 +794,19 @@ class TestCli:
             assert "'TK0'" in err and "daily" in err
             assert f"{path} and {second}" in err
 
+    def test_one_input_given_twice_rejected_before_work(self, tmp_path, monkeypatch, capsys):
+        path = tiny_market(tmp_path)
+        monkeypatch.setattr(pipeline, "_process_ticker", _estimator_marks_its_run)
+        out = tmp_path / "o"
+        for jobs in ("1", "2"):
+            assert cli_main(
+                ["estimate", "--input", str(path), "--input", str(path), "--out", str(out),
+                 "--jobs", jobs]
+            ) == 1
+            assert not out.exists()
+            assert not (tmp_path / "estimator-ran").exists()
+            assert "is in both" in capsys.readouterr().err
+
     def test_ticker_in_daily_and_intraday_inputs_valid(self, tmp_path):
         daily = tiny_market(tmp_path)
         intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
@@ -774,8 +841,7 @@ class TestCli:
             f"code = main(['report', '--input', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
             "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))"
         )
-        src = os.path.dirname(os.path.dirname(entrokit.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = _env_with_src()
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
@@ -788,8 +854,7 @@ class TestCli:
             "import os, entrokit, numpy as np; a = np.ones((300, 300)); a @ a; "
             "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
         )
-        src = os.path.dirname(os.path.dirname(entrokit.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = _env_with_src()
         env.pop("OPENBLAS_NUM_THREADS", None)
         if env_value is not None:
             env["OPENBLAS_NUM_THREADS"] = env_value
@@ -808,15 +873,16 @@ class TestCli:
         assert self._blas_probe("2")[1] == "2"
 
     def test_console_entry_point(self):
+        env = _env_with_src()
         proc = subprocess.run(
-            [sys.executable, "-m", "entrokit.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "entrokit.cli", "--help"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0
         for command in COMMANDS:
             assert command in proc.stdout
         proc = subprocess.run(
             [sys.executable, "-m", "entrokit.cli", "validate", "--out", "o", "--input", "x.csv"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")

@@ -11,7 +11,6 @@ from entrokit.series import (
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
-    empirical_distribution,
     log_returns,
     quantile_discretize,
     shannon_entropy,
@@ -102,25 +101,6 @@ class TestShannonEntropy:
             p = rng.dirichlet(np.ones(8))
             h = shannon_entropy(DiscreteDistribution({i: float(v) for i, v in enumerate(p)}))
             assert h <= 3.0 + 1e-12
-
-
-class TestEmpiricalDistribution:
-    def test_single_symbols(self):
-        d = empirical_distribution(SymbolSequence(2, (0, 1, 0, 1)), 1)
-        assert d.probabilities == {0: 0.5, 1: 0.5}
-
-    def test_repeated_word(self):
-        d = empirical_distribution(SymbolSequence(2, (0, 0, 0)), 2)
-        assert d.probabilities == {"00": 1.0}
-
-    def test_overlapping_words(self):
-        d = empirical_distribution(SymbolSequence(2, (0, 1, 0, 1)), 2)
-        assert d.probabilities["01"] == pytest.approx(2 / 3)
-        assert d.probabilities["10"] == pytest.approx(1 / 3)
-
-    def test_word_too_long(self):
-        with pytest.raises(ValueError):
-            empirical_distribution(SymbolSequence(2, (0, 1)), 3)
 
 
 class TestArrays:

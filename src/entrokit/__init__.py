@@ -23,14 +23,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 from .series import (
-    DiscreteDistribution,
     EntropyEstimate,
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
     log_returns,
     quantile_discretize,
-    shannon_entropy,
 )
 from .lz import LzParse, MatchLengths, lz76_complexity, lz_entropy_rate, match_lengths
 from .ctw import (

@@ -4,7 +4,10 @@ The strategy enters when the z-score of price against its rolling mean
 drops to entry_z and exits back to cash when it recovers to exit_z.
 Signals use only the trailing window ending at the current bar and fill at
 that bar's close; there is no shorting, no leverage and no transaction
-cost model.
+cost model.  A report holds arrays, not rows: the equity at every bar, and
+each fill's bar index and share count.  Fills alternate buy and sell,
+starting with a buy, so a fill's side, price and timestamp come from the
+series.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .series import PriceSeries
+from .series import PriceSeries, _frozen
 
 __all__ = [
     "StrategyParams",
-    "Trade",
     "PerformanceReport",
     "mean_reversion_backtest",
     "entropy_cohort_report",
@@ -49,23 +51,19 @@ class StrategyParams:
             raise ValueError("initial_capital must be positive")
 
 
-@dataclass(frozen=True)
-class Trade:
-    timestamp: int
-    side: str  # "buy" or "sell"
-    price: float
-    shares: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value; compare fields
 class PerformanceReport:
     ticker: str
     strategy_return_pct: float
     benchmark_return_pct: float
-    num_trades: int
-    equity_curve: tuple[tuple[int, float], ...]
-    trades: tuple[Trade, ...]
+    equity: np.ndarray  # float64, one value per bar of the series
+    trade_bars: np.ndarray  # int64 bar index of each fill; even positions buy, odd sell
+    trade_shares: np.ndarray  # float64 shares bought or sold at each fill
     params: StrategyParams
+
+    @property
+    def num_trades(self) -> int:
+        return len(self.trade_bars)
 
 
 def _rolling_mean_std(prices: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,35 +98,34 @@ def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = Strate
     w = params.window
     means, sds = _rolling_mean_std(series.prices, w)
     prices = series.prices.tolist()
-    timestamps = series.timestamps.tolist()
 
     cash = float(params.initial_capital)
     shares = 0.0
-    trades: list[Trade] = []
-    curve = [(ts, cash) for ts in timestamps[: w - 1]]
-    for ts, price, mean, sd in zip(timestamps[w - 1 :], prices[w - 1 :], means.tolist(), sds.tolist()):
+    bars: list[int] = []
+    held: list[float] = []  # shares bought or sold at each fill
+    equity = [cash] * (w - 1)
+    for t, price, mean, sd in zip(range(w - 1, n), prices[w - 1 :], means.tolist(), sds.tolist()):
         if sd > 0:
             z = (price - mean) / sd
             if shares == 0.0 and z <= params.entry_z:
                 shares = cash / price
                 cash = 0.0
-                trades.append(Trade(ts, "buy", price, shares))
+                bars.append(t)
+                held.append(shares)
             elif shares > 0.0 and z >= params.exit_z:
                 cash = shares * price
-                trades.append(Trade(ts, "sell", price, shares))
+                bars.append(t)
+                held.append(shares)
                 shares = 0.0
-        curve.append((ts, cash + shares * price))
+        equity.append(cash + shares * price)
 
-    final_equity = curve[-1][1]
-    strategy_pct = (final_equity / params.initial_capital - 1.0) * 100.0
-    benchmark_pct = (prices[-1] / prices[0] - 1.0) * 100.0
     return PerformanceReport(
         ticker=series.ticker,
-        strategy_return_pct=strategy_pct,
-        benchmark_return_pct=benchmark_pct,
-        num_trades=len(trades),
-        equity_curve=tuple(curve),
-        trades=tuple(trades),
+        strategy_return_pct=(equity[-1] / params.initial_capital - 1.0) * 100.0,
+        benchmark_return_pct=(prices[-1] / prices[0] - 1.0) * 100.0,
+        equity=_frozen(equity, np.float64, "equity"),
+        trade_bars=_frozen(bars, np.int64, "trade_bars"),
+        trade_shares=_frozen(held, np.float64, "trade_shares"),
         params=params,
     )
 

@@ -77,19 +77,24 @@ def density_equality_test(
 
     # row 0 is the observed labelling, rows 1.. the label permutations
     rng = np.random.default_rng(seed)
+    perms = rng.permuted(np.tile(np.arange(n_pool), (num_permutations, 1)), axis=1)
     masks = np.zeros((num_permutations + 1, n_pool), dtype=bool)
     masks[0, :na] = True
-    for row in masks[1:]:
-        row[rng.permutation(n_pool)[:na]] = True
-    fa = masks @ kern / na
-    fb = ~masks @ kern / (n_pool - na)
-    stats = np.trapezoid((fa - fb) ** 2, grid, axis=1)
+    np.put_along_axis(masks[1:], perms[:, :na], True, axis=1)
+    # a labelling's fa - fb is weights @ kern, so its trapezoid ISD is the
+    # quadratic form weights @ gram @ weights, with gram = kern diag(trap) kern^T
+    weights = np.where(masks, 1.0 / na, -1.0 / (n_pool - na))
+    trap = np.convolve(np.diff(grid), [0.5, 0.5])  # the trapezoid rule's weights
+    gram = (kern * trap) @ kern.T
+    stats = np.sum(weights @ gram * weights, axis=1)
     observed, perm_stats = float(stats[0]), stats[1:]
-    density_a, density_b, perm_densities = fa[0], fb[0], fa[1:]
+    density_a, density_b = kern[:na].mean(axis=0), kern[na:].mean(axis=0)
 
     p_value = (1 + int(np.sum(perm_stats >= observed))) / (num_permutations + 1)
     pooled_density = kern.mean(axis=0)
-    se = perm_densities.std(axis=0)
+    # pointwise variance over permutations of fa = mask @ kern / na
+    cov = np.cov(masks[1:], rowvar=False, bias=True)
+    se = np.sqrt(np.maximum(np.sum(cov @ kern * kern, axis=0), 0.0)) / na
     return EqualityTestResult(
         p_value=float(p_value),
         statistic=observed,

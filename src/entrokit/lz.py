@@ -17,9 +17,9 @@ Two distinct quantities live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import gc
 import math
+from dataclasses import dataclass
 
 from .series import EntropyEstimate, SymbolSequence
 
@@ -71,11 +71,24 @@ def match_lengths(seq: SymbolSequence) -> MatchLengths:
     fits in the remaining input has been seen, this evaluates to
     (remaining length) + 1, i.e. longest match plus one as if one more
     symbol were available.
+
+    The cyclic garbage collector is paused during the scan: the automaton's
+    dicts hold no cycles, and a full collection would walk them all.
     """
     syms = seq.symbols.tolist()
-    n = len(syms)
-    if n == 0:
+    if not syms:
         raise ValueError("empty sequence")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _match_lengths(syms)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _match_lengths(syms: list[int]) -> MatchLengths:
+    n = len(syms)
     # suffix automaton of syms[:i]: per state the longest length, suffix link, transitions
     length, link, trans = [0], [-1], [{}]
     last = 0

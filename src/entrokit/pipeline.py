@@ -111,9 +111,14 @@ class RunConfig:
             raise ValueError("states must be 4 or 8")
         if not self.inputs and "inputs" in command_fields(self.command):
             raise ValueError("at least one input file is required")
+        given: dict[Path, Path] = {}  # resolved path -> the input naming it
         for p in self.inputs:
             if not Path(p).is_file():
                 raise ValueError(f"input not readable: {p}")
+            resolved = Path(p).resolve()
+            if resolved in given:
+                raise ValueError(f"input given twice: {given[resolved]} and {p}")
+            given[resolved] = p
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.permutations < 1:
@@ -390,7 +395,6 @@ def _ingest(run: _Run) -> None:
     config, report, executor = run.config, run.report, run.executor
     if len(config.inputs) > 1:
         executor.open(len(config.inputs))
-    # a list, not run.tasks: the same path given twice must reach the duplicate check
     tasks = [executor.submit(ingest_csv, path) for path in config.inputs]
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
     for path, task in zip(config.inputs, tasks):
@@ -616,39 +620,41 @@ def _backtest_task(
 ) -> tuple[dict[str, str], list[PerformanceReport], list[str]]:
     """Backtest each series: the CSV files (name -> text), the reports and the failures.
 
-    The reports come without their equity curves and trades, which the
-    files hold; there are no files when no series could be backtested.
+    The reports come without their equity and fills, which the files hold;
+    there are no files when no series could be backtested.
     """
-    reports, failures = [], []
+    reports, failures, trades, equity, summary = [], [], [], [], []
+    no_bars = np.empty(0)
     for s in series:
         try:
-            reports.append(mean_reversion_backtest(s, strategy))
+            r = mean_reversion_backtest(s, strategy)
         except ValueError as exc:
             failures.append(f"backtest[{s.ticker}]: {exc}")
+            continue
+        cell = _csv_text([s.ticker], [])[:-1]  # the ticker quoted as csv.writer quotes it
+        bars = r.trade_bars
+        fills = zip(s.timestamps[bars].tolist(), s.prices[bars].tolist(), r.trade_shares.tolist())
+        trades += [
+            f"{cell},{ts},{('buy', 'sell')[k % 2]},{price:.6f},{shares:.6f}\n"
+            for k, (ts, price, shares) in enumerate(fills)
+        ]
+        equity += [
+            f"{cell},{ts},{v:.6f}\n" for ts, v in zip(s.timestamps.tolist(), r.equity.tolist())
+        ]
+        summary.append(
+            [s.ticker, _fmt(r.strategy_return_pct), _fmt(r.benchmark_return_pct), len(bars)]
+        )
+        reports.append(replace(r, equity=no_bars, trade_bars=no_bars, trade_shares=no_bars))
     if not reports:
         return {}, [], failures
-    trade_rows = [
-        [r.ticker, t.timestamp, t.side, _fmt(t.price), _fmt(t.shares)]
-        for r in reports
-        for t in r.trades
-    ]
-    equity_rows = [
-        [r.ticker, ts, _fmt(v)] for r in reports for ts, v in r.equity_curve
-    ]
-    summary_rows = [
-        [r.ticker, _fmt(r.strategy_return_pct), _fmt(r.benchmark_return_pct), r.num_trades]
-        for r in reports
-    ]
     files = {
-        "backtest_trades.csv": _csv_text(
-            ["ticker", "timestamp", "side", "price", "shares"], trade_rows
-        ),
-        "backtest_equity.csv": _csv_text(["ticker", "timestamp", "equity"], equity_rows),
+        "backtest_trades.csv": "ticker,timestamp,side,price,shares\n" + "".join(trades),
+        "backtest_equity.csv": "ticker,timestamp,equity\n" + "".join(equity),
         "backtest_summary.csv": _csv_text(
-            ["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary_rows
+            ["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary
         ),
     }
-    return files, [replace(r, equity_curve=(), trades=()) for r in reports], failures
+    return files, reports, failures
 
 
 def _backtest(run: _Run) -> None:

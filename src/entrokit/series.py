@@ -1,4 +1,4 @@
-"""Price/return/symbol data model and plug-in Shannon entropy utilities.
+"""Price/return/symbol data model.
 
 Pipeline order: prices -> log returns -> quantile symbols -> entropy
 estimators.  Every series holds read-only numpy arrays, validated in
@@ -8,7 +8,6 @@ of its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +16,10 @@ __all__ = [
     "PriceSeries",
     "ReturnSeries",
     "SymbolSequence",
-    "DiscreteDistribution",
     "EntropyEstimate",
     "log_returns",
     "quantile_discretize",
-    "shannon_entropy",
 ]
-
-PROB_SUM_TOL = 1e-9
 
 
 def _frozen(values, dtype, name: str) -> np.ndarray:
@@ -98,19 +93,6 @@ class SymbolSequence:
 
 
 @dataclass(frozen=True)
-class DiscreteDistribution:
-    probabilities: dict
-
-    def __post_init__(self) -> None:
-        total = float(sum(self.probabilities.values()))
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        for k, p in self.probabilities.items():
-            if p < 0 or p > 1 + PROB_SUM_TOL:
-                raise ValueError(f"probability for {k!r} outside [0,1]: {p}")
-
-
-@dataclass(frozen=True)
 class EntropyEstimate:
     bits_per_symbol: float
     estimator: str  # "lz" or "ctw"
@@ -154,10 +136,4 @@ def quantile_discretize(returns: ReturnSeries, num_states: int = 4) -> SymbolSeq
         symbols[order[start : start + size]] = state
         start += size
     return SymbolSequence(alphabet_size=num_states, symbols=symbols)
-
-
-def shannon_entropy(dist: DiscreteDistribution) -> float:
-    """Plug-in entropy -sum p log2 p in bits, with 0*log0 := 0."""
-    h = -sum(p * math.log2(p) for p in dist.probabilities.values() if p > 0)
-    return max(0.0, h)  # 0.0 first, so a zero sum never comes back as -0.0
 

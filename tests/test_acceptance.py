@@ -317,17 +317,18 @@ def test_criterion_11_backtest_accounting():
         StrategyParams(window=4, entry_z=-1.0, exit_z=0.0),
     )
     ok &= osc.strategy_return_pct > 0
-    ok &= math.isclose(osc.equity_curve[-1][1], 24414.0625, rel_tol=1e-12)
+    ok &= math.isclose(osc.equity[-1], 24414.0625, rel_tol=1e-12)
 
     rng = np.random.default_rng(7)
     noisy = price_series(list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 300)))))
     replay = mean_reversion_backtest(noisy, StrategyParams(window=10))
     cash, shares = replay.params.initial_capital, 0.0
-    for trade in replay.trades:
-        if trade.side == "buy":
-            cash, shares = 0.0, cash / trade.price
+    for k, bar in enumerate(replay.trade_bars):  # fills alternate buy, sell, ...
+        if k % 2 == 0:
+            cash, shares = 0.0, cash / noisy.prices[bar]
         else:
-            cash, shares = shares * trade.price, 0.0
+            cash, shares = shares * noisy.prices[bar], 0.0
     final = cash + shares * noisy.prices[-1]
-    ok &= math.isclose(final, replay.equity_curve[-1][1], rel_tol=1e-12)
+    ok &= replay.num_trades > 0
+    ok &= math.isclose(final, replay.equity[-1], rel_tol=1e-12)
     _report("11", "backtest replay exact; constant/uptrend/oscillation examples", ok)

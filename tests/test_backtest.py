@@ -9,21 +9,21 @@ from entrokit import backtest
 from entrokit.backtest import (
     PerformanceReport,
     StrategyParams,
-    Trade,
     entropy_cohort_report,
     mean_reversion_backtest,
 )
 
 
 def loop_backtest(series, params=StrategyParams()):
-    """Reference: the state machine with one ``mean`` and ``std`` call per window."""
+    """Reference: the state machine with one ``mean`` and ``std`` call per window.
+
+    Returns (fill bars, fill shares, equity at every bar, strategy %, benchmark %).
+    """
     prices = series.prices
-    timestamps = series.timestamps
     w = params.window
     cash = params.initial_capital
     shares = 0.0
-    trades = []
-    curve = []
+    bars, held, equity = [], [], []
     for t in range(len(series)):
         price = prices[t]
         if t >= w - 1:
@@ -35,21 +35,32 @@ def loop_backtest(series, params=StrategyParams()):
                 if shares == 0.0 and z <= params.entry_z:
                     shares = cash / price
                     cash = 0.0
-                    trades.append(Trade(int(timestamps[t]), "buy", float(price), shares))
+                    bars.append(t)
+                    held.append(shares)
                 elif shares > 0.0 and z >= params.exit_z:
                     cash = shares * price
-                    trades.append(Trade(int(timestamps[t]), "sell", float(price), shares))
+                    bars.append(t)
+                    held.append(shares)
                     shares = 0.0
-        curve.append((int(timestamps[t]), float(cash + shares * price)))
-    return PerformanceReport(
-        ticker=series.ticker,
-        strategy_return_pct=float((curve[-1][1] / params.initial_capital - 1.0) * 100.0),
-        benchmark_return_pct=float((prices[-1] / prices[0] - 1.0) * 100.0),
-        num_trades=len(trades),
-        equity_curve=tuple(curve),
-        trades=tuple(trades),
-        params=params,
+        equity.append(float(cash + shares * price))
+    return (
+        bars,
+        [float(x) for x in held],
+        equity,
+        float((equity[-1] / params.initial_capital - 1.0) * 100.0),
+        float((prices[-1] / prices[0] - 1.0) * 100.0),
     )
+
+
+def replay(report, prices):
+    """Final equity from the fills alone: buys at even positions, sells at odd ones."""
+    cash, shares = report.params.initial_capital, 0.0
+    for k, bar in enumerate(report.trade_bars):
+        if k % 2 == 0:
+            cash, shares = 0.0, cash / prices[bar]
+        else:
+            cash, shares = shares * prices[bar], 0.0
+    return cash + shares * prices[-1]
 
 
 OSC_PARAMS = StrategyParams(window=4, entry_z=-1.0, exit_z=0.0, initial_capital=10_000.0)
@@ -78,29 +89,20 @@ class TestMeanReversionBacktest:
         prices = [100.0 if t % 2 == 0 else 80.0 for t in range(12)]
         report = mean_reversion_backtest(price_series(prices), OSC_PARAMS)
         assert report.strategy_return_pct > 0
-        assert report.equity_curve[-1][1] == pytest.approx(24414.0625)
+        assert report.equity[-1] == pytest.approx(24414.0625)
         assert report.strategy_return_pct == pytest.approx(144.140625)
         assert report.num_trades == 9  # 5 buys, 4 sells; still long at the end
+        assert report.trade_bars.tolist() == [3, 4, 5, 6, 7, 8, 9, 10, 11]
         assert report.benchmark_return_pct == pytest.approx(-20.0)
 
     def test_accounting_replay(self):
         rng = np.random.default_rng(3)
         prices = list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 200))))
         report = mean_reversion_backtest(price_series(prices), StrategyParams(window=10))
-        # replay the trade log: final equity must compound exactly
-        cash = report.params.initial_capital
-        shares = 0.0
-        for trade in report.trades:
-            if trade.side == "buy":
-                shares = cash / trade.price
-                cash = 0.0
-            else:
-                cash = shares * trade.price
-                shares = 0.0
-        final_price = prices[-1]
-        assert cash + shares * final_price == pytest.approx(
-            report.equity_curve[-1][1], rel=1e-12
-        )
+        # replay the fills: final equity must compound exactly
+        assert replay(report, prices) == pytest.approx(report.equity[-1], rel=1e-12)
+        sold = report.trade_shares[1::2]
+        assert sold.tolist() == report.trade_shares[::2][: len(sold)].tolist()  # whole positions
 
     def test_no_lookahead(self):
         rng = np.random.default_rng(4)
@@ -108,16 +110,18 @@ class TestMeanReversionBacktest:
         full = mean_reversion_backtest(price_series(prices), StrategyParams(window=10))
         cut = 150
         prefix = mean_reversion_backtest(price_series(prices[:cut]), StrategyParams(window=10))
-        full_prefix_trades = [t for t in full.trades if t.timestamp < cut * 86400]
         # the truncated run may close differently at its last bar; all earlier
         # decisions must agree
-        for a, b in zip(full_prefix_trades, prefix.trades):
-            assert a == b
-        assert full.equity_curve[: cut - 1] == prefix.equity_curve[: cut - 1]
+        early = full.trade_bars < cut
+        assert full.trade_bars[early].tolist() == prefix.trade_bars.tolist()
+        assert full.trade_shares[early].tolist() == prefix.trade_shares.tolist()
+        assert full.equity[: cut - 1].tolist() == prefix.equity[: cut - 1].tolist()
 
     def test_equity_curve_starts_at_initial_capital(self):
         report = mean_reversion_backtest(price_series([100.0] * 25))
-        assert report.equity_curve[0][1] == report.params.initial_capital
+        assert report.equity[0] == report.params.initial_capital
+        assert len(report.equity) == 25
+        assert not report.equity.flags.writeable
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -168,12 +172,14 @@ class TestAgainstLoop:
     def _same(self, prices, window, **kw):
         series = price_series(prices)
         params = StrategyParams(window=window, **kw)
-        got, want = mean_reversion_backtest(series, params), loop_backtest(series, params)
-        assert got.trades == want.trades
-        assert got.equity_curve == want.equity_curve
-        assert got.strategy_return_pct == want.strategy_return_pct
-        assert got.benchmark_return_pct == want.benchmark_return_pct
-        assert got == want
+        got = mean_reversion_backtest(series, params)
+        bars, held, equity, strategy_pct, benchmark_pct = loop_backtest(series, params)
+        assert got.trade_bars.dtype == np.int64 and got.trade_bars.tolist() == bars
+        assert got.trade_shares.dtype == np.float64 and got.trade_shares.tolist() == held
+        assert got.equity.dtype == np.float64 and got.equity.tolist() == equity
+        assert got.strategy_return_pct == strategy_pct
+        assert got.benchmark_return_pct == benchmark_pct
+        assert got.ticker == series.ticker and got.params == params
         return got
 
     @pytest.mark.parametrize("window", ORACLE_WINDOWS)
@@ -257,8 +263,8 @@ def _fake_report(ticker, strategy_pct, benchmark_pct):
         ticker=ticker,
         strategy_return_pct=strategy_pct,
         benchmark_return_pct=benchmark_pct,
-        num_trades=0,
-        equity_curve=((0, 10_000.0),),
-        trades=(),
+        equity=np.array([10_000.0]),
+        trade_bars=np.empty(0, dtype=np.int64),
+        trade_shares=np.empty(0),
         params=StrategyParams(),
     )

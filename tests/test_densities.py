@@ -35,6 +35,28 @@ def looped_equality_test(xa, xb, num_permutations, seed):
     return p, observed, fa, fb, np.std(densities, axis=0)
 
 
+def matrix_equality_test(xa, xb, num_permutations, seed):
+    """Reference: every labelling's two density curves, and the ISD by the trapezoid rule.
+
+    Returns (p, statistic, fa, fb, se) like ``looped_equality_test``.
+    """
+    pooled = np.concatenate([xa, xb])
+    h = _reference_bandwidth(pooled)
+    grid = np.linspace(pooled.min() - 3 * h, pooled.max() + 3 * h, GRID_POINTS)
+    kern = _kernel_matrix(pooled, grid, h)
+    na, n_pool = len(xa), len(pooled)
+    rng = np.random.default_rng(seed)
+    masks = np.zeros((num_permutations + 1, n_pool), dtype=bool)
+    masks[0, :na] = True
+    for row in masks[1:]:
+        row[rng.permutation(n_pool)[:na]] = True
+    fa = masks @ kern / na
+    fb = ~masks @ kern / (n_pool - na)
+    stats = np.trapezoid((fa - fb) ** 2, grid, axis=1)
+    p = (1 + int(np.sum(stats[1:] >= stats[0]))) / (num_permutations + 1)
+    return p, float(stats[0]), fa[0], fb[0], fa[1:].std(axis=0)
+
+
 class TestDensityEqualityTest:
     def test_identical_samples(self):
         x = np.random.default_rng(3).standard_normal(60)
@@ -109,6 +131,23 @@ class TestDensityEqualityTest:
             np.testing.assert_allclose(res.density_b, fb, rtol=1e-12, atol=1e-15)
             band = (res.reference_band_high - res.reference_band_low) / 4
             np.testing.assert_allclose(band, se, rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_matches_density_matrices(self, case):
+        rng = np.random.default_rng(500 + case)
+        na = int(rng.integers(5, 60))
+        nb = na if case % 3 == 0 else int(rng.integers(5, 60))
+        xa, xb = rng.normal(0, 1, na), rng.normal(rng.uniform(0, 1), 1, nb)
+        if case % 5 == 0:  # ties in the pooled sample
+            xa, xb = np.round(xa, 1), np.round(xb, 1)
+        res = density_equality_test(xa, xb, num_permutations=199, seed=case)
+        p, observed, fa, fb, se = matrix_equality_test(xa, xb, 199, case)
+        assert res.p_value == p
+        assert res.statistic == pytest.approx(observed, rel=1e-12)
+        np.testing.assert_allclose(res.density_a, fa, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(res.density_b, fb, rtol=1e-12, atol=1e-15)
+        band = (res.reference_band_high - res.reference_band_low) / 4
+        np.testing.assert_allclose(band, se, rtol=1e-9, atol=1e-14)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

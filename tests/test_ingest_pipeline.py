@@ -3,6 +3,8 @@ import collections
 import csv
 import dataclasses
 import functools
+import hashlib
+import io
 import os
 import re
 import subprocess
@@ -551,6 +553,41 @@ class TestAlignedReturns:
         self.assert_same(_cohort(cohort, seed=seed, sampling="intraday"), config)
 
 
+class TestBacktestFiles:
+    """The backtest CSVs, built line by line from the arrays, match csv.writer rows."""
+
+    def test_same_text_as_csv_rows(self):
+        rng = np.random.default_rng(2)
+        strategy = StrategyParams(window=10)
+        series = [
+            PriceSeries(ticker, "daily", np.arange(300) * 86400,
+                        100 * np.exp(np.cumsum(rng.normal(0, 0.03, 300))))
+            for ticker in ("A,B", 'Q"T', "N\nL", "plain")
+        ]
+        files, reports, failures = pipeline._backtest_task(series, strategy)
+        assert failures == []
+        trades, equity = io.StringIO(), io.StringIO()
+        trade_rows = csv.writer(trades, lineterminator="\n")
+        equity_rows = csv.writer(equity, lineterminator="\n")
+        trade_rows.writerow(["ticker", "timestamp", "side", "price", "shares"])
+        equity_rows.writerow(["ticker", "timestamp", "equity"])
+        for s in series:
+            report = pipeline.mean_reversion_backtest(s, strategy)
+            assert report.num_trades > 1
+            for k, (bar, shares) in enumerate(zip(report.trade_bars, report.trade_shares)):
+                trade_rows.writerow([
+                    s.ticker, int(s.timestamps[bar]), ("buy", "sell")[k % 2],
+                    f"{s.prices[bar]:.6f}", f"{shares:.6f}",
+                ])
+            for ts, value in zip(s.timestamps, report.equity):
+                equity_rows.writerow([s.ticker, int(ts), f"{value:.6f}"])
+        assert files["backtest_trades.csv"] == trades.getvalue()
+        assert files["backtest_equity.csv"] == equity.getvalue()
+        # the main process gets each ticker's returns and no per-bar data
+        assert [r.ticker for r in reports] == [s.ticker for s in series]
+        assert all(len(r.equity) == len(r.trade_bars) == 0 for r in reports)
+
+
 RUN_FILES = {"records.csv", "report.txt"}
 GRAPH_FILES = {
     f"{prefix}_{label}{suffix}"
@@ -622,6 +659,46 @@ class TestCommands:
             for name, text in outputs[command].items():
                 if name != "report.txt":
                     assert text == report[name], (command, name)
+
+    # sha256 of each file `report` writes on the tiny market, report.txt without
+    # its generated_at line; the density curves, which may move in the last
+    # bits of a float, are left out
+    PINNED = {
+        "backtest_equity.csv": "2e56eb784fdc91e53a1ff9a1005c2f22be21bf1bdda8f793f1593e94f362d03b",
+        "backtest_summary.csv": "953abaafd0709fe2d6fc40e8f9940a219ccbb3a6e0db3e14bf76776dc5a6eba3",
+        "backtest_trades.csv": "be8a8c2af4d4549ea1b8ed1a842a2ebfe29c5447516a04afdb8f33941294a89f",
+        "correlation_daily.csv": "0805ec21b841441db742fc906f04a82c4febbe9dc165e609a933d84ebfeda217",
+        "correlation_intraday.csv": "1c3009c296fd6a84ff36ce31235fcd30876a58bf13509023a52b43c194804bda",
+        "graph_daily_mst.gml": "123f7993e58167547d2fe77aea3585efcbf2737098c5f6e1b638ebd5788b0aeb",
+        "graph_daily_mst_edges.csv": "760c808df79b7465900a2d5dacdde04e7f2795c9ece421917d107c492e0285e8",
+        "graph_daily_pmfg.gml": "9fcd8242894d54f41ef17ca8031db1b4c2e0d9dee83d4cf9f98f406f87396fe0",
+        "graph_daily_pmfg_edges.csv": "ba00938621d93a2fc99e4e6427c9edff3be8bccb0f965273d6bc84f867fa8b00",
+        "graph_intraday_mst.gml": "fa284d43271ad3daf33627ee8ffa5362760ed8a1c06aad7b803e9287ac656f9c",
+        "graph_intraday_mst_edges.csv": "af2011a3a39ff1dccd6b6456525b2c222ee52bb56ed07ccf76fad9550220e0ca",
+        "graph_intraday_pmfg.gml": "5c260e12ba79775103ebab823b3f56026433bc3cafb96adb0e91faff3295aa6b",
+        "graph_intraday_pmfg_edges.csv": "1a2e71959e2c36487956f6aceacccb1a31b9a6972da1b0f6eea9d663afb9ac4c",
+        "records.csv": "cad0bf265482efab345c246fe4c8c1002054d21766d33a3d9cd399bdf3247a20",
+        "report.txt": "5231488028d1bffd65e90e4e0ffaed4e2f82334afbf66a20a1e401f79c52243c",
+    }
+
+    def test_report_output_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tiny_market(tmp_path)
+        tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        argv = ["report", "--input", "market.csv", "--input", "intraday.csv", "--out", "out",
+                "--permutations", "20"]
+        assert cli_main(argv) == 0
+        digests = {}
+        for path in (tmp_path / "out").iterdir():
+            data = path.read_bytes()
+            if path.name == "report.txt":
+                data = b"".join(
+                    line for line in data.splitlines(keepends=True)
+                    if not line.startswith(b"  generated_at: ")
+                )
+            if not path.name.startswith("density_"):
+                digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.PINNED
 
     def test_pool_tasks_per_command(self, tmp_path, monkeypatch):
         """Each command submits the pool work its stages read, and no other."""
@@ -782,9 +859,9 @@ class TestCli:
         other = tiny_market(tmp_path, n_tickers=9, seed=1, name="other.csv")
         monkeypatch.setattr(pipeline, "_process_ticker", _estimator_marks_its_run)
         out = tmp_path / "o"
-        for second, jobs in ((path, "1"), (other, "1"), (path, "2"), (other, "2")):
+        for jobs in ("1", "2"):
             assert cli_main(
-                ["report", "--input", str(path), "--input", str(second), "--out", str(out),
+                ["report", "--input", str(path), "--input", str(other), "--out", str(out),
                  "--jobs", jobs]
             ) == 1
             assert not out.exists()
@@ -792,20 +869,33 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert "'TK0'" in err and "daily" in err
-            assert f"{path} and {second}" in err
+            assert f"{path} and {other}" in err
 
     def test_one_input_given_twice_rejected_before_work(self, tmp_path, monkeypatch, capsys):
+        """The same file twice, however it is named, fails the configuration: nothing is read."""
         path = tiny_market(tmp_path)
-        monkeypatch.setattr(pipeline, "_process_ticker", _estimator_marks_its_run)
+        monkeypatch.chdir(tmp_path)
+        submitted = collections.Counter()
+        submit = pipeline._Executor.submit
+
+        def counting_submit(executor, fn, *args):
+            submitted[fn.__name__] += 1
+            return submit(executor, fn, *args)
+
+        monkeypatch.setattr(pipeline._Executor, "submit", counting_submit)
+        (tmp_path / "sub").mkdir()
         out = tmp_path / "o"
-        for jobs in ("1", "2"):
-            assert cli_main(
-                ["estimate", "--input", str(path), "--input", str(path), "--out", str(out),
-                 "--jobs", jobs]
-            ) == 1
-            assert not out.exists()
-            assert not (tmp_path / "estimator-ran").exists()
-            assert "is in both" in capsys.readouterr().err
+        for first, second in ((str(path), str(path)), ("market.csv", "./market.csv"),
+                              (str(path), "sub/../market.csv")):
+            for jobs in ("1", "2"):
+                assert cli_main(
+                    ["estimate", "--input", first, "--input", second, "--out", str(out),
+                     "--jobs", jobs]
+                ) == 1
+                assert not out.exists()
+                err = capsys.readouterr().err
+                assert err == f"error: input given twice: {Path(first)} and {Path(second)}\n"
+        assert submitted == {}
 
     def test_ticker_in_daily_and_intraday_inputs_valid(self, tmp_path):
         daily = tiny_market(tmp_path)

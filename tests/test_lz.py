@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entrokit import lz
 from entrokit.lz import lz76_complexity, lz_entropy_rate, match_lengths
 from entrokit.series import SymbolSequence
 
@@ -100,6 +102,43 @@ class TestMatchLengths:
     def test_matches_brute_force_quaternary(self, symbols):
         seq = SymbolSequence(4, tuple(symbols))
         assert match_lengths(seq).lambdas == brute_force_lambdas(tuple(symbols))
+
+
+class TestCollector:
+    """match_lengths pauses the cyclic collector and leaves it as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_and_restored(self, enabled, monkeypatch):
+        states = []
+        inner = lz._match_lengths
+
+        def spy(syms):
+            states.append(gc.isenabled())
+            return inner(syms)
+
+        monkeypatch.setattr(lz, "_match_lengths", spy)
+        (gc.enable if enabled else gc.disable)()
+        assert match_lengths(seq_from_string("0110100110")).lambdas == tuple(
+            brute_force_lambdas([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
+        )
+        assert states == [False]
+        assert gc.isenabled() is enabled
+
+    def test_restored_when_the_scan_raises(self, monkeypatch):
+        def fail(syms):
+            raise MemoryError
+
+        monkeypatch.setattr(lz, "_match_lengths", fail)
+        gc.enable()
+        with pytest.raises(MemoryError):
+            match_lengths(seq_from_string("0101"))
+        assert gc.isenabled()
 
 
 class TestAgainstBisection:

@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 
 from builders import price_series
 from entrokit.series import (
-    DiscreteDistribution,
     PriceSeries,
     ReturnSeries,
     SymbolSequence,
     log_returns,
     quantile_discretize,
-    shannon_entropy,
 )
 
 
@@ -78,29 +76,6 @@ class TestQuantileDiscretize:
         counts = np.bincount(seq.symbols, minlength=k)
         assert counts.max() - counts.min() <= k - 1
         assert seq.symbols.min() >= 0 and seq.symbols.max() < k
-
-
-class TestShannonEntropy:
-    def test_uniform_four(self):
-        d = DiscreteDistribution({i: 0.25 for i in range(4)})
-        assert shannon_entropy(d) == pytest.approx(2.0)
-
-    def test_degenerate(self):
-        assert shannon_entropy(DiscreteDistribution({"a": 1.0})) == 0.0
-
-    def test_fair_coin(self):
-        assert shannon_entropy(DiscreteDistribution({"a": 0.5, "b": 0.5})) == pytest.approx(1.0)
-
-    def test_invalid_distribution(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution({"a": 0.6, "b": 0.6})
-
-    def test_uniform_is_maximum(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(8))
-            h = shannon_entropy(DiscreteDistribution({i: float(v) for i, v in enumerate(p)}))
-            assert h <= 3.0 + 1e-12
 
 
 class TestArrays:

@@ -193,5 +193,4 @@ def ctw_entropy_rate(seq: SymbolSequence, depth_D: int = DEFAULT_DEPTH) -> Entro
         bits_per_symbol=result.entropy_bits_per_symbol,
         estimator="ctw",
         sample_size=len(seq),
-        params={"depth_D": depth_D, "alphabet_size": seq.alphabet_size},
     )

@@ -16,6 +16,8 @@ __all__ = ["EqualityTestResult", "density_equality_test", "summary_stats"]
 
 GRID_POINTS = 512
 DEFAULT_PERMUTATIONS = 1000
+# permutations drawn and scored at once: bounds the test's memory, whatever the count
+PERMUTATION_BLOCK = 1000
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -67,6 +69,8 @@ def density_equality_test(
     if num_permutations < 1:
         raise ValueError("num_permutations must be >= 1")
     pooled = np.concatenate([xa, xb])
+    if np.ptp(pooled) == 0:
+        raise ValueError("degenerate samples: every value is equal")
     h = _reference_bandwidth(pooled)
     if h <= 0:
         raise ValueError("degenerate samples: zero bandwidth")
@@ -74,33 +78,37 @@ def density_equality_test(
     kern = _kernel_matrix(pooled, grid, h)  # (n_pool, grid)
     na = len(xa)
     n_pool = len(pooled)
-
-    # row 0 is the observed labelling, rows 1.. the label permutations
-    rng = np.random.default_rng(seed)
-    perms = rng.permuted(np.tile(np.arange(n_pool), (num_permutations, 1)), axis=1)
-    masks = np.zeros((num_permutations + 1, n_pool), dtype=bool)
-    masks[0, :na] = True
-    np.put_along_axis(masks[1:], perms[:, :na], True, axis=1)
-    # a labelling's fa - fb is weights @ kern, so its trapezoid ISD is the
-    # quadratic form weights @ gram @ weights, with gram = kern diag(trap) kern^T
-    weights = np.where(masks, 1.0 / na, -1.0 / (n_pool - na))
     trap = np.convolve(np.diff(grid), [0.5, 0.5])  # the trapezoid rule's weights
-    gram = (kern * trap) @ kern.T
-    stats = np.sum(weights @ gram * weights, axis=1)
-    observed, perm_stats = float(stats[0]), stats[1:]
-    density_a, density_b = kern[:na].mean(axis=0), kern[na:].mean(axis=0)
+    gram = (kern * trap) @ kern.T  # kern diag(trap) kern^T
 
-    p_value = (1 + int(np.sum(perm_stats >= observed))) / (num_permutations + 1)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    pair_counts = np.zeros((n_pool, n_pool))  # permutations labelling both samples a
+    for start in range(0, num_permutations, PERMUTATION_BLOCK):
+        rows = min(PERMUTATION_BLOCK, num_permutations - start)
+        perms = rng.permuted(np.tile(np.arange(n_pool), (rows, 1)), axis=1)
+        # row 0 is the observed labelling, rows 1.. the label permutations
+        masks = np.zeros((rows + 1, n_pool), dtype=bool)
+        masks[0, :na] = True
+        np.put_along_axis(masks[1:], perms[:, :na], True, axis=1)
+        # fa - fb = weights @ kern, so a labelling's trapezoid ISD is weights @ gram @ weights;
+        # one vector-matrix product per row gives each row the same bits in any block
+        weights = np.where(masks, 1.0 / na, -1.0 / (n_pool - na))
+        stats = np.sum((weights[:, None, :] @ gram)[:, 0, :] * weights, axis=1)
+        hits += int(np.sum(stats[1:] >= stats[0]))
+        pair_counts += masks[1:].T @ masks[1:].astype(float)
     pooled_density = kern.mean(axis=0)
-    # pointwise variance over permutations of fa = mask @ kern / na
-    cov = np.cov(masks[1:], rowvar=False, bias=True)
+    # pointwise variance over permutations of fa = mask @ kern / na, from the
+    # labels' covariance; the counts are exact, so no block order changes it
+    counts = np.diag(pair_counts)
+    cov = (num_permutations * pair_counts - np.outer(counts, counts)) / num_permutations**2
     se = np.sqrt(np.maximum(np.sum(cov @ kern * kern, axis=0), 0.0)) / na
     return EqualityTestResult(
-        p_value=float(p_value),
-        statistic=observed,
+        p_value=(1 + hits) / (num_permutations + 1),
+        statistic=float(stats[0]),  # row 0, the observed labelling, is the same in every block
         grid=grid,
-        density_a=density_a,
-        density_b=density_b,
+        density_a=kern[:na].mean(axis=0),
+        density_b=kern[na:].mean(axis=0),
         reference_band_low=pooled_density - 2 * se,
         reference_band_high=pooled_density + 2 * se,
         bandwidth=h,

@@ -10,14 +10,13 @@ Two distinct quantities live here:
   Trans. IT 44(3), 1998), where Lambda_i is the length of the shortest
   substring starting at position i that does not occur anywhere inside the
   prefix before i.  The match lengths are matching statistics over an
-  online suffix automaton of that prefix: L_{i+1} >= L_i - 1, so each
-  position resumes from the previous match, and the whole scan takes O(n)
-  amortised steps for a fixed alphabet.
+  online suffix automaton of that prefix (Blumer et al., TCS 40, 1985):
+  L_{i+1} >= L_i - 1, so each position resumes from the previous match,
+  and the whole scan takes O(n) amortised steps for a fixed alphabet.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass
 
@@ -71,61 +70,50 @@ def match_lengths(seq: SymbolSequence) -> MatchLengths:
     fits in the remaining input has been seen, this evaluates to
     (remaining length) + 1, i.e. longest match plus one as if one more
     symbol were available.
-
-    The cyclic garbage collector is paused during the scan: the automaton's
-    dicts hold no cycles, and a full collection would walk them all.
     """
-    syms = seq.symbols.tolist()
-    if not syms:
-        raise ValueError("empty sequence")
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _match_lengths(syms)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _match_lengths(syms: list[int]) -> MatchLengths:
+    syms, alphabet = seq.symbols.tolist(), seq.alphabet_size
     n = len(syms)
-    # suffix automaton of syms[:i]: per state the longest length, suffix link, transitions
-    length, link, trans = [0], [-1], [{}]
-    last = 0
+    if not n:
+        raise ValueError("empty sequence")
+    # Suffix automaton of syms[:i] in flat lists sized for 2n + 1 states (it has at most
+    # 2n - 1): length[s] and link[s] are state s's longest string and suffix link, and
+    # trans[s * alphabet + c] its edge on symbol c, -1 for none; 2n * alphabet entries
+    # (alphabet is 2, 4 or 8 in every caller), and no object per state for the GC to walk
+    size = 2 * n + 1
+    length, link, trans = [0] * size, [-1] * size, [-1] * (size * alphabet)
+    states, last = 1, 0
     v, match = 0, 0  # state holding syms[i : i + match]
-    lambdas: list[int] = []
-    for i in range(n):
-        if i:
-            c = syms[i - 1]
-            cur = len(length)
-            length.append(length[last] + 1)
-            link.append(0)
-            trans.append({})
-            p = last
-            while p != -1 and c not in trans[p]:
-                trans[p][c] = cur
+    lambdas = [1]  # nothing precedes position 0
+    for i in range(1, n):
+        c = syms[i - 1]
+        p, last, states = last, states, states + 1  # a new state for all of syms[:i]
+        length[last] = length[p] + 1
+        while p != -1 and trans[k := p * alphabet + c] == -1:
+            trans[k] = last
+            p = link[p]
+        if p == -1:
+            link[last] = 0
+        elif length[p] + 1 == length[q := trans[k]]:
+            link[last] = q
+        else:
+            clone, states = states, states + 1
+            length[clone], link[clone] = length[p] + 1, link[q]
+            base, src = clone * alphabet, q * alphabet
+            trans[base : base + alphabet] = trans[src : src + alphabet]
+            while p != -1 and trans[k := p * alphabet + c] == q:
+                trans[k] = clone
                 p = link[p]
-            if p != -1:
-                q = trans[p][c]
-                if length[p] + 1 == length[q]:
-                    link[cur] = q
-                else:
-                    clone = len(length)
-                    length.append(length[p] + 1)
-                    link.append(link[q])
-                    trans.append(dict(trans[q]))
-                    while p != -1 and trans[p].get(c) == q:
-                        trans[p][c] = clone
-                        p = link[p]
-                    link[q] = link[cur] = clone
-            last = cur
-            # L_i >= L_{i-1} - 1; a clone may now hold the shorter match
-            match = max(match - 1, 0)
+            link[q] = link[last] = clone
+        # L_i >= L_{i-1} - 1; a clone may now hold the shorter match
+        if match:
+            match -= 1
             while v and match <= length[link[v]]:
                 v = link[v]
-        while i + match < n and syms[i + match] in trans[v]:
-            v = trans[v][syms[i + match]]
-            match += 1
+        j = i + match
+        while j < n and (nxt := trans[v * alphabet + syms[j]]) != -1:
+            v = nxt
+            j += 1
+        match = j - i
         lambdas.append(match + 1)
     return MatchLengths(lambdas=tuple(lambdas), n=n)
 
@@ -141,5 +129,4 @@ def lz_entropy_rate(seq: SymbolSequence) -> EntropyEstimate:
         bits_per_symbol=estimate,
         estimator="lz",
         sample_size=n,
-        params={"alphabet_size": seq.alphabet_size},
     )

@@ -506,7 +506,12 @@ def _density_task(
 
 def _equality_tests(run: _Run) -> None:
     for estimator in ("lz", "ctw"):
-        result = run.collect(f"equality[{estimator}]")
+        name = f"equality[{estimator}]"
+        try:
+            result = run.collect(name)
+        except ValueError as exc:  # degenerate samples
+            run.report.failures.append(f"{name}: {exc}")
+            continue
         if result is not None:
             run.report.equality_tests[estimator], text = result
             _atomic_write(run.out / f"density_{estimator}.csv", text)

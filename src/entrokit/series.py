@@ -8,7 +8,7 @@ of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class EntropyEstimate:
     bits_per_symbol: float
     estimator: str  # "lz" or "ctw"
     sample_size: int
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.estimator not in ("lz", "ctw"):

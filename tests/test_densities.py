@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entrokit import densities
 from entrokit.densities import (
     GRID_POINTS,
     _kernel_matrix,
@@ -152,6 +153,28 @@ class TestDensityEqualityTest:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             density_equality_test([1.0, 2.0], [3.0, 4.0])
+
+    @pytest.mark.parametrize("value", [2.0, 0.1, 1.934675])
+    def test_equal_values_rejected(self, value):
+        # 0.1 and 1.934675 leave a rounding-sized sd, so a bandwidth above 0
+        with pytest.raises(ValueError, match="every value is equal"):
+            density_equality_test([value] * 6, [value] * 6)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_blocks_match_one_block(self, case, monkeypatch):
+        """Permutations scored in blocks of 4 (3 blocks and 1 row) and in one block agree."""
+        rng = np.random.default_rng(800 + case)
+        na, nb = (5, 5) if case % 2 else (int(rng.integers(5, 40)), int(rng.integers(5, 40)))
+        xa, xb = rng.normal(0, 1, na), rng.normal(rng.uniform(0, 1), 1, nb)
+        if case % 3 == 0:  # ties in the pooled sample
+            xa, xb = np.round(xa, 1), np.round(xb, 1)
+        whole = density_equality_test(xa, xb, num_permutations=13, seed=case)
+        monkeypatch.setattr(densities, "PERMUTATION_BLOCK", 4)
+        blocked = density_equality_test(xa, xb, num_permutations=13, seed=case)
+        assert blocked.p_value == whole.p_value
+        assert blocked.statistic == whole.statistic
+        np.testing.assert_allclose(blocked.reference_band_low, whole.reference_band_low, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocked.reference_band_high, whole.reference_band_high, rtol=0, atol=1e-12)
 
 
 class TestSummaryStats:

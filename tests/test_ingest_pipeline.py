@@ -737,6 +737,24 @@ class TestCommands:
             assert cli_main(argv) == 0, command
             assert dict(submitted) == counts, command
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_degenerate_density_samples(self, tmp_path, jobs):
+        """Two cohorts of one series six times over: each density test is a named failure."""
+        prices = 100 * np.exp(np.cumsum(np.random.default_rng(2).normal(0, 0.02, 301)))
+        inputs = []
+        for name, step in (("daily.csv", 86400), ("intraday.csv", 60)):
+            rows = [f"{i * step},TK{k},{p:.4f}" for k in range(6) for i, p in enumerate(prices)]
+            inputs += ["--input", str(write_csv(tmp_path / name, rows))]
+        out = tmp_path / "out"
+        argv = ["compare", *inputs, "--out", str(out), "--permutations", "20", "--jobs", jobs]
+        assert cli_main(argv) == 2
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("failure: ")] == [
+            f"failure: equality[{e}]: degenerate samples: every value is equal" for e in ("lz", "ctw")
+        ]
+        assert not any(line.startswith("equality[") for line in lines)
+        assert sorted(p.name for p in out.iterdir()) == ["records.csv", "report.txt"]
+
     @pytest.mark.parametrize("command", ["graph", "report"])
     def test_failed_tickers_leave_every_cohort(self, tmp_path, command):
         """A ticker BDS fails on (flat, or under 50 returns) joins no cross-sectional stage."""

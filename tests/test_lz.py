@@ -1,4 +1,3 @@
-import gc
 import itertools
 import math
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from entrokit import lz
 from entrokit.lz import lz76_complexity, lz_entropy_rate, match_lengths
 from entrokit.series import SymbolSequence
 
@@ -50,6 +48,54 @@ def bisection_lambdas(symbols):
                 hi = mid - 1
         out.append(lo + 1)
     return tuple(out)
+
+
+def dict_automaton_lambdas(symbols):
+    """Third oracle: the same online suffix automaton with one transition dict per state."""
+    n = len(symbols)
+    length, link, trans = [0], [-1], [{}]
+    last = 0
+    v, match = 0, 0
+    out = []
+    for i in range(n):
+        if i:
+            c = symbols[i - 1]
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            trans.append({})
+            p = last
+            while p != -1 and c not in trans[p]:
+                trans[p][c] = cur
+                p = link[p]
+            if p != -1:
+                q = trans[p][c]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = len(length)
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    trans.append(dict(trans[q]))
+                    while p != -1 and trans[p].get(c) == q:
+                        trans[p][c] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+            match = max(match - 1, 0)
+            while v and match <= length[link[v]]:
+                v = link[v]
+        while i + match < n and symbols[i + match] in trans[v]:
+            v = trans[v][symbols[i + match]]
+            match += 1
+        out.append(match + 1)
+    return tuple(out)
+
+
+def assert_oracles_agree(alphabet, symbols):
+    got = match_lengths(SymbolSequence(alphabet, symbols)).lambdas
+    assert got == dict_automaton_lambdas(symbols)
+    assert got == bisection_lambdas(symbols)
 
 
 class TestLz76:
@@ -96,61 +142,34 @@ class TestMatchLengths:
         for n in range(1, 11):
             for bits in itertools.product((0, 1), repeat=n):
                 seq = SymbolSequence(2, bits)
-                assert match_lengths(seq).lambdas == brute_force_lambdas(bits)
+                expected = brute_force_lambdas(bits)
+                assert match_lengths(seq).lambdas == expected
+                assert dict_automaton_lambdas(bits) == expected
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
     def test_matches_brute_force_quaternary(self, symbols):
         seq = SymbolSequence(4, tuple(symbols))
-        assert match_lengths(seq).lambdas == brute_force_lambdas(tuple(symbols))
+        expected = brute_force_lambdas(tuple(symbols))
+        assert match_lengths(seq).lambdas == expected
+        assert dict_automaton_lambdas(tuple(symbols)) == expected
 
-
-class TestCollector:
-    """match_lengths pauses the cyclic collector and leaves it as the caller had it."""
-
-    @pytest.fixture(autouse=True)
-    def restore(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_paused_inside_and_restored(self, enabled, monkeypatch):
-        states = []
-        inner = lz._match_lengths
-
-        def spy(syms):
-            states.append(gc.isenabled())
-            return inner(syms)
-
-        monkeypatch.setattr(lz, "_match_lengths", spy)
-        (gc.enable if enabled else gc.disable)()
-        assert match_lengths(seq_from_string("0110100110")).lambdas == tuple(
-            brute_force_lambdas([0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
-        )
-        assert states == [False]
-        assert gc.isenabled() is enabled
-
-    def test_restored_when_the_scan_raises(self, monkeypatch):
-        def fail(syms):
-            raise MemoryError
-
-        monkeypatch.setattr(lz, "_match_lengths", fail)
-        gc.enable()
-        with pytest.raises(MemoryError):
-            match_lengths(seq_from_string("0101"))
-        assert gc.isenabled()
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=12))
+    def test_matches_brute_force_octal(self, symbols):
+        seq = SymbolSequence(8, tuple(symbols))
+        expected = brute_force_lambdas(tuple(symbols))
+        assert match_lengths(seq).lambdas == expected
+        assert dict_automaton_lambdas(tuple(symbols)) == expected
 
 
 class TestAgainstBisection:
-    """Suffix-automaton match lengths against the str.find bisection at n ~ 2,000."""
+    """Suffix-automaton match lengths against the dict automaton and the str.find bisection at n ~ 2,000."""
 
     @pytest.mark.parametrize("alphabet", [2, 4])
     def test_random(self, alphabet):
         for seed in (21, 22, 23):
             rng = np.random.default_rng(seed)
             symbols = tuple(int(s) for s in rng.integers(0, alphabet, 2000))
-            seq = SymbolSequence(alphabet, symbols)
-            assert match_lengths(seq).lambdas == bisection_lambdas(symbols)
+            assert_oracles_agree(alphabet, symbols)
 
     @pytest.mark.parametrize(
         "alphabet,symbols",
@@ -158,8 +177,7 @@ class TestAgainstBisection:
         ids=["all_zeros", "four_cycle", "single_symbol_binary", "single_symbol_quaternary"],
     )
     def test_degenerate(self, alphabet, symbols):
-        seq = SymbolSequence(alphabet, symbols)
-        assert match_lengths(seq).lambdas == bisection_lambdas(symbols)
+        assert_oracles_agree(alphabet, symbols)
 
     def test_repetitive_with_noise(self):
         # long repeats broken by rare substitutions exercise state splits
@@ -168,8 +186,29 @@ class TestAgainstBisection:
         for i in rng.choice(2000, 40, replace=False):
             symbols[i] = int(rng.integers(0, 4))
         symbols = tuple(symbols)
-        seq = SymbolSequence(4, symbols)
-        assert match_lengths(seq).lambdas == bisection_lambdas(symbols)
+        assert_oracles_agree(4, symbols)
+
+
+def _oracle_inputs(alphabet):
+    rng = np.random.default_rng(30 + alphabet)
+    return {
+        "all_zeros": (0,) * 1500,
+        "cycle": tuple(range(alphabet)) * (1500 // alphabet),
+        "squares_period": tuple((i * i) % alphabet for i in range(2 * alphabet)) * 100,
+        "random": tuple(int(s) for s in rng.integers(0, alphabet, 1500)),
+        "rare_symbol": tuple(int(s) for s in (rng.random(1500) < 0.02) * (alphabet - 1)),
+    }
+
+
+class TestAgainstDictAutomaton:
+    """Flat-table match lengths against the per-state-dict automaton and the bisection."""
+
+    @pytest.mark.parametrize("alphabet", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "kind", ["all_zeros", "cycle", "squares_period", "random", "rare_symbol"]
+    )
+    def test_grid(self, alphabet, kind):
+        assert_oracles_agree(alphabet, _oracle_inputs(alphabet)[kind])
 
 
 class TestLzEntropyRate:

@@ -133,8 +133,9 @@ def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = Strate
 def entropy_cohort_report(reports: list[PerformanceReport], entropies: dict[str, float]) -> dict:
     """Split tickers at the median entropy and compare cohort returns.
 
-    Ties at the median fall back to a deterministic split by ticker order,
-    flagged in the output.
+    Ties at the median fall back to a deterministic split by ticker order.
+    ``tie_split_by_ticker_order`` is true when every entropy is equal; the
+    pipeline's report does not print it.
     """
     missing = [r.ticker for r in reports if r.ticker not in entropies]
     if missing:

@@ -43,20 +43,16 @@ _LGAMMA_HALF = math.lgamma(0.5)
 @dataclass(frozen=True)
 class CtwParams:
     depth_D: int
-    bits_per_symbol: int = 1
 
     def __post_init__(self) -> None:
         if self.depth_D < 0 or self.depth_D > 48:
             raise ValueError(f"depth_D must be in [0, 48], got {self.depth_D}")
-        if self.bits_per_symbol < 1:
-            raise ValueError("bits_per_symbol must be >= 1")
 
 
 @dataclass(frozen=True)
 class CtwResult:
     log2_mixture_probability: float
     n_bits: int
-    entropy_bits_per_symbol: float
     node_count: int
 
 
@@ -173,13 +169,7 @@ def ctw_log_mixture(bits: np.ndarray | list[int], params: CtwParams) -> CtwResul
             log_pe = kt(zeros, ones)
         log_pw = np.logaddexp2(log_pe, log_pw) - 1.0
         node_count += len(log_pw)
-    log_p = float(log_pw[0])
-    return CtwResult(
-        log2_mixture_probability=log_p,
-        n_bits=n,
-        entropy_bits_per_symbol=-log_p / n * params.bits_per_symbol,
-        node_count=node_count,
-    )
+    return CtwResult(log2_mixture_probability=float(log_pw[0]), n_bits=n, node_count=node_count)
 
 
 def ctw_entropy_rate(seq: SymbolSequence, depth_D: int = DEFAULT_DEPTH) -> EntropyEstimate:
@@ -188,9 +178,9 @@ def ctw_entropy_rate(seq: SymbolSequence, depth_D: int = DEFAULT_DEPTH) -> Entro
         raise ValueError("need at least 2 symbols")
     width = seq.alphabet_size.bit_length() - 1
     bits = symbols_to_bits(seq)
-    result = ctw_log_mixture(bits, CtwParams(depth_D=depth_D, bits_per_symbol=width))
+    result = ctw_log_mixture(bits, CtwParams(depth_D=depth_D))
     return EntropyEstimate(
-        bits_per_symbol=result.entropy_bits_per_symbol,
+        bits_per_symbol=-result.log2_mixture_probability / result.n_bits * width,
         estimator="ctw",
         sample_size=len(seq),
     )

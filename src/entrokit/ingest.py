@@ -1,10 +1,11 @@
 """CSV price ingestion.
 
 Input format: header ``timestamp,ticker,close``; timestamp is epoch seconds
-or an ISO date (YYYY-MM-DD); UTF-8, comma-delimited.  Rows with missing,
-nonpositive or infinite prices, or timestamps outside int64, are skipped
-and counted; duplicate timestamps keep the last row seen.  The sampling
-label (daily vs intraday) is inferred from the median timestamp spacing.
+or an ISO date (YYYY-MM-DD); UTF-8, with or without a byte-order mark,
+comma-delimited.  Rows with missing, nonpositive or infinite prices, or
+timestamps outside int64, are skipped and counted; duplicate timestamps
+keep the last row seen.  The sampling label (daily vs intraday) is
+inferred from the median timestamp spacing.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def ingest_csv(path: str | Path) -> IngestResult:
     row_ts: list[int] = []
     row_prices: list[float] = []
     skipped = 0
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

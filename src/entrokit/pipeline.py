@@ -28,6 +28,12 @@ collect those results by name, in the order of ``COMMANDS``, and write the
 files and the report in this process; workers write nothing.  The graph
 files hold the MST and the PMFG as edge lists, and as GML with each node's
 CTW entropy.
+
+``report.txt`` lists the settings the command read, then
+``AnalysisReport.facts``, then a ``failure:`` line for each named failure.
+``facts`` maps each ``name: value`` line to its value, in print order: the
+input counts (zero for ``validate``, which reads no input), then the lines
+each stage writes as it collects its results, in the order of ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -107,6 +113,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        out = Path(self.out_dir)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"output directory {out}: {existing} is not a directory")
         if self.states not in (4, 8):
             raise ValueError("states must be 4 or 8")
         if not self.inputs and "inputs" in command_fields(self.command):
@@ -138,23 +148,24 @@ class TickerRecord:
     ctw_entropy: float | None = None
     bds_statistic: float | None = None
     bds_p: float | None = None
-    failed: bool = False
     error: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.error)
+
+
+# the input counts every report.txt lists first; the estimates stage sets them
+_INPUT_COUNTS = ("skipped_rows", "duplicate_rows", "tickers", "tickers_failed")
 
 
 @dataclass
 class AnalysisReport:
     config: RunConfig
     records: list[TickerRecord] = field(default_factory=list)
-    summaries: dict = field(default_factory=dict)
-    equality_tests: dict = field(default_factory=dict)
-    associations: dict = field(default_factory=dict)
-    graph_info: dict = field(default_factory=dict)
-    backtest_info: dict = field(default_factory=dict)
-    skipped_rows: int = 0
-    duplicate_rows: int = 0
+    # each "name: value" line of report.txt after the settings -> its value, in print order
+    facts: dict[str, str] = field(default_factory=lambda: dict.fromkeys(_INPUT_COUNTS, "0"))
     failures: list[str] = field(default_factory=list)
-    graph_rows_dropped: dict = field(default_factory=dict)  # cohort -> rows not shared
 
     @property
     def num_failed(self) -> int:
@@ -315,7 +326,6 @@ def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
         ticker=series.ticker,
         sampling=series.sampling,
         n=len(series),
-        failed=True,
         error=f"{type(exc).__name__}: {exc}",
     )
 
@@ -392,11 +402,12 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
 
 def _ingest(run: _Run) -> None:
     """Every input's series, sorted by (ticker, sampling); a ticker twice in one cohort is an error."""
-    config, report, executor = run.config, run.report, run.executor
+    config, executor = run.config, run.executor
     if len(config.inputs) > 1:
         executor.open(len(config.inputs))
     tasks = [executor.submit(ingest_csv, path) for path in config.inputs]
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
+    skipped = duplicates = 0
     for path, task in zip(config.inputs, tasks):
         result = run.collect(f"ingest[{path}]", task)
         if result is None:
@@ -410,11 +421,12 @@ def _ingest(run: _Run) -> None:
                 )
             source[key] = path
         run.series.extend(result.series)
-        report.skipped_rows += result.skipped_rows
-        report.duplicate_rows += result.duplicate_rows
+        skipped += result.skipped_rows
+        duplicates += result.duplicate_rows
     if not run.series:
         raise ValueError("no tickers found in inputs")
     run.series.sort(key=lambda s: (s.ticker, s.sampling))
+    run.report.facts.update(skipped_rows=str(skipped), duplicate_rows=str(duplicates))
 
 
 def _estimates(run: _Run) -> None:
@@ -458,6 +470,8 @@ def _estimates(run: _Run) -> None:
                 {r.ticker: r.ctw_entropy for r in cohort}, config,
             )
     report.records = records
+    report.facts["tickers"] = str(len(records))
+    report.facts["tickers_failed"] = str(sum(r.failed for r in records))
     for label, cohort in run.cohorts.items():
         run.entropies[label, "lz"] = [r.lz_entropy for r in cohort]
         run.entropies[label, "ctw"] = [r.ctw_entropy for r in cohort]
@@ -473,26 +487,21 @@ def _estimates(run: _Run) -> None:
 
 
 def _summaries(run: _Run) -> None:
-    for key, values in run.entropies.items():
+    for (label, estimator), values in sorted(run.entropies.items()):
         if len(values) >= 2:
             mean, sd = summary_stats(values)
-            run.report.summaries[key] = {"mean": mean, "sd": sd, "n": len(values)}
+            run.report.facts[f"summary[{label}][{estimator}]"] = (
+                f"mean={mean:.6f} sd={sd:.6f} n={len(values)}"
+            )
 
 
 def _density_task(
     a: list[float], b: list[float], labels: tuple[str, str], permutations: int, seed: int
-) -> tuple[dict, str]:
-    """One estimator's density equality test: its report entry and its CSV text."""
+) -> tuple[str, str]:
+    """One estimator's density equality test: its report value and its CSV text."""
     res = density_equality_test(a, b, num_permutations=permutations, seed=seed)
     a_label, b_label = labels
-    info = {
-        "cohort_a": a_label,
-        "cohort_b": b_label,
-        "statistic": res.statistic,
-        "p_value": res.p_value,
-        "bandwidth": res.bandwidth,
-        "method": "permutation stand-in for the reference-band equality test",
-    }
+    value = f"statistic={res.statistic:.6g} p_value={res.p_value:.6g} ({a_label} vs {b_label})"
     rows = [
         [_fmt(float(v)) for v in row]
         for row in zip(
@@ -501,10 +510,12 @@ def _density_task(
         )
     ]
     header = ["grid", f"density_{a_label}", f"density_{b_label}", "band_low", "band_high"]
-    return info, _csv_text(header, rows)
+    return value, _csv_text(header, rows)
 
 
 def _equality_tests(run: _Run) -> None:
+    """Collect the lz test, then the ctw one; report.txt lists ctw first."""
+    values = {}
     for estimator in ("lz", "ctw"):
         name = f"equality[{estimator}]"
         try:
@@ -513,19 +524,25 @@ def _equality_tests(run: _Run) -> None:
             run.report.failures.append(f"{name}: {exc}")
             continue
         if result is not None:
-            run.report.equality_tests[estimator], text = result
+            values[name], text = result
             _atomic_write(run.out / f"density_{estimator}.csv", text)
+    for name, value in sorted(values.items()):
+        run.report.facts[name] = value
+        run.report.facts[f"{name}.method"] = (
+            "permutation stand-in for the reference-band equality test"
+        )
 
 
 def _associations(run: _Run) -> None:
-    for (label, estimator), values in run.entropies.items():
+    for (label, estimator), values in sorted(run.entropies.items()):
         bds = [r.bds_statistic for r in run.cohorts[label]]
         if len(bds) < 3:
             continue
         try:
-            run.report.associations[label, estimator] = entropy_bds_association(values, bds)
+            rho = entropy_bds_association(values, bds)
         except ValueError:
             continue
+        run.report.facts[f"entropy_bds_spearman[{label}][{estimator}]"] = f"{rho:.6f}"
 
 
 def _aligned_returns(
@@ -554,8 +571,8 @@ def _aligned_returns(
 
 def _graph_task(
     label: str, prices: list[PriceSeries], entropies: dict[str, float], config: RunConfig
-) -> tuple[dict[str, str], dict, int, str]:
-    """One cohort's graphs: files (name -> text), graph_info entries, rows dropped, error.
+) -> tuple[dict[str, str], dict[str, str], int, str]:
+    """One cohort's graphs: files (name -> text), report facts, rows dropped, error.
 
     A ValueError ends the build; what was built before it is returned with
     its message as the error, "" when there is none.
@@ -573,7 +590,9 @@ def _graph_task(
                 ["source", "target", "distance"], rows
             )
             files[f"graph_{label}_{kind}.gml"] = _graph_gml(kind, filtered, entropies)
-            info[label, kind] = {"nodes": len(filtered.nodes), "edges": len(filtered.edges)}
+            info[f"graph[{label}][{kind}]"] = (
+                f"nodes={len(filtered.nodes)} edges={len(filtered.edges)}"
+            )
         corr_rows = [
             [corr.tickers[i]] + [_fmt(float(v)) for v in corr.rho[i]]
             for i in range(len(corr.tickers))
@@ -585,19 +604,22 @@ def _graph_task(
 
 
 def _graphs(run: _Run) -> None:
-    """Graph files per cohort; also the rows each cohort dropped to align."""
-    report = run.report
+    """Graph files per cohort; report.txt lists every cohort's rows dropped to align after them."""
+    report, dropped_rows = run.report, {}
     for label in run.cohorts:
         result = run.collect(f"graph[{label}]")
         if result is None:
             continue
         files, info, dropped, error = result
         if dropped:
-            report.graph_rows_dropped[label] = dropped
+            dropped_rows[f"graph[{label}].rows_dropped"] = (
+                f"{dropped} (timestamps not shared by every ticker)"
+            )
         _write_files(run.out, files)
-        report.graph_info.update(info)
+        report.facts.update(info)
         if error:
             report.failures.append(f"graph[{label}]: {error}")
+    report.facts.update(dropped_rows)
 
 
 def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> str:
@@ -675,11 +697,16 @@ def _backtest(run: _Run) -> None:
     cohort = run.cohorts.get("daily") or run.cohorts.get("intraday", [])
     entropies = {r.ticker: r.ctw_entropy for r in cohort}
     covered = [r for r in reports if r.ticker in entropies]
-    run.report.backtest_info = {
-        "num_tickers": len(reports),
-        "params": run.config.strategy,
-        "cohorts": entropy_cohort_report(covered, entropies) if len(covered) >= 2 else {},
-    }
+    facts = run.report.facts
+    facts["backtest.num_tickers"] = str(len(reports))
+    facts["backtest.params"] = str(run.config.strategy)
+    if len(covered) >= 2:
+        split = entropy_cohort_report(covered, entropies)
+        for side in ("low_entropy", "high_entropy"):
+            facts[f"backtest.{side}"] = (
+                f"strategy={split[side]['mean_strategy_return_pct']:.4f}% "
+                f"benchmark={split[side]['mean_benchmark_return_pct']:.4f}%"
+            )
 
 
 def _curves(run: _Run) -> None:
@@ -722,46 +749,13 @@ def _report_text(report: AnalysisReport) -> str:
             if name == "inputs":
                 value = ", ".join(str(p) for p in value)
             lines.append(f"{name}: {value}")
+    lines += [f"{name}: {value}" for name, value in report.facts.items()]
+    lines += [f"failure: {failure}" for failure in report.failures]
     lines += [
-        f"skipped_rows: {report.skipped_rows}",
-        f"duplicate_rows: {report.duplicate_rows}",
-        f"tickers: {len(report.records)}",
-        f"tickers_failed: {sum(1 for r in report.records if r.failed)}",
+        "provenance:",
+        f"  version: {__version__}",
+        f"  generated_at: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
     ]
-    for (label, estimator), s in sorted(report.summaries.items()):
-        lines.append(
-            f"summary[{label}][{estimator}]: mean={s['mean']:.6f} sd={s['sd']:.6f} n={s['n']}"
-        )
-    for estimator, res in sorted(report.equality_tests.items()):
-        lines.append(
-            f"equality[{estimator}]: statistic={res['statistic']:.6g} "
-            f"p_value={res['p_value']:.6g} ({res['cohort_a']} vs {res['cohort_b']})"
-        )
-        lines.append(f"equality[{estimator}].method: {res['method']}")
-    for (label, estimator), rho in sorted(report.associations.items()):
-        lines.append(f"entropy_bds_spearman[{label}][{estimator}]: {rho:.6f}")
-    for (label, kind), info in sorted(report.graph_info.items()):
-        lines.append(f"graph[{label}][{kind}]: nodes={info['nodes']} edges={info['edges']}")
-    for label, dropped in sorted(report.graph_rows_dropped.items()):
-        lines.append(
-            f"graph[{label}].rows_dropped: {dropped} (timestamps not shared by every ticker)"
-        )
-    if report.backtest_info:
-        bt = report.backtest_info
-        lines.append(f"backtest.num_tickers: {bt['num_tickers']}")
-        lines.append(f"backtest.params: {bt['params']}")
-        if bt.get("cohorts"):
-            for side in ("low_entropy", "high_entropy"):
-                c = bt["cohorts"][side]
-                lines.append(
-                    f"backtest.{side}: strategy={c['mean_strategy_return_pct']:.4f}% "
-                    f"benchmark={c['mean_benchmark_return_pct']:.4f}%"
-                )
-    for failure in report.failures:
-        lines.append(f"failure: {failure}")
-    lines.append("provenance:")
-    lines.append(f"  version: {__version__}")
-    lines.append(f"  generated_at: {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}")
     return "\n".join(lines) + "\n"
 
 

@@ -145,8 +145,7 @@ def unique_fold(bits, depth):
         children = np.bincount(inverse, weights=log_pw)
         log_pw = np.logaddexp2(kt(zeros, ones), children) - 1.0
         node_count += len(keys)
-    log_p = float(log_pw[0])
-    return CtwResult(log_p, n, -log_p / n, node_count)
+    return CtwResult(float(log_pw[0]), n, node_count)
 
 
 def _random_symbols(alphabet, n, seed):
@@ -209,12 +208,12 @@ class TestCtwMixture:
     def test_single_zero_depth_zero(self):
         res = ctw_log_mixture([0], CtwParams(0))
         assert res.log2_mixture_probability == pytest.approx(-1.0)
-        assert res.entropy_bits_per_symbol == pytest.approx(1.0)
+        assert -res.log2_mixture_probability / res.n_bits == pytest.approx(1.0)
 
     def test_two_zeros_depth_zero(self):
         res = ctw_log_mixture([0, 0], CtwParams(0))
         assert res.log2_mixture_probability == pytest.approx(math.log2(3 / 8))
-        assert res.entropy_bits_per_symbol == pytest.approx(0.70752, abs=1e-5)
+        assert -res.log2_mixture_probability / res.n_bits == pytest.approx(0.70752, abs=1e-5)
 
     def test_two_zeros_depth_one_enumeration(self):
         res = ctw_log_mixture([0, 0], CtwParams(1))
@@ -271,8 +270,8 @@ class TestCtwEntropyRate:
         seq = SymbolSequence(4, (0, 1, 2, 3, 0, 1, 2, 3))
         est = ctw_entropy_rate(seq, depth_D=4)
         bits = symbols_to_bits(seq)
-        res = ctw_log_mixture(bits, CtwParams(4, bits_per_symbol=2))
-        assert est.bits_per_symbol == pytest.approx(res.entropy_bits_per_symbol)
+        res = ctw_log_mixture(bits, CtwParams(4))
+        assert est.bits_per_symbol == -res.log2_mixture_probability / res.n_bits * 2
 
     def test_too_short(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import argparse
 import collections
 import csv
+import ctypes
 import dataclasses
 import functools
+import glob
 import hashlib
 import io
 import os
@@ -157,6 +159,22 @@ class TestIngestCsv:
         rows = [f"{i * 60},AAA,{100 + i}" for i in range(5)]
         assert ingest_csv(write_csv(tmp_path / "p.csv", rows)).series[0].sampling == "intraday"
 
+    def test_byte_order_mark(self, tmp_path):
+        """A file saved with a UTF-8 byte-order mark reads as the same file without one."""
+        path = tiny_market(tmp_path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("86400,TK0,-1\n86400,TK1,99\n")  # one skipped row, one duplicate
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, bom = ingest_csv(path), ingest_csv(marked)
+        assert (bom.skipped_rows, bom.duplicate_rows) == (plain.skipped_rows, plain.duplicate_rows)
+        assert (plain.skipped_rows, plain.duplicate_rows) == (1, 1)
+        assert len(bom.series) == len(plain.series) == 6
+        for a, b in zip(plain.series, bom.series):
+            assert (a.ticker, a.sampling) == (b.ticker, b.sampling)
+            assert a.timestamps.tolist() == b.timestamps.tolist()
+            assert a.prices.tolist() == b.prices.tolist()
+
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["0,AAA,100"], header="date,symbol,price")
         with pytest.raises(ValueError, match="header"):
@@ -277,7 +295,7 @@ class TestRunPipeline:
         path = tiny_market(tmp_path)
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "g", command="graph")
         report = run_pipeline(config)
-        assert ("daily", "mst") in report.graph_info
+        assert report.facts["graph[daily][mst]"] == "nodes=6 edges=5"
         edges = (tmp_path / "g" / "graph_daily_mst_edges.csv").read_text().splitlines()
         assert edges[0] == "source,target,distance"
         assert len(edges) - 1 == 5  # n-1 edges for 6 tickers
@@ -289,7 +307,7 @@ class TestRunPipeline:
         path = tiny_market(tmp_path)
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "b", command="backtest")
         report = run_pipeline(config)
-        assert report.backtest_info["num_tickers"] == 6
+        assert report.facts["backtest.num_tickers"] == "6"
         assert (tmp_path / "b" / "backtest_summary.csv").exists()
         assert (tmp_path / "b" / "backtest_equity.csv").exists()
 
@@ -627,31 +645,63 @@ class TestCommands:
     }
 
     @pytest.fixture(scope="class")
-    def outputs(self, tmp_path_factory):
-        """command -> {file name: text} of its run."""
+    def runs(self, tmp_path_factory):
+        """command -> (the AnalysisReport of its run, {file name: text} of the files it wrote)."""
         root = tmp_path_factory.mktemp("commands")
         inputs = [
             "--input", str(tiny_market(root)),
             "--input", str(tiny_market(root, seed=1, step=60, name="intraday.csv")),
         ]
-        outputs = {}
-        for command in COMMANDS:
-            out = root / command
-            if command == "validate":
-                argv = [command, "--out", str(out), "--ctw-depth", "8"]
-            else:
-                argv = [command, *inputs, "--out", str(out)]
-            if command in ("compare", "report"):
-                argv += ["--permutations", "20"]
-            assert cli_main(argv) == 0, command
-            outputs[command] = {p.name: p.read_text() for p in out.iterdir()}
-        return outputs
+        reports = []
+
+        def recording_run(config):
+            reports.append(run_pipeline(config))
+            return reports[-1]
+
+        runs = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entrokit.cli, "run_pipeline", recording_run)
+            for command in COMMANDS:
+                out = root / command
+                if command == "validate":
+                    argv = [command, "--out", str(out), "--ctw-depth", "8"]
+                else:
+                    argv = [command, *inputs, "--out", str(out)]
+                if command in ("compare", "report"):
+                    argv += ["--permutations", "20"]
+                assert cli_main(argv) == 0, command
+                runs[command] = reports[-1], {p.name: p.read_text() for p in out.iterdir()}
+        return runs
+
+    @pytest.fixture(scope="class")
+    def outputs(self, runs):
+        """command -> {file name: text} of its run."""
+        return {command: files for command, (_, files) in runs.items()}
 
     def test_files_and_settings(self, outputs):
         assert outputs.keys() == COMMANDS.keys()
         for command, (files, settings) in self.EXPECTED.items():
             assert outputs[command].keys() == files, command
             assert _settings(outputs[command]["report.txt"]) == settings, command
+
+    def test_report_lines_are_the_facts(self, runs):
+        """report.txt's body is "name: value" lines: the settings, ``facts`` in order, the failures."""
+        for command, (report, files) in runs.items():
+            lines = files["report.txt"].splitlines()
+            body = lines[2:lines.index("provenance:")]
+            pairs = [line.split(": ", 1) for line in body]
+            assert all(len(pair) == 2 and pair[0] and pair[1] for pair in pairs), command
+            names = [name for name, _ in pairs if name != "failure"]
+            assert len(names) == len(set(names)), command
+            settings = _settings(files["report.txt"])
+            assert body == (
+                body[:len(settings)]
+                + [f"{name}: {value}" for name, value in report.facts.items()]
+                + [f"failure: {failure}" for failure in report.failures]
+            ), command
+            assert list(report.facts)[:4] == [
+                "skipped_rows", "duplicate_rows", "tickers", "tickers_failed",
+            ], command
 
     def test_commands_write_what_report_writes(self, outputs):
         report = outputs["report"]
@@ -756,8 +806,15 @@ class TestCommands:
         assert sorted(p.name for p in out.iterdir()) == ["records.csv", "report.txt"]
 
     @pytest.mark.parametrize("command", ["graph", "report"])
-    def test_failed_tickers_leave_every_cohort(self, tmp_path, command):
+    def test_failed_tickers_leave_every_cohort(self, tmp_path, monkeypatch, command):
         """A ticker BDS fails on (flat, or under 50 returns) joins no cross-sectional stage."""
+        splits, cohort_report = [], pipeline.entropy_cohort_report
+
+        def recording_split(reports, entropies):
+            splits.append(cohort_report(reports, entropies))
+            return splits[-1]
+
+        monkeypatch.setattr(pipeline, "entropy_cohort_report", recording_split)
         rng = np.random.default_rng(5)
         rows = [f"{i * 86400},FLAT,100" for i in range(120)]
         rows += [f"{i * 86400},SHORT,{100 + i % 7}" for i in range(40)]
@@ -778,12 +835,14 @@ class TestCommands:
         for kind in ("mst", "pmfg"):
             gml = (out / f"graph_daily_{kind}.gml").read_text()
             assert set(re.findall(r'label "(\w+)"', gml)) == ok
-        assert report.graph_rows_dropped == {}
+        assert not any(name.endswith(".rows_dropped") for name in report.facts)
         assert "rows_dropped" not in (out / "report.txt").read_text()
         if command == "report":
-            split = report.backtest_info["cohorts"]
+            [split] = splits
             tickers = split["low_entropy"]["tickers"] + split["high_entropy"]["tickers"]
             assert sorted(tickers) == sorted(ok)
+        else:
+            assert splits == []
 
 
 class TestCli:
@@ -915,6 +974,28 @@ class TestCli:
                 assert err == f"error: input given twice: {Path(first)} and {Path(second)}\n"
         assert submitted == {}
 
+    @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "under_file"])
+    def test_out_not_a_directory_rejected_before_work(self, tmp_path, monkeypatch, capsys, sub):
+        """--out naming a file, or a path under one, fails the configuration: no task runs."""
+        path = tiny_market(tmp_path)
+        monkeypatch.setattr(pipeline, "_process_ticker", _estimator_marks_its_run)
+        submitted = collections.Counter()
+        submit = pipeline._Executor.submit
+
+        def counting_submit(executor, fn, *args):
+            submitted[fn.__name__] += 1
+            return submit(executor, fn, *args)
+
+        monkeypatch.setattr(pipeline._Executor, "submit", counting_submit)
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory\n")
+        out = blocker.joinpath(*sub)
+        assert cli_main(["estimate", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert submitted == {}
+        assert not (tmp_path / "estimator-ran").exists()
+        assert blocker.read_text() == "not a directory\n"
+
     def test_ticker_in_daily_and_intraday_inputs_valid(self, tmp_path):
         daily = tiny_market(tmp_path)
         intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
@@ -979,6 +1060,14 @@ class TestCli:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
     def test_caller_blas_setting_kept(self):
         assert self._blas_probe("2")[1] == "2"
+
+    def test_tests_run_one_blas_thread(self):
+        """The test process's OpenBLAS runs one thread, as the CLI's does (tests/conftest.py)."""
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        libs = glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*.so"))
+        if not libs:
+            pytest.skip("numpy bundles no scipy-openblas library")
+        assert ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() == 1
 
     def test_console_entry_point(self):
         env = _env_with_src()

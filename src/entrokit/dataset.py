@@ -50,10 +50,12 @@ def _write_cohort(
     transition = shift_register_chain(entropy_bits)
     # The same bytes csv.writer gives, written one string per ticker: the
     # tickers are SYN000-SYN090 and the other fields are numbers, so no field
-    # ever needs quoting.
+    # ever needs quoting.  Each string is one %-format of the ticker's row
+    # template repeated, over its timestamps and prices interleaved.
+    values: list[int | float] = [0] * (2 * n_points)
+    values[0::2] = range(t0, t0 + n_points * spacing, spacing)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,ticker,close\r\n")
-        timestamps = range(t0, t0 + n_points * spacing, spacing)
         for k in range(NUM_TICKERS):
             ticker = f"SYN{k:03d}"
             source = SyntheticSource(
@@ -62,9 +64,8 @@ def _write_cohort(
             seq = generate(source, n_points - 1)
             rng = np.random.default_rng(seed + 100_000 + k)
             prices = _symbols_to_prices(seq.symbols, rng)
-            fh.write(
-                "".join(f"{t},{ticker},{p:.6f}\r\n" for t, p in zip(timestamps, prices.tolist()))
-            )
+            values[1::2] = prices.tolist()
+            fh.write((f"%d,{ticker},%.6f\r\n" * n_points) % tuple(values))
 
 
 def write_synthetic_market(

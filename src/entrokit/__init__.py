@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 from .series import (
     EntropyEstimate,
     PriceSeries,
-    ReturnSeries,
     SymbolSequence,
     log_returns,
     quantile_discretize,

@@ -159,6 +159,5 @@ def entropy_cohort_report(reports: list[PerformanceReport], entropies: dict[str,
     return {
         "low_entropy": cohort_summary(low),
         "high_entropy": cohort_summary(high),
-        "median_entropy": float(np.median([entropies[r.ticker] for r in reports])),
         "tie_split_by_ticker_order": tie_split,
     }

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ReturnSeries
-
 __all__ = [
     "BdsParams",
     "BdsResult",
@@ -229,9 +227,9 @@ def _require_finite(x: np.ndarray) -> None:
         raise ValueError("series holds NaN or infinite values")
 
 
-def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: float) -> float:
+def correlation_integral(values: np.ndarray, m: int, epsilon: float) -> float:
     """C_{m}(eps): fraction of m-history pairs within eps under the max norm."""
-    x = values.values if isinstance(values, ReturnSeries) else np.asarray(values, float)
+    x = np.asarray(values, float)
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -244,9 +242,9 @@ def correlation_integral(values: ReturnSeries | np.ndarray, m: int, epsilon: flo
     return pairs_m / (n_emb * (n_emb - 1) / 2)
 
 
-def bds_statistic(values: ReturnSeries | np.ndarray, params: BdsParams = BdsParams()) -> BdsResult:
+def bds_statistic(values: np.ndarray, params: BdsParams = BdsParams()) -> BdsResult:
     """BDS statistic with epsilon = epsilon_multiplier * sample std."""
-    x = values.values if isinstance(values, ReturnSeries) else np.asarray(values, float)
+    x = np.asarray(values, float)
     n = len(x)
     m = params.embedding_m
     if n < MIN_LENGTH:

@@ -31,7 +31,6 @@ class EqualityTestResult:
     density_b: np.ndarray
     reference_band_low: np.ndarray
     reference_band_high: np.ndarray
-    bandwidth: float
     num_permutations: int
 
 
@@ -111,7 +110,6 @@ def density_equality_test(
         density_b=kern[na:].mean(axis=0),
         reference_band_low=pooled_density - 2 * se,
         reference_band_high=pooled_density + 2 * se,
-        bandwidth=h,
         num_permutations=num_permutations,
     )
 

@@ -13,33 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ReturnSeries
-
 __all__ = [
-    "CorrelationMatrix",
     "WeightedGraph",
     "correlation_matrix",
     "distance_graph",
     "mst",
     "pmfg",
 ]
-
-SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    tickers: tuple[str, ...]
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = self.rho
-        if r.shape != (len(self.tickers), len(self.tickers)):
-            raise ValueError("matrix shape does not match ticker count")
-        if np.max(np.abs(r - r.T)) > SYMMETRY_TOL:
-            raise ValueError("correlation matrix is not symmetric")
-        if not np.allclose(np.diag(r), 1.0, atol=SYMMETRY_TOL):
-            raise ValueError("correlation matrix diagonal must be 1")
 
 
 @dataclass(frozen=True)
@@ -48,31 +28,33 @@ class WeightedGraph:
     edges: tuple[tuple[str, str, float], ...]  # (i, j, distance), i < j
 
 
-def correlation_matrix(series: list[ReturnSeries]) -> CorrelationMatrix:
-    """Pearson correlations of aligned log-return series."""
-    if len(series) < 2:
+def correlation_matrix(tickers: tuple[str, ...], returns: np.ndarray) -> np.ndarray:
+    """Pearson correlations of the aligned log returns, one row of ``returns`` per ticker.
+
+    ``returns`` is the N x T matrix of the N ``tickers``; the result is the
+    symmetric N x N matrix rho with a unit diagonal.
+    """
+    if len(tickers) < 2:
         raise ValueError("need at least 2 series")
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
-        raise ValueError(f"series lengths differ: {sorted(lengths)}")
-    if lengths.pop() < 3:
+    if returns.shape[0] != len(tickers):
+        raise ValueError(f"{returns.shape[0]} return rows for {len(tickers)} tickers")
+    if returns.shape[1] < 3:
         raise ValueError("need at least 3 aligned observations")
-    for s in series:
-        if np.std(s.values) == 0:
-            raise ValueError(f"zero-variance series: {s.ticker}")
-    data = np.vstack([s.values for s in series])
-    rho = np.corrcoef(data)
+    flat = np.std(returns, axis=1) == 0
+    if flat.any():
+        raise ValueError(f"zero-variance series: {tickers[int(np.argmax(flat))]}")
+    rho = np.corrcoef(returns)
     rho = (rho + rho.T) / 2.0
     np.fill_diagonal(rho, 1.0)
-    return CorrelationMatrix(tickers=tuple(s.ticker for s in series), rho=rho)
+    return rho
 
 
-def distance_graph(corr: CorrelationMatrix) -> WeightedGraph:
-    """Complete graph with d_ij = sqrt(2*(1 - rho_ij))."""
-    i, j = np.triu_indices(len(corr.tickers), k=1)
-    d = np.sqrt(np.maximum(2.0 * (1.0 - corr.rho[i, j]), 0.0))
-    names = np.array(corr.tickers, dtype=object)
-    return WeightedGraph(corr.tickers, tuple(zip(names[i].tolist(), names[j].tolist(), d.tolist())))
+def distance_graph(tickers: tuple[str, ...], rho: np.ndarray) -> WeightedGraph:
+    """Complete graph on ``tickers`` with d_ij = sqrt(2*(1 - rho_ij))."""
+    i, j = np.triu_indices(len(tickers), k=1)
+    d = np.sqrt(np.maximum(2.0 * (1.0 - rho[i, j]), 0.0))
+    names = np.array(tickers, dtype=object)
+    return WeightedGraph(tuple(tickers), tuple(zip(names[i].tolist(), names[j].tolist(), d.tolist())))
 
 
 def _sorted_edges(graph: WeightedGraph) -> list[tuple[str, str, float]]:

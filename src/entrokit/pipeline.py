@@ -41,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -61,7 +62,7 @@ from .densities import DEFAULT_PERMUTATIONS, density_equality_test, summary_stat
 from .graphs import WeightedGraph, correlation_matrix, distance_graph, mst, pmfg
 from .ingest import ingest_csv
 from .lz import lz_entropy_rate
-from .series import PriceSeries, ReturnSeries, log_returns, quantile_discretize
+from .series import PriceSeries, log_returns, quantile_discretize
 from .synth import SyntheticSource, convergence_curve
 
 __all__ = [
@@ -313,12 +314,19 @@ class _Run:
             return None
 
 
-def _returns_for(series: PriceSeries, config: RunConfig) -> ReturnSeries:
-    returns = log_returns(series)
-    if not (config.split_sessions and series.sampling == "intraday"):
-        return returns
-    within = np.diff(series.timestamps) < SESSION_GAP_SECONDS
-    return replace(returns, values=returns.values[within])
+def _kept_returns(timestamps: np.ndarray, sampling: str, config: RunConfig) -> np.ndarray | slice:
+    """Index of the returns between ``timestamps`` that the estimators read.
+
+    All of them, or under ``split_sessions`` on intraday data a mask without
+    those that span a gap of SESSION_GAP_SECONDS or more.
+    """
+    if config.split_sessions and sampling == "intraday":
+        return np.diff(timestamps) < SESSION_GAP_SECONDS
+    return slice(None)
+
+
+def _returns_for(series: PriceSeries, config: RunConfig) -> np.ndarray:
+    return log_returns(series)[_kept_returns(series.timestamps, series.sampling, config)]
 
 
 def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
@@ -545,28 +553,24 @@ def _associations(run: _Run) -> None:
         run.report.facts[f"entropy_bds_spearman[{label}][{estimator}]"] = f"{rho:.6f}"
 
 
-def _aligned_returns(
-    cohort: list[PriceSeries], config: RunConfig
-) -> tuple[list[ReturnSeries], int]:
-    """Returns on the timestamps every series shares, and the rows dropped for it.
+def _aligned_returns(cohort: list[PriceSeries], config: RunConfig) -> tuple[np.ndarray, int]:
+    """The N x T returns on the timestamps every series shares, and the rows dropped for it.
 
     Each series' timestamps are strictly increasing, so a stamp is shared
-    exactly when its count over the cohort equals the cohort's size.  Fewer
-    than two shared stamps give every series an empty return series.
+    exactly when its count over the cohort equals the cohort's size.  The
+    shared prices are gathered into one matrix, a row per series, whose log
+    returns are taken at once.  Fewer than two shared stamps give no columns.
     """
     stamps, counts = np.unique(
         np.concatenate([series.timestamps for series in cohort]), return_counts=True
     )
     common = stamps[counts == len(cohort)]
     dropped = sum(len(series) for series in cohort) - len(cohort) * len(common)
-    if len(common) < 2:
-        return [ReturnSeries(series.ticker, np.empty(0)) for series in cohort], dropped
-    aligned = []
-    for series in cohort:
-        keep = np.searchsorted(series.timestamps, common)
-        shared = replace(series, timestamps=common, prices=series.prices[keep])
-        aligned.append(_returns_for(shared, config))
-    return aligned, dropped
+    prices = np.empty((len(cohort), len(common)))
+    for row, series in zip(prices, cohort):
+        row[:] = series.prices[np.searchsorted(series.timestamps, common)]
+    returns = np.diff(np.log(prices, out=prices), axis=1)
+    return returns[:, _kept_returns(common, cohort[0].sampling, config)], dropped
 
 
 def _graph_task(
@@ -579,10 +583,11 @@ def _graph_task(
     """
     files: dict[str, str] = {}
     info, dropped = {}, 0
+    tickers = tuple(series.ticker for series in prices)
     try:
-        series, dropped = _aligned_returns(prices, config)
-        corr = correlation_matrix(series)
-        graph = distance_graph(corr)
+        returns, dropped = _aligned_returns(prices, config)
+        rho = correlation_matrix(tickers, returns)
+        graph = distance_graph(tickers, rho)
         for kind, builder in (("mst", mst), ("pmfg", pmfg)):
             filtered = builder(graph)
             rows = [[i, j, _fmt(d)] for i, j, d in filtered.edges]
@@ -593,11 +598,8 @@ def _graph_task(
             info[f"graph[{label}][{kind}]"] = (
                 f"nodes={len(filtered.nodes)} edges={len(filtered.edges)}"
             )
-        corr_rows = [
-            [corr.tickers[i]] + [_fmt(float(v)) for v in corr.rho[i]]
-            for i in range(len(corr.tickers))
-        ]
-        files[f"correlation_{label}.csv"] = _csv_text(["ticker"] + list(corr.tickers), corr_rows)
+        corr_rows = [[ticker] + [_fmt(v) for v in row] for ticker, row in zip(tickers, rho.tolist())]
+        files[f"correlation_{label}.csv"] = _csv_text(["ticker", *tickers], corr_rows)
     except ValueError as exc:
         return files, info, dropped, str(exc)
     return files, info, dropped, ""
@@ -622,6 +624,14 @@ def _graphs(run: _Run) -> None:
     report.facts.update(dropped_rows)
 
 
+def _gml_string(text: str) -> str:
+    """``text`` escaped for a GML string as networkx escapes it.
+
+    ``&``, ``"`` and every character outside printable ASCII become ``&#<code>;``.
+    """
+    return re.sub('[^ -~]|[&"]', lambda m: f"&#{ord(m.group(0))};", text)
+
+
 def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> str:
     """GML text of ``graph``; ``entropies`` holds each node's CTW entropy rate."""
     lines = ["graph [", "  directed 0", f'  kind "{kind}"']
@@ -629,7 +639,7 @@ def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> 
     for node in graph.nodes:
         lines.append("  node [")
         lines.append(f"    id {index[node]}")
-        lines.append(f'    label "{node}"')
+        lines.append(f'    label "{_gml_string(node)}"')
         lines.append(f"    entropy {entropies[node]:.6f}")
         lines.append("  ]")
     for i, j, d in graph.edges:

@@ -1,9 +1,9 @@
-"""Price/return/symbol data model.
+"""Price/symbol data model.
 
 Pipeline order: prices -> log returns -> quantile symbols -> entropy
 estimators.  Every series holds read-only numpy arrays, validated in
-vectorised form when it is built, and everything here is a pure function
-of its inputs.
+vectorised form when it is built; returns are plain read-only float64
+arrays.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "PriceSeries",
-    "ReturnSeries",
     "SymbolSequence",
     "EntropyEstimate",
     "log_returns",
@@ -61,18 +60,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class ReturnSeries:
-    ticker: str
-    values: np.ndarray  # float64
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.values, np.float64, "values"))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
 class SymbolSequence:
     alphabet_size: int
     symbols: np.ndarray  # int64 in [0, alphabet_size)
@@ -105,28 +92,32 @@ class EntropyEstimate:
             raise ValueError("entropy estimate cannot be negative")
 
 
-def log_returns(series: PriceSeries) -> ReturnSeries:
-    """Consecutive log price ratios: r_t = ln(p_{t+1} / p_t)."""
+def log_returns(series: PriceSeries) -> np.ndarray:
+    """Consecutive log price ratios r_t = ln(p_{t+1} / p_t), as a read-only float64 array."""
     if len(series) < 2:
         raise ValueError(f"{series.ticker}: need at least 2 points for returns")
-    return ReturnSeries(ticker=series.ticker, values=np.diff(np.log(series.prices)))
+    returns = np.diff(np.log(series.prices))
+    returns.flags.writeable = False
+    return returns
 
 
-def quantile_discretize(returns: ReturnSeries, num_states: int = 4) -> SymbolSequence:
+def quantile_discretize(returns: np.ndarray, num_states: int = 4) -> SymbolSequence:
     """Map each return to its empirical quantile bucket.
 
     Values are ranked by (value, original index) and the ranks are cut into
-    ``num_states`` contiguous blocks of near-equal size, so occupancy stays
-    balanced even with heavy ties (financial returns contain many exact
-    zeros).  When n is not divisible by num_states the earlier buckets get
-    the extra element.
+    ``num_states`` contiguous blocks of near-equal size.  When n is not
+    divisible by num_states the earlier buckets get the extra element.
+    Occupancy is balanced, but equal returns are ranked by position: the
+    earlier ones of a run of ties (say exact zeros) fall in a lower bucket
+    than the later ones, so heavily tied returns give symbols with a time
+    trend, which LZ and CTW read as predictability.
     """
     if num_states < 2:
         raise ValueError("num_states must be >= 2")
     n = len(returns)
     if n < num_states:
         raise ValueError(f"need at least {num_states} observations, got {n}")
-    order = np.argsort(returns.values, kind="stable")
+    order = np.argsort(returns, kind="stable")
     base, rem = divmod(n, num_states)
     symbols = np.empty(n, dtype=np.int64)
     start = 0

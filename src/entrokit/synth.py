@@ -53,7 +53,6 @@ class ConvergenceCurve:
     sizes: tuple[int, ...]
     estimates_lz: tuple[float, ...]
     estimates_ctw: tuple[float, ...]
-    trials: int
     true_entropy: float
 
 
@@ -143,7 +142,6 @@ def convergence_curve(
         sizes=tuple(sizes),
         estimates_lz=tuple(lz_means),
         estimates_ctw=tuple(ctw_means),
-        trials=trials,
         true_entropy=true_h,
     )
 

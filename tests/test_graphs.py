@@ -13,7 +13,6 @@ from entrokit.graphs import (
     mst,
     pmfg,
 )
-from entrokit.series import ReturnSeries
 
 
 def random_complete_graph(n, seed, levels=None):
@@ -135,40 +134,43 @@ def _face_walk(embedding, u, v):
 
 class TestCorrelationMatrix:
     def test_identical_series(self):
-        a = ReturnSeries("A", (0.1, -0.2, 0.3, 0.0))
-        b = ReturnSeries("B", (0.1, -0.2, 0.3, 0.0))
-        corr = correlation_matrix([a, b])
-        assert corr.rho[0, 1] == pytest.approx(1.0)
-        graph = distance_graph(corr)
+        returns = np.array([[0.1, -0.2, 0.3, 0.0], [0.1, -0.2, 0.3, 0.0]])
+        rho = correlation_matrix(("A", "B"), returns)
+        assert rho[0, 1] == pytest.approx(1.0)
+        graph = distance_graph(("A", "B"), rho)
         assert graph.edges[0][2] == pytest.approx(0.0)
 
     def test_anticorrelated(self):
-        a = ReturnSeries("A", (0.1, -0.2, 0.3))
-        b = ReturnSeries("B", (-0.1, 0.2, -0.3))
-        corr = correlation_matrix([a, b])
-        assert corr.rho[0, 1] == pytest.approx(-1.0)
-        assert distance_graph(corr).edges[0][2] == pytest.approx(2.0)
+        returns = np.array([[0.1, -0.2, 0.3], [-0.1, 0.2, -0.3]])
+        rho = correlation_matrix(("A", "B"), returns)
+        assert rho[0, 1] == pytest.approx(-1.0)
+        assert distance_graph(("A", "B"), rho).edges[0][2] == pytest.approx(2.0)
 
     def test_hand_computed_pairwise(self):
         x = np.array([1.0, 2.0, 4.0, 3.0])
         y = np.array([1.0, 3.0, 2.0, 4.0])
         expected = np.corrcoef(x, y)[0, 1]
-        corr = correlation_matrix(
-            [ReturnSeries("X", tuple(x)), ReturnSeries("Y", tuple(y))]
-        )
-        assert corr.rho[0, 1] == pytest.approx(expected)
+        rho = correlation_matrix(("X", "Y"), np.vstack([x, y]))
+        assert rho[0, 1] == pytest.approx(expected)
 
     def test_zero_variance_named(self):
-        a = ReturnSeries("A", (0.1, -0.2, 0.3))
-        flat = ReturnSeries("FLAT", (0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="FLAT"):
-            correlation_matrix([a, flat])
+        returns = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-variance series: FLAT$"):
+            correlation_matrix(("A", "FLAT", "NIL"), returns)
 
-    def test_misaligned_lengths(self):
-        with pytest.raises(ValueError):
-            correlation_matrix(
-                [ReturnSeries("A", (0.1, 0.2, 0.3)), ReturnSeries("B", (0.1, 0.2))]
-            )
+    def test_errors_in_order(self):
+        with pytest.raises(ValueError, match="need at least 2 series"):
+            correlation_matrix(("A",), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="need at least 3 aligned observations"):
+            correlation_matrix(("A", "B"), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="3 return rows for 2 tickers"):
+            correlation_matrix(("A", "B"), np.zeros((3, 4)))
+
+    def test_symmetric_unit_diagonal(self):
+        rng = np.random.default_rng(4)
+        rho = correlation_matrix(tuple("ABCDEFG"), rng.normal(size=(7, 33)))
+        assert np.array_equal(rho, rho.T)
+        assert np.all(np.diag(rho) == 1.0)
 
 
 class TestMst:

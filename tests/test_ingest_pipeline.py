@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -337,7 +338,7 @@ class TestRunPipeline:
         returns = pipeline._returns_for(series, config)
         one_minute = np.diff(series.timestamps) == 60
         assert len(returns) == 117
-        assert np.array_equal(returns.values, np.diff(np.log(series.prices))[one_minute])
+        assert np.array_equal(returns, np.diff(np.log(series.prices))[one_minute])
 
     def test_dead_worker_fails_its_ticker(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path)
@@ -482,17 +483,20 @@ class TestRunPipeline:
 
 
 def reduce_aligned_returns(cohort, config):
-    """The stamp intersection and per-series membership test the count replaced: the oracle."""
+    """The oracle: stamp intersection, per-series membership test, each row's returns on its own.
+
+    Returns the rows stacked as one matrix, and the rows dropped.
+    """
     common = functools.reduce(np.intersect1d, [series.timestamps for series in cohort])
-    aligned, dropped = [], 0
+    rows, dropped = [], 0
     for series in cohort:
         keep = np.isin(series.timestamps, common)
         dropped += len(keep) - int(np.count_nonzero(keep))
         shared = dataclasses.replace(
             series, timestamps=series.timestamps[keep], prices=series.prices[keep]
         )
-        aligned.append(pipeline._returns_for(shared, config))
-    return aligned, dropped
+        rows.append(pipeline._returns_for(shared, config))
+    return np.array(rows), dropped
 
 
 def _cohort(stamps_per_ticker, seed=0, sampling="daily"):
@@ -507,7 +511,7 @@ def _cohort(stamps_per_ticker, seed=0, sampling="daily"):
 
 
 class TestAlignedReturns:
-    """``_aligned_returns`` against the intersect1d/isin oracle."""
+    """``_aligned_returns``' one return matrix against the intersect1d/isin oracle's rows."""
 
     CONFIG = RunConfig(inputs=(), out_dir=Path("unused"), command="validate")
 
@@ -521,9 +525,8 @@ class TestAlignedReturns:
             return None
         aligned, dropped = pipeline._aligned_returns(cohort, config)
         assert dropped == expected[1]
-        assert [r.ticker for r in aligned] == [r.ticker for r in expected[0]]
-        for got, want in zip(aligned, expected[0]):
-            assert np.array_equal(got.values, want.values)
+        assert aligned.shape == expected[0].shape
+        assert np.array_equal(aligned, expected[0])
         return aligned, dropped
 
     def test_missing_row(self):
@@ -561,14 +564,53 @@ class TestAlignedReturns:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_gaps(self, seed):
+        """Bars 1-3 minutes apart, and three sessions of 390 one-minute bars a night apart.
+
+        Odd seeds split sessions, which drops at least the two returns across nights.
+        """
         rng = np.random.default_rng(seed)
-        base = np.cumsum(rng.integers(1, 4, size=300)) * 60
-        cohort = [
-            base[rng.random(len(base)) < rng.uniform(0.7, 1.0)]
-            for _ in range(int(rng.integers(2, 12)))
-        ]
-        config = dataclasses.replace(self.CONFIG, split_sessions=bool(seed % 2))
-        self.assert_same(_cohort(cohort, seed=seed, sampling="intraday"), config)
+        bars = np.arange(1000)
+        shapes = (
+            (np.cumsum(rng.integers(1, 4, size=300)) * 60, 0),
+            (bars // 390 * 86400 + bars % 390 * 60, 2),
+        )
+        split = bool(seed % 2)
+        config = dataclasses.replace(self.CONFIG, split_sessions=split)
+        for base, nights in shapes:
+            stamps = [
+                base[rng.random(len(base)) < rng.uniform(0.7, 1.0)]
+                for _ in range(int(rng.integers(2, 12)))
+            ]
+            aligned, _ = self.assert_same(_cohort(stamps, seed=seed, sampling="intraday"), config)
+            masked = len(functools.reduce(np.intersect1d, stamps)) - 1 - aligned.shape[1]
+            assert masked >= nights if split else masked == 0
+
+
+class TestGraphGml:
+    """GML labels are escaped as networkx escapes them, so any ticker reads back."""
+
+    def test_escaped_labels_read_back(self):
+        names = ("A&B", 'Q"T', "N\nL", "é", "&amp;", "plain")
+        graph = pipeline.WeightedGraph(names, ((names[0], names[1], 0.5),))
+        text = pipeline._graph_gml("mst", graph, dict.fromkeys(names, 1.0))
+        assert 'label "A&#38;B"' in text and 'label "Q&#34;T"' in text
+        assert tuple(nx.parse_gml(text).nodes) == names
+
+    def test_quoted_tickers_from_csv(self, tmp_path):
+        rng = np.random.default_rng(5)
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(["timestamp", "ticker", "close"])
+        tickers = ["A&B", 'Q"T', "C", "D"]
+        for ticker in tickers:
+            prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 120)))
+            rows.writerows([i * 86400, ticker, f"{p:.4f}"] for i, p in enumerate(prices))
+        path = tmp_path / "quoted.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        assert cli_main(["graph", "--input", str(path), "--out", str(tmp_path / "g")]) == 0
+        for kind in ("mst", "pmfg"):
+            graph = nx.parse_gml((tmp_path / "g" / f"graph_daily_{kind}.gml").read_text())
+            assert sorted(graph.nodes) == sorted(tickers)
 
 
 class TestBacktestFiles:

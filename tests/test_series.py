@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from builders import price_series
 from entrokit.series import (
     PriceSeries,
-    ReturnSeries,
     SymbolSequence,
     log_returns,
     quantile_discretize,
@@ -18,18 +17,18 @@ from entrokit.series import (
 class TestLogReturns:
     def test_simple_ratio(self):
         r = log_returns(price_series([100, 105]))
-        assert r.values == pytest.approx([math.log(1.05)])
-        assert math.isclose(r.values[0], 0.048790, abs_tol=1e-6)
+        assert r == pytest.approx([math.log(1.05)])
+        assert math.isclose(r[0], 0.048790, abs_tol=1e-6)
 
     def test_constant_prices(self):
-        values = log_returns(price_series([100, 100, 100])).values
+        values = log_returns(price_series([100, 100, 100]))
         assert values.dtype == np.float64
         assert values.tolist() == [0.0, 0.0]
 
     def test_symmetry(self):
         r = log_returns(price_series([100, 50, 100]))
-        assert r.values == pytest.approx([-math.log(2), math.log(2)])
-        assert r.values.sum() == pytest.approx(0.0)
+        assert r == pytest.approx([-math.log(2), math.log(2)])
+        assert r.sum() == pytest.approx(0.0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -44,35 +43,35 @@ class TestLogReturns:
         rng = np.random.default_rng(7)
         prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 50)))
         series = price_series(list(prices))
-        r = np.cumsum(log_returns(series).values)
+        r = np.cumsum(log_returns(series))
         expected = np.log(prices[1:] / prices[0])
         assert np.max(np.abs(r - expected)) < 1e-12
 
 
 class TestQuantileDiscretize:
     def test_distinct_sorted_values(self):
-        seq = quantile_discretize(ReturnSeries("T", tuple(range(1, 9))), 4)
+        seq = quantile_discretize(np.arange(1.0, 9.0), 4)
         assert seq.symbols.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
         assert seq.alphabet_size == 4
 
     def test_all_ties_balanced(self):
-        seq = quantile_discretize(ReturnSeries("T", (5.0, 5.0, 5.0, 5.0)), 4)
+        seq = quantile_discretize(np.array([5.0, 5.0, 5.0, 5.0]), 4)
         assert seq.symbols.tolist() == [0, 1, 2, 3]
 
     def test_median_split(self):
-        seq = quantile_discretize(ReturnSeries("T", (3.0, 1.0, 4.0, 2.0)), 2)
+        seq = quantile_discretize(np.array([3.0, 1.0, 4.0, 2.0]), 2)
         assert seq.symbols.tolist() == [1, 0, 1, 0]
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
-            quantile_discretize(ReturnSeries("T", (1.0, 2.0)), 4)
+            quantile_discretize(np.array([1.0, 2.0]), 4)
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=60),
         st.integers(2, 4),
     )
     def test_occupancy_balance(self, values, k):
-        seq = quantile_discretize(ReturnSeries("T", tuple(values)), k)
+        seq = quantile_discretize(np.array(values), k)
         counts = np.bincount(seq.symbols, minlength=k)
         assert counts.max() - counts.min() <= k - 1
         assert seq.symbols.min() >= 0 and seq.symbols.max() < k
@@ -128,7 +127,7 @@ class TestArrays:
             SymbolSequence(4, ())
 
     def test_return_values_read_only(self):
-        r = ReturnSeries("A", (0.1, -0.2))
-        assert r.values.dtype == np.float64
+        r = log_returns(price_series([100.0, 110.0, 99.0]))
+        assert r.dtype == np.float64
         with pytest.raises(ValueError):
-            r.values[0] = 0.0
+            r[0] = 0.0

@@ -25,11 +25,10 @@ __version__ = "0.1.0"
 from .series import (
     EntropyEstimate,
     PriceSeries,
-    SymbolSequence,
     log_returns,
     quantile_discretize,
 )
-from .lz import LzParse, MatchLengths, lz76_complexity, lz_entropy_rate, match_lengths
+from .lz import lz76_complexity, lz_entropy_rate, match_lengths
 from .ctw import (
     CtwParams,
     CtwResult,

@@ -250,9 +250,9 @@ def bds_statistic(values: np.ndarray, params: BdsParams = BdsParams()) -> BdsRes
     if n < MIN_LENGTH:
         raise ValueError(f"need at least {MIN_LENGTH} observations, got {n}")
     _require_finite(x)
-    sd = float(np.std(x, ddof=1))
-    if sd == 0.0:
+    if np.ptp(x) == 0:  # np.std of equal values can round to a tiny nonzero
         raise ValueError("zero-variance series")
+    sd = float(np.std(x, ddof=1))
     epsilon = params.epsilon_multiplier * sd
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon = {params.epsilon_multiplier} * {sd} is not finite")

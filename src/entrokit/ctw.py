@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import EntropyEstimate, SymbolSequence
+from .series import EntropyEstimate
 
 __all__ = [
     "CtwParams",
@@ -56,16 +56,27 @@ class CtwResult:
     node_count: int
 
 
-def symbols_to_bits(seq: SymbolSequence) -> np.ndarray:
-    """Expand each symbol to ceil(log2 A) bits, most-significant first, as int64."""
-    a = seq.alphabet_size
-    if a & (a - 1) != 0:
+def symbols_to_bits(symbols, alphabet_size: int) -> np.ndarray:
+    """Expand 1-D integer symbols in [0, A) to log2 A bits each, MSB first, as int64.
+
+    The one check of the symbols' range; A = ``alphabet_size`` is a power of two >= 2.
+    """
+    a = alphabet_size
+    if a < 2 or a & (a - 1) != 0:
         raise ValueError(
-            f"alphabet size {a} is not a power of two; re-discretize into a "
+            f"alphabet size {a} is not a power of two >= 2; re-discretize into a "
             "power-of-two number of states before CTW estimation"
         )
+    arr = np.asarray(symbols)
+    if arr.ndim != 1:
+        raise ValueError(f"symbols must be 1-D, got shape {arr.shape}")
+    if len(arr) and arr.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got dtype {arr.dtype}")
+    outside = (arr < 0) | (arr >= a)
+    if outside.any():
+        raise ValueError(f"symbol {arr[outside][0]} outside [0, {a})")
     shifts = np.arange(a.bit_length() - 2, -1, -1)
-    return ((seq.symbols[:, None] >> shifts) & 1).ravel()
+    return ((arr.astype(np.int64, copy=False)[:, None] >> shifts) & 1).ravel()
 
 
 def kt_log_probability(count_zero: int, count_one: int) -> float:
@@ -172,15 +183,15 @@ def ctw_log_mixture(bits: np.ndarray | list[int], params: CtwParams) -> CtwResul
     return CtwResult(log2_mixture_probability=float(log_pw[0]), n_bits=n, node_count=node_count)
 
 
-def ctw_entropy_rate(seq: SymbolSequence, depth_D: int = DEFAULT_DEPTH) -> EntropyEstimate:
-    """CTW entropy-rate estimate in bits per symbol."""
-    if len(seq) < 2:
+def ctw_entropy_rate(symbols, alphabet_size: int, depth_D: int = DEFAULT_DEPTH) -> EntropyEstimate:
+    """CTW entropy-rate estimate in bits per symbol of ``symbols`` in [0, alphabet_size)."""
+    bits = symbols_to_bits(symbols, alphabet_size)
+    width = alphabet_size.bit_length() - 1
+    n = len(bits) // width
+    if n < 2:
         raise ValueError("need at least 2 symbols")
-    width = seq.alphabet_size.bit_length() - 1
-    bits = symbols_to_bits(seq)
     result = ctw_log_mixture(bits, CtwParams(depth_D=depth_D))
     return EntropyEstimate(
         bits_per_symbol=-result.log2_mixture_probability / result.n_bits * width,
-        estimator="ctw",
-        sample_size=len(seq),
+        sample_size=n,
     )

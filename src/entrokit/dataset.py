@@ -61,9 +61,9 @@ def _write_cohort(
             source = SyntheticSource(
                 kind="markov", alphabet_size=4, seed=seed + k, transition=transition
             )
-            seq = generate(source, n_points - 1)
+            symbols = generate(source, n_points - 1)
             rng = np.random.default_rng(seed + 100_000 + k)
-            prices = _symbols_to_prices(seq.symbols, rng)
+            prices = _symbols_to_prices(symbols, rng)
             values[1::2] = prices.tolist()
             fh.write((f"%d,{ticker},%.6f\r\n" * n_points) % tuple(values))
 

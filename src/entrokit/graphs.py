@@ -40,7 +40,7 @@ def correlation_matrix(tickers: tuple[str, ...], returns: np.ndarray) -> np.ndar
         raise ValueError(f"{returns.shape[0]} return rows for {len(tickers)} tickers")
     if returns.shape[1] < 3:
         raise ValueError("need at least 3 aligned observations")
-    flat = np.std(returns, axis=1) == 0
+    flat = np.ptp(returns, axis=1) == 0  # np.std of equal values can round to a tiny nonzero
     if flat.any():
         raise ValueError(f"zero-variance series: {tickers[int(np.argmax(flat))]}")
     rho = np.corrcoef(returns)

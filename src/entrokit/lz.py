@@ -13,41 +13,43 @@ Two distinct quantities live here:
   online suffix automaton of that prefix (Blumer et al., TCS 40, 1985):
   L_{i+1} >= L_i - 1, so each position resumes from the previous match,
   and the whole scan takes O(n) amortised steps for a fixed alphabet.
+
+Both depend only on which positions hold equal symbols, so both take any
+1-D sequence of labels and number the distinct labels themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .series import EntropyEstimate, SymbolSequence
+import numpy as np
 
-__all__ = ["LzParse", "MatchLengths", "lz76_complexity", "match_lengths", "lz_entropy_rate"]
+from .series import EntropyEstimate
 
-
-@dataclass(frozen=True)
-class LzParse:
-    phrases: tuple[tuple[int, int], ...]  # (start index, length)
-    complexity: int
+__all__ = ["lz76_complexity", "match_lengths", "lz_entropy_rate"]
 
 
-@dataclass(frozen=True)
-class MatchLengths:
-    lambdas: tuple[int, ...]
-    n: int
+def _codes(symbols) -> tuple[list[int], int]:
+    """``symbols`` numbered 0..k-1 in sorted label order, and k."""
+    arr = np.asarray(symbols)
+    if arr.ndim != 1:
+        raise ValueError(f"symbols must be 1-D, got shape {arr.shape}")
+    if not len(arr):
+        raise ValueError("empty sequence")
+    labels, codes = np.unique(arr, return_inverse=True)
+    return codes.tolist(), len(labels)
 
 
-def lz76_complexity(seq: SymbolSequence) -> LzParse:
-    """Count distinct phrases in a left-to-right incremental parse.
+def lz76_complexity(symbols) -> list[tuple[int, int]]:
+    """The phrases, as (start index, length), of a left-to-right incremental parse.
 
     Each phrase is grown one symbol at a time until it differs from every
     previously recorded phrase.  A final phrase that repeats an earlier one
-    (because the input ended) still counts as one phrase.
+    (because the input ended) still counts as one phrase.  The LZ76
+    complexity is the number of phrases.
     """
-    syms = seq.symbols.tolist()
+    syms, _ = _codes(symbols)
     n = len(syms)
-    if n == 0:
-        raise ValueError("empty sequence")
     seen: set[tuple[int, ...]] = set()
     phrases: list[tuple[int, int]] = []
     start = 0
@@ -59,26 +61,25 @@ def lz76_complexity(seq: SymbolSequence) -> LzParse:
         seen.add(phrase)
         phrases.append((start, length))
         start += length
-    return LzParse(phrases=tuple(phrases), complexity=len(phrases))
+    return phrases
 
 
-def match_lengths(seq: SymbolSequence) -> MatchLengths:
+def match_lengths(symbols) -> list[int]:
     """Shortest-unseen-substring lengths Lambda_i for every position.
 
     Lambda_i = L_i + 1 where L_i is the length of the longest prefix of
-    seq[i:] occurring (entirely) inside seq[:i].  When every substring that
-    fits in the remaining input has been seen, this evaluates to
-    (remaining length) + 1, i.e. longest match plus one as if one more
+    symbols[i:] occurring (entirely) inside symbols[:i].  When every
+    substring that fits in the remaining input has been seen, this evaluates
+    to (remaining length) + 1, i.e. longest match plus one as if one more
     symbol were available.
     """
-    syms, alphabet = seq.symbols.tolist(), seq.alphabet_size
+    syms, alphabet = _codes(symbols)
     n = len(syms)
-    if not n:
-        raise ValueError("empty sequence")
     # Suffix automaton of syms[:i] in flat lists sized for 2n + 1 states (it has at most
     # 2n - 1): length[s] and link[s] are state s's longest string and suffix link, and
-    # trans[s * alphabet + c] its edge on symbol c, -1 for none; 2n * alphabet entries
-    # (alphabet is 2, 4 or 8 in every caller), and no object per state for the GC to walk
+    # trans[s * alphabet + c] its edge on symbol c, -1 for none; 2n * alphabet entries,
+    # one row stride per distinct label (at most the 4 or 8 states of every caller),
+    # and no object per state for the GC to walk
     size = 2 * n + 1
     length, link, trans = [0] * size, [-1] * size, [-1] * (size * alphabet)
     states, last = 1, 0
@@ -115,18 +116,13 @@ def match_lengths(seq: SymbolSequence) -> MatchLengths:
             j += 1
         match = j - i
         lambdas.append(match + 1)
-    return MatchLengths(lambdas=tuple(lambdas), n=n)
+    return lambdas
 
 
-def lz_entropy_rate(seq: SymbolSequence) -> EntropyEstimate:
+def lz_entropy_rate(symbols) -> EntropyEstimate:
     """Match-length estimate n*log2(n) / sum(Lambda_i), in bits per symbol."""
-    n = len(seq)
+    n = len(symbols)
     if n < 2:
         raise ValueError("need at least 2 symbols")
-    ml = match_lengths(seq)
-    estimate = n * math.log2(n) / sum(ml.lambdas)
-    return EntropyEstimate(
-        bits_per_symbol=estimate,
-        estimator="lz",
-        sample_size=n,
-    )
+    estimate = n * math.log2(n) / sum(match_lengths(symbols))
+    return EntropyEstimate(bits_per_symbol=estimate, sample_size=n)

@@ -343,7 +343,7 @@ def _process_ticker(series: PriceSeries, config: RunConfig) -> TickerRecord:
         returns = _returns_for(series, config)
         symbols = quantile_discretize(returns, config.states)
         lz = lz_entropy_rate(symbols)
-        ctw = ctw_entropy_rate(symbols, depth_D=config.ctw_depth)
+        ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth)
         bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
         return TickerRecord(
             ticker=series.ticker,

@@ -1,9 +1,10 @@
-"""Price/symbol data model.
+"""Price data model, and the returns and symbols derived from it.
 
 Pipeline order: prices -> log returns -> quantile symbols -> entropy
-estimators.  Every series holds read-only numpy arrays, validated in
+estimators.  A ``PriceSeries`` holds read-only numpy arrays, validated in
 vectorised form when it is built; returns are plain read-only float64
-arrays.  Everything here is a pure function of its inputs.
+arrays and symbols plain read-only int64 arrays.  Everything here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "PriceSeries",
-    "SymbolSequence",
     "EntropyEstimate",
     "log_returns",
     "quantile_discretize",
@@ -59,37 +59,10 @@ class PriceSeries:
         return type(self), (self.ticker, self.sampling, self.timestamps, self.prices)
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolSequence:
-    alphabet_size: int
-    symbols: np.ndarray  # int64 in [0, alphabet_size)
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
-        symbols = _frozen(self.symbols, np.int64, "symbols")
-        if len(symbols) == 0:
-            raise ValueError("symbol sequence must be nonempty")
-        outside = (symbols < 0) | (symbols >= self.alphabet_size)
-        if outside.any():
-            raise ValueError(f"symbol {symbols[outside][0]} outside [0, {self.alphabet_size})")
-        object.__setattr__(self, "symbols", symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
 @dataclass(frozen=True)
 class EntropyEstimate:
     bits_per_symbol: float
-    estimator: str  # "lz" or "ctw"
     sample_size: int
-
-    def __post_init__(self) -> None:
-        if self.estimator not in ("lz", "ctw"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.bits_per_symbol < 0:
-            raise ValueError("entropy estimate cannot be negative")
 
 
 def log_returns(series: PriceSeries) -> np.ndarray:
@@ -101,8 +74,8 @@ def log_returns(series: PriceSeries) -> np.ndarray:
     return returns
 
 
-def quantile_discretize(returns: np.ndarray, num_states: int = 4) -> SymbolSequence:
-    """Map each return to its empirical quantile bucket.
+def quantile_discretize(returns: np.ndarray, num_states: int = 4) -> np.ndarray:
+    """Map each return to its empirical quantile bucket, as a read-only int64 array.
 
     Values are ranked by (value, original index) and the ranks are cut into
     ``num_states`` contiguous blocks of near-equal size.  When n is not
@@ -125,5 +98,6 @@ def quantile_discretize(returns: np.ndarray, num_states: int = 4) -> SymbolSeque
         size = base + (1 if state < rem else 0)
         symbols[order[start : start + size]] = state
         start += size
-    return SymbolSequence(alphabet_size=num_states, symbols=symbols)
+    symbols.flags.writeable = False
+    return symbols
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .ctw import DEFAULT_DEPTH, ctw_entropy_rate
 from .lz import lz_entropy_rate
-from .series import SymbolSequence
 
 __all__ = [
     "SyntheticSource",
@@ -81,29 +80,34 @@ def markov_entropy_rate(transition: np.ndarray) -> float:
     return float(-np.sum(mu[:, None] * t * logs))
 
 
-def generate(source: SyntheticSource, n: int) -> SymbolSequence:
-    """Draw n symbols; deterministic given (source, seed, n)."""
+def generate(source: SyntheticSource, n: int) -> np.ndarray:
+    """Draw n int64 symbols in [0, alphabet_size); deterministic given (source, seed, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a = source.alphabet_size
     if source.kind == "constant":
-        return SymbolSequence(alphabet_size=a, symbols=np.zeros(n, dtype=np.int64))
+        return np.zeros(n, dtype=np.int64)
     rng = np.random.default_rng(source.seed)
     if source.kind == "uniform_iid":
-        return SymbolSequence(alphabet_size=a, symbols=rng.integers(0, a, size=n))
-    # markov: start from the stationary distribution
+        return rng.integers(0, a, size=n)
+    # markov: start from the stationary distribution.  Each cumulative row
+    # ends at exactly 1.0, above every draw in [0, 1), so rounding in the
+    # sums cannot carry a draw past the last state.
     t = np.asarray(source.transition, dtype=float)
-    mu = stationary_distribution(t)
+    start = np.cumsum(stationary_distribution(t))
+    start[-1] = 1.0
+    cdf = np.cumsum(t, axis=1)
+    cdf[:, -1] = 1.0
     u = rng.random(n)
-    state = int(np.searchsorted(np.cumsum(mu), u[0]))
+    state = int(np.searchsorted(start, u[0]))
     # bisect_left on the rows as Python floats is np.searchsorted's "left"
     # side, without a numpy call per symbol
-    cdf = np.cumsum(t, axis=1).tolist()
+    cdf = cdf.tolist()
     symbols = [state]
     for draw in u[1:].tolist():
         state = bisect_left(cdf[state], draw)
         symbols.append(state)
-    return SymbolSequence(alphabet_size=a, symbols=symbols)
+    return np.array(symbols, dtype=np.int64)
 
 
 def convergence_curve(
@@ -133,9 +137,10 @@ def convergence_curve(
                 seed=source.seed + trial,
                 transition=source.transition,
             )
-            seq = generate(trial_source, size)
-            lz_vals.append(lz_entropy_rate(seq).bits_per_symbol)
-            ctw_vals.append(ctw_entropy_rate(seq, depth_D=ctw_depth).bits_per_symbol)
+            symbols = generate(trial_source, size)
+            lz_vals.append(lz_entropy_rate(symbols).bits_per_symbol)
+            ctw = ctw_entropy_rate(symbols, source.alphabet_size, depth_D=ctw_depth)
+            ctw_vals.append(ctw.bits_per_symbol)
         lz_means.append(float(np.mean(lz_vals)))
         ctw_means.append(float(np.mean(ctw_vals)))
     return ConvergenceCurve(

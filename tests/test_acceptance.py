@@ -50,7 +50,6 @@ from entrokit.densities import density_equality_test
 from entrokit.graphs import WeightedGraph, mst, pmfg
 from entrokit.lz import lz76_complexity, lz_entropy_rate, match_lengths
 from entrokit.pipeline import RunConfig, run_pipeline
-from entrokit.series import SymbolSequence
 from entrokit.synth import SyntheticSource, generate, markov_entropy_rate, shift_register_chain
 
 from builders import price_series
@@ -67,16 +66,16 @@ def _report(num, label, passed):
 def _estimate_means(symbols_fn, seeds, n):
     lz_vals, ctw_vals = [], []
     for seed in seeds:
-        seq = symbols_fn(seed)
-        lz_vals.append(lz_entropy_rate(seq).bits_per_symbol)
-        ctw_vals.append(ctw_entropy_rate(seq).bits_per_symbol)
+        symbols = symbols_fn(seed)
+        lz_vals.append(lz_entropy_rate(symbols).bits_per_symbol)
+        ctw_vals.append(ctw_entropy_rate(symbols, 4).bits_per_symbol)
     return float(np.mean(lz_vals)), float(np.mean(ctw_vals))
 
 
 def test_criterion_01_lz76_worked_example():
-    seq = SymbolSequence(2, tuple(int(c) for c in "101001010010111110"))
+    symbols = [int(c) for c in "101001010010111110"]
     start = time.perf_counter()
-    complexity = lz76_complexity(seq).complexity
+    complexity = len(lz76_complexity(symbols))
     elapsed = time.perf_counter() - start
     _report("1", "LZ76 worked example equals 8 in under 1 ms",
             complexity == 8 and elapsed < 1e-3)
@@ -94,12 +93,12 @@ def test_criterion_02a_uniform_endpoint():
             and ctw_mean >= lz_mean and elapsed < 60.0)
 
 
-ZEROS = SymbolSequence(4, (0,) * 10_000)
+ZEROS = np.zeros(10_000, dtype=np.int64)
 
 
 def test_criterion_02b_zero_endpoint_magnitude():
     lz = lz_entropy_rate(ZEROS).bits_per_symbol
-    ctw = ctw_entropy_rate(ZEROS).bits_per_symbol
+    ctw = ctw_entropy_rate(ZEROS, 4).bits_per_symbol
     _report("2b-magnitude", "all-zeros source: both estimates at most 0.05",
             lz <= 0.05 and ctw <= 0.05)
 
@@ -112,11 +111,11 @@ def test_criterion_02b_zero_endpoint_ordering():
     lambda_sum = 1 + sum(min(i, n - i) + 1 for i in range(1, n))
     kt_code_length = -kt_log_probability(2 * n, 0)
     lz = lz_entropy_rate(ZEROS).bits_per_symbol
-    ctw = ctw_entropy_rate(ZEROS).bits_per_symbol
+    ctw = ctw_entropy_rate(ZEROS, 4).bits_per_symbol
     _report("2b-ordering",
             "all-zeros source: exact LZ and CTW closed forms, CTW at most LZ",
             lambda_sum == 25_010_000
-            and sum(match_lengths(ZEROS).lambdas) == lambda_sum
+            and sum(match_lengths(ZEROS)) == lambda_sum
             and math.isclose(lz, n * math.log2(n) / lambda_sum, rel_tol=1e-12)
             and abs(ctw * n - kt_code_length) <= 1e-9
             and ctw <= lz)
@@ -141,12 +140,12 @@ def test_criterion_04_lz_oracle_equivalence():
     ok = True
     for n in range(1, 13):
         for bits in itertools.product((0, 1), repeat=n):
-            if match_lengths(SymbolSequence(2, bits)).lambdas != brute_force_lambdas(bits):
+            if match_lengths(bits) != brute_force_lambdas(bits):
                 ok = False
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        symbols = tuple(int(s) for s in rng.integers(0, 4, rng.integers(1, 13)))
-        if match_lengths(SymbolSequence(4, symbols)).lambdas != brute_force_lambdas(symbols):
+        symbols = rng.integers(0, 4, rng.integers(1, 13)).tolist()
+        if match_lengths(symbols) != brute_force_lambdas(symbols):
             ok = False
     _report("4", "match lengths equal quadratic brute force (binary exhaustive, A=4 random)", ok)
 
@@ -204,12 +203,12 @@ def test_criterion_07_entropy_bds_association():
     params = BdsParams(embedding_m=2, epsilon_multiplier=0.5)
     for i, target in enumerate(np.linspace(0.25, 2.0, 20)):
         transition = shift_register_chain(float(target))
-        seq = generate(
+        symbols = generate(
             SyntheticSource(kind="markov", alphabet_size=4, seed=300 + i, transition=transition),
             10_000,
         )
-        entropies.append(lz_entropy_rate(seq).bits_per_symbol)
-        bds_vals.append(bds_statistic(np.asarray(seq.symbols, dtype=float), params).statistic)
+        entropies.append(lz_entropy_rate(symbols).bits_per_symbol)
+        bds_vals.append(bds_statistic(symbols.astype(float), params).statistic)
     rho = entropy_bds_association(entropies, bds_vals)
     _report("7", "Spearman correlation between entropy and |BDS| is negative", rho < 0)
 

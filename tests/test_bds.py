@@ -280,8 +280,10 @@ class TestBdsStatistic:
             bds_statistic(np.arange(20.0))
 
     def test_zero_variance(self):
-        with pytest.raises(ValueError):
-            bds_statistic(np.ones(100))
+        # np.std of 200 copies of 0.001 is about 2e-19, not 0
+        for x in (np.ones(100), np.full(200, 0.001)):
+            with pytest.raises(ValueError, match="zero-variance series"):
+                bds_statistic(x)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

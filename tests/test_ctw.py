@@ -13,7 +13,6 @@ from entrokit.ctw import (
     kt_log_probability,
     symbols_to_bits,
 )
-from entrokit.series import SymbolSequence
 
 
 def kt_value(a, b):
@@ -161,19 +160,34 @@ DEGENERATE = {
 
 class TestSymbolsToBits:
     def test_four_state_expansion(self):
-        bits = symbols_to_bits(SymbolSequence(4, (0, 1, 2, 3)))
+        bits = symbols_to_bits((0, 1, 2, 3), 4)
         assert bits.dtype == np.int64
         assert bits.tolist() == [0, 0, 0, 1, 1, 0, 1, 1]
 
     def test_binary_passthrough(self):
-        assert symbols_to_bits(SymbolSequence(2, (1,))).tolist() == [1]
+        assert symbols_to_bits((1,), 2).tolist() == [1]
 
     def test_msb_first(self):
-        assert symbols_to_bits(SymbolSequence(4, (3, 0))).tolist() == [1, 1, 0, 0]
+        assert symbols_to_bits((3, 0), 4).tolist() == [1, 1, 0, 0]
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="re-discretize"):
-            symbols_to_bits(SymbolSequence(3, (0, 1, 2)))
+        for alphabet in (1, 3):
+            for estimate in (symbols_to_bits, ctw_entropy_rate):
+                with pytest.raises(ValueError, match="re-discretize"):
+                    estimate(np.zeros(4, dtype=np.int64), alphabet)
+
+    def test_symbols_validated(self):
+        # the only check of [0, A): quantile_discretize and generate return plain arrays
+        bad = {
+            "outside": [np.array([0, 4, 1]), np.array([0, -1, 3])],
+            "1-D": [np.zeros((2, 2), dtype=np.int64)],
+            "integers": [np.array([0.0, 1.5, 2.0])],
+        }
+        for message, inputs in bad.items():
+            for symbols in inputs:
+                for estimate in (symbols_to_bits, ctw_entropy_rate):
+                    with pytest.raises(ValueError, match=message):
+                        estimate(symbols, 4)
 
 
 class TestKtProbability:
@@ -262,28 +276,29 @@ class TestCtwMixture:
 
 class TestCtwEntropyRate:
     def test_single_bit_symbolwise(self):
-        est = ctw_entropy_rate(SymbolSequence(2, (0, 0)), depth_D=0)
-        assert est.estimator == "ctw"
+        est = ctw_entropy_rate((0, 0), 2, depth_D=0)
+        assert est.sample_size == 2
         assert est.bits_per_symbol == pytest.approx(-math.log2(3 / 8) / 2)
 
     def test_entropy_scaling_four_state(self):
-        seq = SymbolSequence(4, (0, 1, 2, 3, 0, 1, 2, 3))
-        est = ctw_entropy_rate(seq, depth_D=4)
-        bits = symbols_to_bits(seq)
+        symbols = (0, 1, 2, 3, 0, 1, 2, 3)
+        est = ctw_entropy_rate(symbols, 4, depth_D=4)
+        assert est.sample_size == 8
+        bits = symbols_to_bits(symbols, 4)
         res = ctw_log_mixture(bits, CtwParams(4))
         assert est.bits_per_symbol == -res.log2_mixture_probability / res.n_bits * 2
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            ctw_entropy_rate(SymbolSequence(2, (0,)))
+            ctw_entropy_rate((0,), 2)
 
 
 class TestAgainstSequentialTree:
     """The count-based fold against the bit-by-bit tree update at n ~ 2,000."""
 
     @staticmethod
-    def _compare(seq, depth):
-        bits = symbols_to_bits(seq)
+    def _compare(alphabet, symbols, depth):
+        bits = symbols_to_bits(symbols, alphabet)
         res = ctw_log_mixture(bits, CtwParams(depth))
         log_p, node_count = sequential_mixture(bits.tolist(), depth)
         assert res.node_count == node_count
@@ -294,13 +309,12 @@ class TestAgainstSequentialTree:
     @pytest.mark.parametrize("alphabet", [2, 4])
     def test_random(self, alphabet, depth):
         for seed in (11, 12):
-            self._compare(SymbolSequence(alphabet, _random_symbols(alphabet, 2000, seed)), depth)
+            self._compare(alphabet, _random_symbols(alphabet, 2000, seed), depth)
 
     @pytest.mark.parametrize("depth", [0, 1, 20, 48])
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_degenerate(self, name, depth):
-        alphabet, symbols = DEGENERATE[name]
-        self._compare(SymbolSequence(alphabet, symbols), depth)
+        self._compare(*DEGENERATE[name], depth)
 
     def test_biased_markov_source(self):
         # a skewed source makes the leaf counts, not just the tree shape, matter
@@ -309,7 +323,7 @@ class TestAgainstSequentialTree:
         for u in rng.random(2000):
             state = state if u < 0.8 else (state + 1) % 4
             symbols.append(state)
-        self._compare(SymbolSequence(4, tuple(symbols)), 20)
+        self._compare(4, symbols, 20)
 
 
 def _bit_source(kind, n, seed):

@@ -37,9 +37,9 @@ def loop_write_cohort(path, entropy_bits, n_points, t0, spacing, seed):
             source = SyntheticSource(
                 kind="markov", alphabet_size=4, seed=seed + k, transition=transition
             )
-            seq = generate(source, n_points - 1)
+            symbols = generate(source, n_points - 1)
             rng = np.random.default_rng(seed + 100_000 + k)
-            prices = dataset._symbols_to_prices(seq.symbols, rng)
+            prices = dataset._symbols_to_prices(symbols, rng)
             for i, price in enumerate(prices):
                 writer.writerow([t0 + i * spacing, ticker, f"{price:.6f}"])
 

@@ -157,6 +157,11 @@ class TestCorrelationMatrix:
         returns = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="zero-variance series: FLAT$"):
             correlation_matrix(("A", "FLAT", "NIL"), returns)
+        # equal nonzero returns: np.std of this row is about 2e-19, not 0
+        rng = np.random.default_rng(5)
+        returns = np.vstack([rng.normal(size=200), np.full(200, 0.001), rng.normal(size=200)])
+        with pytest.raises(ValueError, match="zero-variance series: B$"):
+            correlation_matrix(("A", "B", "C"), returns)
 
     def test_errors_in_order(self):
         with pytest.raises(ValueError, match="need at least 2 series"):

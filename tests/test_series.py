@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from builders import price_series
 from entrokit.series import (
     PriceSeries,
-    SymbolSequence,
     log_returns,
     quantile_discretize,
 )
@@ -50,17 +49,18 @@ class TestLogReturns:
 
 class TestQuantileDiscretize:
     def test_distinct_sorted_values(self):
-        seq = quantile_discretize(np.arange(1.0, 9.0), 4)
-        assert seq.symbols.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
-        assert seq.alphabet_size == 4
+        symbols = quantile_discretize(np.arange(1.0, 9.0), 4)
+        assert symbols.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert symbols.dtype == np.int64
+        assert not symbols.flags.writeable
 
     def test_all_ties_balanced(self):
-        seq = quantile_discretize(np.array([5.0, 5.0, 5.0, 5.0]), 4)
-        assert seq.symbols.tolist() == [0, 1, 2, 3]
+        symbols = quantile_discretize(np.array([5.0, 5.0, 5.0, 5.0]), 4)
+        assert symbols.tolist() == [0, 1, 2, 3]
 
     def test_median_split(self):
-        seq = quantile_discretize(np.array([3.0, 1.0, 4.0, 2.0]), 2)
-        assert seq.symbols.tolist() == [1, 0, 1, 0]
+        symbols = quantile_discretize(np.array([3.0, 1.0, 4.0, 2.0]), 2)
+        assert symbols.tolist() == [1, 0, 1, 0]
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
@@ -71,10 +71,10 @@ class TestQuantileDiscretize:
         st.integers(2, 4),
     )
     def test_occupancy_balance(self, values, k):
-        seq = quantile_discretize(np.array(values), k)
-        counts = np.bincount(seq.symbols, minlength=k)
+        symbols = quantile_discretize(np.array(values), k)
+        counts = np.bincount(symbols, minlength=k)
         assert counts.max() - counts.min() <= k - 1
-        assert seq.symbols.min() >= 0 and seq.symbols.max() < k
+        assert symbols.min() >= 0 and symbols.max() < k
 
 
 class TestArrays:
@@ -115,16 +115,6 @@ class TestArrays:
             PriceSeries("A", "daily", [0, 60], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="1-D"):
             PriceSeries("A", "daily", [[0, 60]], [[1.0, 2.0]])
-
-    def test_symbols_validated(self):
-        seq = SymbolSequence(4, (0, 3, 1))
-        assert seq.symbols.dtype == np.int64
-        assert not seq.symbols.flags.writeable
-        for bad in ((0, 4), (-1, 0)):
-            with pytest.raises(ValueError, match="outside"):
-                SymbolSequence(4, bad)
-        with pytest.raises(ValueError, match="nonempty"):
-            SymbolSequence(4, ())
 
     def test_return_values_read_only(self):
         r = log_returns(price_series([100.0, 110.0, 99.0]))

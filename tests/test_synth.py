@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from entrokit.series import SymbolSequence
 from entrokit.synth import (
     SyntheticSource,
     convergence_curve,
@@ -25,7 +24,7 @@ def loop_generate(source, n):
     for i in range(1, n):
         state = int(np.searchsorted(cdf[state], u[i]))
         symbols.append(state)
-    return SymbolSequence(alphabet_size=t.shape[0], symbols=symbols)
+    return np.array(symbols, dtype=np.int64)
 
 
 def _sticky(k, stay):
@@ -36,28 +35,30 @@ def _sticky(k, stay):
 
 class TestGenerate:
     def test_constant(self):
-        seq = generate(SyntheticSource(kind="constant", alphabet_size=4), 5)
-        assert seq.symbols.tolist() == [0, 0, 0, 0, 0]
+        symbols = generate(SyntheticSource(kind="constant", alphabet_size=4), 5)
+        assert symbols.dtype == np.int64
+        assert symbols.tolist() == [0, 0, 0, 0, 0]
 
     def test_uniform_frequencies(self):
-        seq = generate(
+        symbols = generate(
             SyntheticSource(kind="uniform_iid", alphabet_size=4, seed=123), 1_000_000
         )
-        counts = np.bincount(seq.symbols, minlength=4) / len(seq)
+        assert symbols.dtype == np.int64
+        counts = np.bincount(symbols, minlength=4) / len(symbols)
         assert np.all(np.abs(counts - 0.25) < 0.002)
 
     def test_sticky_chain_has_long_runs(self):
         t = np.full((4, 4), 0.01 / 3)
         np.fill_diagonal(t, 0.99)
-        seq = generate(
+        symbols = generate(
             SyntheticSource(kind="markov", alphabet_size=4, seed=5, transition=t), 2000
         )
-        same = np.mean(seq.symbols[1:] == seq.symbols[:-1])
+        same = np.mean(symbols[1:] == symbols[:-1])
         assert same > 0.9
 
     def test_seed_determinism(self):
         src = SyntheticSource(kind="uniform_iid", alphabet_size=4, seed=77)
-        assert np.array_equal(generate(src, 500).symbols, generate(src, 500).symbols)
+        assert np.array_equal(generate(src, 500), generate(src, 500))
 
     @pytest.mark.parametrize(
         "transition",
@@ -78,8 +79,9 @@ class TestGenerate:
                     kind="markov", alphabet_size=len(transition), seed=seed, transition=transition
                 )
                 got, want = generate(source, n), loop_generate(source, n)
-                assert got.symbols.dtype == want.symbols.dtype
-                assert np.array_equal(got.symbols, want.symbols)
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert 0 <= got.min() and got.max() < len(transition)
 
     def test_invalid_transition(self):
         bad = np.array([[0.5, 0.6], [0.5, 0.5]])

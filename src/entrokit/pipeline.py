@@ -16,12 +16,11 @@ a flat series or one of fewer than 50 returns fails BDS, and so is left out.
 All files are written atomically under the output directory.
 
 One executor runs a command's work: a process pool when ``jobs > 1``,
-else each task inline, at submit.  The estimates stage submits each piece
-of work the moment its inputs exist: every input file's ingest (to the
-pool only when there are two or more inputs), then, once the
-duplicate-ticker check has passed, the backtest, the per-ticker estimates
-in (sampling, ticker) order, each cohort's graph build as soon as its last
-ticker's record is in, and the two density tests once every record is.
+else each task inline, at submit.  The estimates stage reads every input
+here, opens the pool once, and then submits each piece of work the moment
+its inputs exist: the backtest, the per-ticker estimates in (sampling,
+ticker) order, each cohort's graph build as soon as its last ticker's
+record is in, and the two density tests once every record is.
 Each task a later stage reads is kept under the name its failure takes
 ("backtest", "graph[daily]", "equality[lz]").  The later stages only
 collect those results by name, in the order of ``COMMANDS``, and write the
@@ -124,7 +123,7 @@ class RunConfig:
             raise ValueError("at least one input file is required")
         given: dict[Path, Path] = {}  # resolved path -> the input naming it
         for p in self.inputs:
-            if not Path(p).is_file():
+            if not Path(p).exists() or Path(p).is_dir():  # a pipe is read like a file
                 raise ValueError(f"input not readable: {p}")
             resolved = Path(p).resolve()
             if resolved in given:
@@ -223,14 +222,13 @@ class _Executor:
         self._stack.close()
 
     def open(self, tasks: int) -> None:
-        """Make the pool ``min(jobs, tasks)`` workers if that is larger; no task may be pending.
+        """Run later tasks in a pool of ``min(jobs, tasks)`` workers if ``jobs > 1``; call it once.
 
         Under the fork start method every worker is forked at the first
         submit, so no pool has more workers than the tasks it was opened for.
         """
-        workers = min(self.jobs, tasks)
-        if self.jobs > 1 and workers > self.workers:
-            self._replace(workers)
+        if self.jobs > 1:
+            self._replace(min(self.jobs, tasks))
 
     def _replace(self, workers: int) -> None:
         # the old pool shuts down first, so no pool thread runs while the new one forks
@@ -298,13 +296,13 @@ class _Run:
     def out(self) -> Path:
         return Path(self.report.config.out_dir)
 
-    def collect(self, name: str, task: _Task | None = None):
-        """The result of ``task``, by default the one submitted as ``name``; None if there is none.
+    def collect(self, name: str):
+        """The result of the task submitted as ``name``; None if there is none.
 
         A task whose worker died with it alone leaves the named failure
         ``name: BrokenProcessPool: ...`` in its place.
         """
-        task = task or self.tasks.pop(name, None)
+        task = self.tasks.pop(name, None)
         if task is None:
             return None
         try:
@@ -410,16 +408,10 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
 
 def _ingest(run: _Run) -> None:
     """Every input's series, sorted by (ticker, sampling); a ticker twice in one cohort is an error."""
-    config, executor = run.config, run.executor
-    if len(config.inputs) > 1:
-        executor.open(len(config.inputs))
-    tasks = [executor.submit(ingest_csv, path) for path in config.inputs]
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
     skipped = duplicates = 0
-    for path, task in zip(config.inputs, tasks):
-        result = run.collect(f"ingest[{path}]", task)
-        if result is None:
-            continue
+    for path in run.config.inputs:
+        result = ingest_csv(path)
         for series in result.series:
             key = (series.ticker, series.sampling)
             if key in source:
@@ -437,6 +429,11 @@ def _ingest(run: _Run) -> None:
     run.report.facts.update(skipped_rows=str(skipped), duplicate_rows=str(duplicates))
 
 
+def _backtest_label(run: _Run) -> str:
+    """The cohort the backtest trades and splits by entropy: daily if any series is, else intraday."""
+    return "daily" if any(s.sampling == "daily" for s in run.series) else "intraday"
+
+
 def _estimates(run: _Run) -> None:
     """Ingest every input, run LZ, CTW and BDS on each ticker, and submit the later stages' work.
 
@@ -449,9 +446,9 @@ def _estimates(run: _Run) -> None:
     stages = COMMANDS[config.command]
     executor.open(len(run.series))
     if "backtest" in stages:
-        daily = [s for s in run.series if s.sampling == "daily"] or run.series
+        label = _backtest_label(run)
         run.tasks["backtest"] = executor.submit(
-            _backtest_task, sorted(daily, key=lambda s: s.ticker), config.strategy
+            _backtest_task, [s for s in run.series if s.sampling == label], config.strategy
         )
     by_label: dict[str, list[int]] = {}  # label -> its series' indices, in ticker order
     for k, series in enumerate(run.series):
@@ -703,9 +700,7 @@ def _backtest(run: _Run) -> None:
     if not reports:
         return
     _write_files(run.out, files)
-    # CTW entropies of the daily cohort, or of the intraday one when no daily ticker is ok
-    cohort = run.cohorts.get("daily") or run.cohorts.get("intraday", [])
-    entropies = {r.ticker: r.ctw_entropy for r in cohort}
+    entropies = {r.ticker: r.ctw_entropy for r in run.cohorts.get(_backtest_label(run), [])}
     covered = [r for r in reports if r.ticker in entropies]
     facts = run.report.facts
     facts["backtest.num_tickers"] = str(len(reports))

@@ -7,10 +7,12 @@ import functools
 import glob
 import hashlib
 import io
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
@@ -33,10 +35,17 @@ _ingest_csv = pipeline.ingest_csv
 _pmfg = pipeline.pmfg
 
 
+def _exit_worker(what):
+    """End this pool worker at once; in the main process, fail the test instead of ending it."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError(f"{what} ran in the main process")
+    os._exit(1)
+
+
 def _worker_dies_on_tk1(series, config):
-    """Stand-in for the per-ticker worker: the process running TK1 exits."""
+    """Stand-in for the per-ticker worker: the pool worker running TK1 exits."""
     if series.ticker == "TK1":
-        os._exit(1)
+        _exit_worker("TK1's estimates")
     return _process_ticker(series, config)
 
 
@@ -47,16 +56,16 @@ def _estimator_marks_its_run(series, config):
 
 
 def _pmfg_dies_on_seven_nodes(graph):
-    """Stand-in for pmfg: the process filtering a 7-ticker cohort's graph exits."""
+    """Stand-in for pmfg: the pool worker filtering a 7-ticker cohort's graph exits."""
     if len(graph.nodes) == 7:
-        os._exit(1)
+        _exit_worker("the 7-ticker PMFG")
     return _pmfg(graph)
 
 
-def _ingest_dies_on_intraday(path):
-    """Stand-in for ingest_csv: the process reading intraday.csv exits."""
-    if Path(path).name == "intraday.csv":
-        os._exit(1)
+def _ingest_notes_its_pid(path):
+    """Stand-in for ingest_csv: appends the reading process's pid to ``ingest-pids`` beside the input."""
+    with Path(path).with_name("ingest-pids").open("a") as fh:
+        fh.write(f"{os.getpid()}\n")
     return _ingest_csv(path)
 
 
@@ -79,6 +88,17 @@ def inline_pool(sizes):
             return future
 
     return InlinePool
+
+
+def counting_pool(sizes):
+    """Stand-in pool class: a real process pool that records its size in ``sizes``."""
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    return CountingPool
 
 
 def _env_with_src():
@@ -396,32 +416,11 @@ class TestRunPipeline:
             if not line.startswith("failure:")
         ] == kept
 
-    def test_dead_worker_fails_its_input(self, tmp_path, monkeypatch):
-        """A worker that dies reading one input fails that input, and the run goes on."""
-        daily = tiny_market(tmp_path)
-        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
-        monkeypatch.setattr(pipeline, "ingest_csv", _ingest_dies_on_intraday)
-        out = tmp_path / "o"
-        argv = ["report", "--input", str(daily), "--input", str(intraday), "--out", str(out)]
-        assert cli_main(argv + ["--jobs", "2", "--permutations", "20"]) == 2
-        report = (out / "report.txt").read_text()
-        assert f"failure: ingest[{intraday}]: BrokenProcessPool: " in report
-        assert "tickers: 6" in report
-        assert "tickers_failed: 0" in report
-        with (out / "records.csv").open(newline="") as fh:
-            assert {row["sampling"] for row in csv.DictReader(fh)} == {"daily"}
-
     def test_dead_worker_reruns_keep_parallelism(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path, n_tickers=40)
         monkeypatch.setattr(pipeline, "_process_ticker", _worker_dies_on_tk1)
         pools = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", counting_pool(pools))
         out = tmp_path / "o"
         code = cli_main(["estimate", "--input", str(path), "--out", str(out), "--jobs", "2"])
         assert code == 2
@@ -446,24 +445,50 @@ class TestRunPipeline:
         assert records[0] == records[1]
 
     def test_pool_sizes_two_inputs(self, tmp_path, monkeypatch):
-        """Ingest opens a pool of one worker per input; the tickers' larger pool replaces it."""
+        """Two inputs open one pool a run, of min(jobs, tickers) workers, and none at one job."""
         daily = tiny_market(tmp_path)
         intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
         sizes = []
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", inline_pool(sizes))
         args = ["report", "--input", str(daily), "--input", str(intraday), "--permutations", "20"]
         assert cli_main(args + ["--out", str(tmp_path / "p"), "--jobs", "10000"]) == 0
-        assert sizes == [2, 12]
+        assert sizes == [12]
         assert cli_main(args + ["--out", str(tmp_path / "q"), "--jobs", "2"]) == 0
-        assert sizes == [2, 12, 2]
+        assert sizes == [12, 2]
         assert cli_main(args + ["--out", str(tmp_path / "s"), "--jobs", "1"]) == 0
-        assert sizes == [2, 12, 2]
+        assert sizes == [12, 2]
         outputs = {d: read_outputs(tmp_path / d) for d in ("p", "q", "s")}
         for d in ("p", "q"):
             assert outputs[d].keys() == outputs["s"].keys()
             for name, text in outputs["s"].items():
                 if name != "report.txt":
                     assert outputs[d][name] == text, (d, name)
+
+    def test_ingest_runs_in_the_main_process(self, tmp_path, monkeypatch):
+        """At two jobs, every input is read here, and the run opens one real pool of two workers."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        monkeypatch.setattr(pipeline, "ingest_csv", _ingest_notes_its_pid)
+        pools = []
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", counting_pool(pools))
+        argv = ["report", "--input", str(daily), "--input", str(intraday),
+                "--out", str(tmp_path / "o"), "--jobs", "2", "--permutations", "20"]
+        assert cli_main(argv) == 0
+        assert (tmp_path / "ingest-pids").read_text().split() == [str(os.getpid())] * 2
+        assert pools == [2]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unreadable_input_named(self, tmp_path, jobs, capsys):
+        """An input ingest cannot read exits 1 naming it, whatever the input count or jobs."""
+        good = tiny_market(tmp_path)
+        bad = write_csv(tmp_path / "bad.csv", ["0,AAA,100"], header="x,y,z")
+        out = tmp_path / "o"
+        for inputs in ([bad], [good, bad]):
+            argv = ["estimate", *(a for p in inputs for a in ("--input", str(p)))]
+            assert cli_main(argv + ["--out", str(out), "--jobs", jobs]) == 1
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: expected header"), err
 
     def test_graph_aligns_missing_row(self, tmp_path):
         assert cli_main(["make-dataset", "--out", str(tmp_path / "d"), "--points", "120", "--seed", "3"]) == 0
@@ -794,7 +819,7 @@ class TestCommands:
 
     def test_pool_tasks_per_command(self, tmp_path, monkeypatch):
         """Each command submits the pool work its stages read, and no other."""
-        estimates = {"ingest_csv": 2, "_process_ticker": 12}
+        estimates = {"_process_ticker": 12}
         expected = {
             "estimate": estimates,
             "validate": {},
@@ -886,11 +911,68 @@ class TestCommands:
         else:
             assert splits == []
 
+    def test_backtest_splits_the_cohort_it_trades(self, tmp_path, monkeypatch):
+        """The entropy split reads the CTW entropies of the cohort backtested: daily if there is one."""
+        splits, cohort_report = [], pipeline.entropy_cohort_report
+
+        def recording_split(reports, entropies):
+            splits.append(entropies)
+            return cohort_report(reports, entropies)
+
+        monkeypatch.setattr(pipeline, "entropy_cohort_report", recording_split)
+        rng = np.random.default_rng(7)
+        daily, intraday = [], []
+        for k in range(3):
+            prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, 300)))
+            daily += [f"{i * 86400},TK{k},{p:.4f}" for i, p in enumerate(prices[:40])]
+            intraday += [f"{i * 60},TK{k},{p:.4f}" for i, p in enumerate(prices)]
+        daily = write_csv(tmp_path / "daily.csv", daily)
+        intraday = write_csv(tmp_path / "intraday.csv", intraday)
+        # 40 daily bars are too few for BDS, so the daily cohort is empty and no ticker is split
+        out = tmp_path / "both"
+        argv = ["backtest", "--input", str(daily), "--input", str(intraday), "--out", str(out)]
+        assert cli_main(argv) == 2
+        report = (out / "report.txt").read_text()
+        assert "backtest.num_tickers: 3\n" in report
+        assert "backtest.low_entropy" not in report
+        assert splits == []
+        out = tmp_path / "intraday"
+        assert cli_main(["backtest", "--input", str(intraday), "--out", str(out)]) == 0
+        with (out / "records.csv").open(newline="") as fh:
+            ctw = {row["ticker"]: row["ctw_entropy"] for row in csv.DictReader(fh)}
+        [entropies] = splits
+        assert {t: f"{h:.6f}" for t, h in entropies.items()} == ctw
+        assert "backtest.low_entropy: " in (out / "report.txt").read_text()
+
 
 class TestCli:
     def test_exit_code_config_error(self, tmp_path):
-        code = cli_main(["estimate", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o")])
-        assert code == 1
+        """A missing input or a directory exits 1 before any work."""
+        out = tmp_path / "o"
+        for path in (tmp_path / "missing.csv", tmp_path):
+            assert cli_main(["estimate", "--input", str(path), "--out", str(out)]) == 1
+            assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_piped_input_read_like_a_file(self, tmp_path, jobs):
+        """An input through a named pipe gives the regular file's records.csv byte for byte."""
+        path = tiny_market(tmp_path)
+        argv = ["estimate", "--jobs", jobs, "--out"]
+        assert cli_main(argv + [str(tmp_path / "file"), "--input", str(path)]) == 0
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        code = cli_main(argv + [str(tmp_path / "pipe"), "--input", str(fifo)])
+        writer.join(timeout=10)
+        if writer.is_alive():  # the run never opened the pipe: open it here to release the writer
+            fifo.read_bytes()
+            writer.join(timeout=10)
+        assert code == 0
+        assert not writer.is_alive()
+        records = [(tmp_path / d / "records.csv").read_bytes() for d in ("file", "pipe")]
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -24,15 +24,17 @@ file through ``csv.reader`` one row at a time (``_ingest_rows``); so does a
 pipe, which can be read only once.  Both paths apply the same rules and give the same
 series, counts and errors; the per-row path is the tests' oracle.
 
-``CHUNK_BYTES`` is 2**18 (256 KiB), about 8,700 lines of 30 bytes.  The
-byte parse holds about 150 bytes of temporaries per line of its chunk, a
-MB or two whatever the file's size; the rows kept cost 24 bytes each, in
-column blocks of at most ``_BLOCK_ROWS`` rows.  On a 2-core machine,
-chunks of 2**17 to 2**22 bytes read a 1.82M-row file in the same time
-within noise, with a growth of peak RSS of 58-61 MB up to 2**21 and 70 MB
-at 2**22; ``estimate`` on a 30,006-row file peaked at 35.8 MB with chunks
-of 2**16 or 2**18 bytes and at 37.8 MB with 2**20 (36.4 MB reading every
-row with ``csv.reader``).
+``CHUNK_BYTES`` is 2**18 (256 KiB), about 8,700 lines of 30 bytes; the
+byte parse holds about 150 bytes of temporaries per line of its chunk.
+Parsed rows wait until about ``_GROUP_ROWS`` have gathered; then one
+stable sort of their ticker codes moves each ticker's rows onto its own
+pieces, in file order.  At the end each ticker in name order joins and
+lets go of its pieces, so a row kept costs 16 bytes and only one ticker's
+rows are held twice, while its series copies them.  Growth of peak RSS,
+one fresh process each on a 2-core machine: 20, 25 and 21 bytes a row on
+10**7 rows written ticker by ticker, the same rows in time order, and
+3,000 tickers x 2,520 days written date by date; 43 MB on the 1.82M-row
+``intraday.csv`` of ``make-dataset --points 20000`` (61 MB row by row).
 """
 
 from __future__ import annotations
@@ -73,48 +75,43 @@ class IngestResult:
     duplicate_rows: int
 
 
-# rows a column block holds at most: 32 MB of int64, which the allocator maps
-# apart and returns to the system when freed
-_BLOCK_ROWS = 1 << 22
+# rows that wait before one sort moves them onto their tickers' pieces; past 1,024
+# tickers the wait grows with them, so that a piece holds about 256 rows
+_GROUP_ROWS = 1 << 18
 
 
 class _Rows:
-    """The valid rows read so far, in file order, in column blocks, and the count skipped."""
+    """The valid rows read so far, grouped by ticker in file order, and the count skipped."""
 
-    def __init__(self, size: int) -> None:
-        """Rows of a file of ``size`` bytes, 0 if unknown (a pipe)."""
-        # numpy backs an array of 4 MB or more with 2 MB pages, so a block's first
-        # rows cost 2 MB a column: a small file gets one block of its bound on rows,
-        # as each valid row but the last takes 6 bytes or more
-        self.block_rows = min(_BLOCK_ROWS, size // 6 + 1) if size else _BLOCK_ROWS
+    def __init__(self) -> None:
         self.codes: dict[str, int] = {}  # ticker -> code, numbered as first seen
-        # blocks of int64 codes, int64 timestamps and float64 prices
-        self.columns: tuple[list[np.ndarray], ...] = ([], [], [])
-        self.rows = 0
+        # code -> that ticker's (timestamps, prices) pieces, in file order
+        self.pieces: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self.waiting: list[tuple[np.ndarray, ...]] = []  # (codes, timestamps, prices) to group
+        self.waiting_rows = 0
         self.skipped = 0
 
     def add(
         self, codes: np.ndarray, timestamps: np.ndarray, prices: np.ndarray, skipped: int
     ) -> None:
         self.skipped += skipped
-        done = 0
-        while done < len(codes):
-            at = self.rows % self.block_rows
-            if at == 0:
-                for blocks, dtype in zip(self.columns, (np.int64, np.int64, np.float64)):
-                    blocks.append(np.empty(self.block_rows, dtype=dtype))
-            n = min(len(codes) - done, self.block_rows - at)
-            for blocks, values in zip(self.columns, (codes, timestamps, prices)):
-                blocks[-1][at : at + n] = values[done : done + n]
-            done += n
-            self.rows += n
+        self.waiting.append((codes, timestamps, prices))
+        self.waiting_rows += len(codes)
+        if self.waiting_rows >= _GROUP_ROWS * (1 + len(self.codes) // 1024):
+            self.group()
 
-    def take(self) -> Iterator[np.ndarray]:
-        """The codes, timestamps and prices, each whole; each column's blocks are let go in turn."""
-        for blocks in self.columns:
-            blocks[-1] = blocks[-1][: self.rows - (len(blocks) - 1) * self.block_rows]
-            yield np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-            blocks.clear()
+    def group(self) -> None:
+        """Move the waiting rows onto their tickers' pieces, in file order: the sort is stable."""
+        code, ts, prices = (np.concatenate(column) for column in zip(*self.waiting))
+        self.waiting.clear()
+        self.waiting_rows = 0
+        self.pieces += [[] for _ in range(len(self.codes) - len(self.pieces))]
+        order = np.argsort(code, kind="stable")
+        counts = np.bincount(code, minlength=len(self.codes))
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            rows = order[ends[c] - counts[c] : ends[c]]
+            self.pieces[c].append((ts[rows], prices[rows]))
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -154,37 +151,43 @@ def _csv_rows(reader, path: Path) -> Iterator[list[str]]:
 
 
 def _parse_rows(rows: Iterable[list[str]], out: _Rows) -> None:
-    """Add the valid rows of csv ``rows`` to ``out``, one at a time."""
-    row_codes: list[int] = []
-    row_ts: list[int] = []
-    row_prices: list[float] = []
-    skipped = 0
+    """Add the valid rows of csv ``rows`` to ``out``, ``_GROUP_ROWS`` at a time."""
+    rows = iter(rows)
     codes = out.codes
-    for row in rows:
-        if len(row) != 3:
-            skipped += any(c.strip() for c in row)  # blank lines are not counted
-            continue
-        raw_ts, ticker, raw_price = row[0].strip(), row[1].strip(), row[2].strip()
-        if not (raw_ts or ticker or raw_price):
-            continue
-        try:
-            ts = _parse_timestamp(raw_ts)
-            price = float(raw_price) if raw_price else math.nan
-        except ValueError:
-            skipped += 1
-            continue
-        if not ticker or not 0 < price < math.inf:  # also catches NaN
-            skipped += 1
-            continue
-        row_codes.append(codes.setdefault(ticker, len(codes)))
-        row_ts.append(ts)
-        row_prices.append(price)
-    out.add(
-        np.array(row_codes, dtype=np.int64),
-        np.array(row_ts, dtype=np.int64),
-        np.array(row_prices, dtype=np.float64),
-        skipped,
-    )
+    full = True
+    while full:
+        row_codes: list[int] = []
+        row_ts: list[int] = []
+        row_prices: list[float] = []
+        skipped = 0
+        for row in rows:
+            if len(row) != 3:
+                skipped += any(c.strip() for c in row)  # blank lines are not counted
+                continue
+            raw_ts, ticker, raw_price = row[0].strip(), row[1].strip(), row[2].strip()
+            if not (raw_ts or ticker or raw_price):
+                continue
+            try:
+                ts = _parse_timestamp(raw_ts)
+                price = float(raw_price) if raw_price else math.nan
+            except ValueError:
+                skipped += 1
+                continue
+            if not ticker or not 0 < price < math.inf:  # also catches NaN
+                skipped += 1
+                continue
+            row_codes.append(codes.setdefault(ticker, len(codes)))
+            row_ts.append(ts)
+            row_prices.append(price)
+            if len(row_codes) == _GROUP_ROWS:
+                break
+        full = len(row_codes) == _GROUP_ROWS
+        out.add(
+            np.array(row_codes, dtype=np.int64),
+            np.array(row_ts, dtype=np.int64),
+            np.array(row_prices, dtype=np.float64),
+            skipped,
+        )
 
 
 def _digits(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,46 +281,34 @@ def _plain_header(line: bytes) -> bool:
 
 
 def _result(path: Path, rows: _Rows) -> IngestResult:
-    """Per-ticker series from ``rows``."""
-    codes = rows.codes
-    if not codes:
+    """Per-ticker series from ``rows``, in ticker name order."""
+    if not rows.codes:
         raise ValueError(f"{path}: no valid rows")
-
-    # number the tickers in name order, then sort rows by (ticker, timestamp);
-    # the sort is stable, so of rows sharing both the last read comes last
-    tickers = sorted(codes)
-    rank = np.empty(len(tickers), dtype=np.int64)
-    rank[[codes[t] for t in tickers]] = np.arange(len(tickers))
-    code, ts, prices = rows.take()
-    code = rank[code]
-    # rows already in order, as a file written ticker by ticker has them, skip the sort
-    same = code[1:] == code[:-1]
-    if not ((code[1:] > code[:-1]) | (same & (ts[1:] >= ts[:-1]))).all():
-        order = np.lexsort((ts, code))
-        code, ts, prices = code[order], ts[order], prices[order]
-        same = code[1:] == code[:-1]
-    last = np.ones(len(ts), dtype=bool)
-    last[:-1] = ~same | (ts[1:] != ts[:-1])
-    duplicates = len(last) - int(np.count_nonzero(last))
-    if duplicates:
-        code, ts, prices = code[last], ts[last], prices[last]
-    bounds = np.searchsorted(code, np.arange(len(tickers) + 1))
-    del code, same, last  # the series copy their rows: hold only those rows meanwhile
-    series = tuple(
-        PriceSeries(
-            ticker=ticker,
-            sampling=_sampling_label(ts[a:b]),
-            timestamps=ts[a:b],
-            prices=prices[a:b],
+    if rows.waiting:
+        rows.group()
+    series = []
+    duplicates = 0
+    for ticker in sorted(rows.codes):
+        pieces = rows.pieces[rows.codes[ticker]]
+        ts, prices = (np.concatenate(column) for column in zip(*pieces))
+        pieces.clear()  # the series copies its rows: hold only this ticker's twice
+        if not (ts[1:] >= ts[:-1]).all():
+            # stable, so of rows sharing a timestamp the last read comes last
+            order = np.argsort(ts, kind="stable")
+            ts, prices = ts[order], prices[order]
+        last = np.append(ts[1:] != ts[:-1], True)  # the last row of each timestamp
+        if not last.all():
+            duplicates += len(last) - int(np.count_nonzero(last))
+            ts, prices = ts[last], prices[last]
+        series.append(
+            PriceSeries(ticker=ticker, sampling=_sampling_label(ts), timestamps=ts, prices=prices)
         )
-        for ticker, a, b in zip(tickers, bounds[:-1], bounds[1:])
-    )
-    return IngestResult(series=series, skipped_rows=rows.skipped, duplicate_rows=duplicates)
+    return IngestResult(series=tuple(series), skipped_rows=rows.skipped, duplicate_rows=duplicates)
 
 
 def _ingest_rows(path: Path) -> IngestResult:
     """Read every row with ``csv.reader``: for files not strict, and as the byte path's oracle."""
-    rows = _Rows(path.stat().st_size)
+    rows = _Rows()
     with path.open(newline="", encoding="utf-8-sig") as fh:
         lines = _csv_rows(csv.reader(fh), path)
         header = next(lines, None)
@@ -336,7 +327,7 @@ def ingest_csv(path: str | Path) -> IngestResult:
         raise FileNotFoundError(path)
     if not path.is_file():  # a pipe can be read only once, so no path may fall back
         return _ingest_rows(path)
-    rows = _Rows(path.stat().st_size)
+    rows = _Rows()
     with path.open("rb") as fh:
         if not _plain_header(fh.readline().removeprefix(_BOM)):
             return _ingest_rows(path)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
 import os
 import re
 import time
@@ -172,6 +173,9 @@ class AnalysisReport:
         return sum(1 for r in self.records if r.failed) + len(self.failures)
 
 
+_FORK = multiprocessing.get_context("fork")
+
+
 class _InlinePool:
     """The pool at one job: each task runs here, at submit."""
 
@@ -224,8 +228,9 @@ class _Executor:
     def open(self, tasks: int) -> None:
         """Run later tasks in a pool of ``min(jobs, tasks)`` workers if ``jobs > 1``; call it once.
 
-        Under the fork start method every worker is forked at the first
-        submit, so no pool has more workers than the tasks it was opened for.
+        Every pool forks its workers (named, since Python 3.14 defaults to
+        forkserver on Linux), all at the first submit, so no pool has more
+        workers than the tasks it was opened for.
         """
         if self.jobs > 1:
             self._replace(min(self.jobs, tasks))
@@ -233,7 +238,8 @@ class _Executor:
     def _replace(self, workers: int) -> None:
         # the old pool shuts down first, so no pool thread runs while the new one forks
         self._stack.close()
-        self._pool = self._stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
+        self._pool = self._stack.enter_context(pool)
         self.workers = workers
 
     def submit(self, fn: Callable, *args) -> _Task:
@@ -267,7 +273,7 @@ class _Executor:
         if again is not None:
             lost.remove(again)
             again.alone = True
-            with ProcessPoolExecutor(max_workers=1) as pool:
+            with ProcessPoolExecutor(max_workers=1, mp_context=_FORK) as pool:
                 again.future = pool.submit(again.fn, *again.args)
         self._replace(self.workers)
         for task in lost:

@@ -4,12 +4,20 @@
 at a time; it is the oracle.  Every file here must give the same series,
 sampling labels, skipped and duplicate counts, or the same error, on both.
 The chunk size is patched small, so most files span many chunks, and so is
-the column block, so the rows of most span many blocks.
+the count of rows grouped by ticker at once, so the rows of most are grouped
+in many steps.  Both paths group their rows with the same code, so
+``reference`` groups them again in plain Python, a dict per ticker, as the
+oracle of that step.
 """
 
+import csv
+import math
 import os
 import random
+import statistics
 import threading
+import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +25,8 @@ import pytest
 
 from entrokit import ingest
 from entrokit.cli import main as cli_main
-from entrokit.ingest import ingest_csv
+from entrokit.ingest import IngestResult, ingest_csv
+from entrokit.series import PriceSeries
 
 HEADER = "timestamp,ticker,close"
 TICKERS = ["A", "AAA", "ZZ", "BRK.B", "X-1", "A_B", "ABCDEFGH", "a~b", "Q!", "AA"]
@@ -41,6 +50,63 @@ def outcome(read, path):
 
 def assert_same(path):
     assert outcome(ingest_csv, path) == outcome(ingest._ingest_rows, path)
+
+
+def reference_timestamp(raw):
+    try:
+        ts = int(raw)
+    except ValueError:
+        try:
+            return int(datetime.strptime(raw, "%Y-%m-%d").replace(tzinfo=timezone.utc).timestamp())
+        except ValueError:
+            return None
+    return ts if -(2**63) <= ts < 2**63 else None
+
+
+def reference_price(raw):
+    try:
+        price = float(raw)
+    except ValueError:
+        return None
+    return price if 0 < price < math.inf else None
+
+
+def reference(path):
+    """The grouping oracle: per ticker, a dict of the last price read at each timestamp."""
+    tickers, skipped, duplicates = {}, 0, 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = ingest._csv_rows(csv.reader(fh), path)
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if [f.strip().lower() for f in header] != HEADER.split(","):
+            raise ValueError(f"{path}: expected header {HEADER}, got {header}")
+        for row in rows:
+            fields = [f.strip() for f in row]
+            if not any(fields):
+                continue
+            ts = price = None
+            if len(fields) == 3 and fields[1]:
+                ts, price = reference_timestamp(fields[0]), reference_price(fields[2])
+            if ts is None or price is None:
+                skipped += 1
+                continue
+            prices = tickers.setdefault(fields[1], {})
+            duplicates += ts in prices
+            prices[ts] = price
+    if not tickers:
+        raise ValueError(f"{path}: no valid rows")
+    series = []
+    for ticker in sorted(tickers):
+        stamps = sorted(tickers[ticker])
+        spacing = statistics.median(b - a for a, b in zip(stamps, stamps[1:])) if stamps[1:] else 0
+        series.append(PriceSeries(
+            ticker=ticker,
+            sampling="intraday" if 0 < spacing < 43_200 else "daily",
+            timestamps=stamps,
+            prices=[tickers[ticker][ts] for ts in stamps],
+        ))
+    return IngestResult(series=tuple(series), skipped_rows=skipped, duplicate_rows=duplicates)
 
 
 def strict_price(rng):
@@ -151,12 +217,13 @@ def random_file(path, rng):
 class TestDifferentialFuzz:
     @pytest.mark.parametrize("seed", range(200))
     def test_random_file(self, tmp_path, monkeypatch, seed):
-        """Small chunks and small column blocks against whole-file rows in one block."""
+        """Small chunks and small groups against whole-file rows grouped at once."""
         rng = random.Random(seed)
         path = random_file(tmp_path / "p.csv", rng)
         expected = outcome(ingest._ingest_rows, path)
+        assert outcome(reference, path) == expected
         monkeypatch.setattr(ingest, "CHUNK_BYTES", rng.choice([1, 16, 64, 256, 1 << 23]))
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", rng.choice([1, 2, 7, 50, 1 << 22]))
+        monkeypatch.setattr(ingest, "_GROUP_ROWS", rng.choice([1, 2, 7, 50, 1 << 22]))
         assert outcome(ingest_csv, path) == expected
         assert outcome(ingest._ingest_rows, path) == expected
 
@@ -166,6 +233,64 @@ class TestDifferentialFuzz:
             path.write_bytes(data)
             assert outcome(ingest_csv, path)[0] == "error"
             assert_same(path)
+
+
+class TestGrouping:
+    @staticmethod
+    def time_ordered(path, group):
+        """Four tickers' rows in time order; after every ``group``-th row, a duplicate of it
+        and a row of another ticker two minutes late, repeating a timestamp of an earlier group."""
+        lines = []
+        for step in range(2, 40):
+            for k, ticker in enumerate(["D", "B", "C", "A"]):
+                ts = 10**9 + 60 * step
+                lines.append(f"{ts},{ticker},{100 + step}.{k}")
+                if len(lines) % group == 0:
+                    lines.append(f"{ts},{ticker},{200 + step}.{k}")
+                    lines.append(f"{ts - 120},{'DBCA'[k - 1]},{300 + step}.{k}")
+        path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("group", [1, 7, 50])
+    def test_duplicates_and_late_rows_across_groups(self, tmp_path, monkeypatch, group):
+        """With one line a chunk, each group ends after ``group`` rows on both paths, so every
+        duplicate made here has its first copy in one group and its last in the next."""
+        path = self.time_ordered(tmp_path / "p.csv", group)
+        expected = outcome(reference, path)
+        assert expected[1] > 0
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(ingest, "_GROUP_ROWS", group)
+        seen = spy_chunks(monkeypatch)
+        assert outcome(ingest_csv, path) == expected
+        assert seen and all(ok for _, ok in seen)
+        assert outcome(ingest._ingest_rows, path) == expected
+
+    def test_peak_allocation_per_row(self, tmp_path, monkeypatch):
+        """A ticker-major strict file of 400k rows allocates at most 24 bytes a row at its peak.
+
+        This counts the allocations ``tracemalloc`` traces (numpy reports its buffers
+        to it), not RSS.  The rows kept, grouped and then copied ticker by ticker into
+        their series, cost 16 bytes each; chunks and groups are patched small, so their
+        temporaries stay a small share of the file's.
+        """
+        tickers, bars = 100, 4000
+        path = tmp_path / "p.csv"
+        lines = (
+            f"{10**9 + 60 * i},T{t:03d},{100 + t}.{i % 97:02d}\n"
+            for t in range(tickers)
+            for i in range(bars)
+        )
+        path.write_text(HEADER + "\n" + "".join(lines), encoding="utf-8")
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 14)
+        monkeypatch.setattr(ingest, "_GROUP_ROWS", 1 << 12)
+        tracemalloc.start()
+        try:
+            result = ingest_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s) for s in result.series) == tickers * bars
+        assert peak <= 24 * tickers * bars, peak / (tickers * bars)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

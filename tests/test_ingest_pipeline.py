@@ -73,7 +73,7 @@ def inline_pool(sizes):
     """Stand-in pool class: records each pool's size in ``sizes`` and runs each task at submit, here."""
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -431,6 +431,27 @@ class TestRunPipeline:
         # one pool for the run, one rerun pool, then one ticker alone per further break
         assert len(pools) < 10, pools
         assert pools[:2] == [2, 2]
+
+    def test_every_pool_forks(self, tmp_path, monkeypatch):
+        """Each pool of a two-job run names the fork context, the dead-worker reruns' too:
+        the stand-ins patched in here reach the workers only by fork."""
+        path = tiny_market(tmp_path)
+        monkeypatch.setattr(pipeline, "_process_ticker", _worker_dies_on_tk1)
+        opened = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append((args, kwargs))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "o"
+        assert cli_main(["estimate", "--input", str(path), "--out", str(out), "--jobs", "2"]) == 2
+        # the run's pool, the rerun pool, TK1's pool of its own and the pool after it
+        assert [kwargs["max_workers"] for _, kwargs in opened][:4] == [2, 2, 1, 2]
+        for args, kwargs in opened:
+            assert args == ()
+            assert kwargs["mp_context"].get_start_method() == "fork"
 
     def test_pool_no_larger_than_its_tickers(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path)

@@ -243,7 +243,14 @@ def correlation_integral(values: np.ndarray, m: int, epsilon: float) -> float:
 
 
 def bds_statistic(values: np.ndarray, params: BdsParams = BdsParams()) -> BdsResult:
-    """BDS statistic with epsilon = epsilon_multiplier * sample std."""
+    """BDS statistic with epsilon = epsilon_multiplier * sample std.
+
+    On bare returns the only constant series it can tell is one of equal
+    values: returns that differ only by rounding (a price path growing at a
+    fixed rate) give a rounding-sized epsilon and a confident rejection.  How
+    large that rounding is depends on the log prices, which the caller holds;
+    the pipeline fails such series before they reach BDS.
+    """
     x = np.asarray(values, float)
     n = len(x)
     m = params.embedding_m

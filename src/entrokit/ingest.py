@@ -16,13 +16,17 @@ the ticker is 1-8 printable ASCII bytes other than quote, comma and space,
 and the price has at least one digit on each side of its dot, at most 16
 digits in all, and read without its dot is below 2**53.  Such a price is
 mantissa / 10**k, one correctly rounded division of two exact doubles, so
-it equals ``float()`` of the text (Clinger, PLDI 1990).  The first line of
-any other form (an ISO date, a sign, an exponent, a blank line, a space, a
-long or non-ASCII ticker), a ``"`` anywhere (quoting can span lines and
-chunks), or a header that is not the plain expected one sends the whole
-file through ``csv.reader`` one row at a time (``_ingest_rows``); so does a
-pipe, which can be read only once.  Both paths apply the same rules and give the same
-series, counts and errors; the per-row path is the tests' oracle.
+it equals ``float()`` of the text (Clinger, PLDI 1990).  The first chunk
+with a line of any other form (an ISO date, a sign, an exponent, a blank
+line, a space, a long or non-ASCII ticker) or a ``"`` anywhere (quoting can
+span lines and chunks) is read by ``csv.reader`` one row at a time, and so
+is the rest of the same stream; a header that is not the plain expected one
+sends the whole file there.  So every input, a pipe too, is read once.  The
+rows parsed from bytes before the switch stay: those lines are ASCII and
+hold no quote, so ``csv.reader`` reads them the same way and starts the
+switch chunk outside any quoted field.  Both paths apply the same rules and
+give the same series, counts and errors; ``csv.reader`` over the whole file
+is the tests' oracle.
 
 ``CHUNK_BYTES`` is 2**18 (256 KiB), about 8,700 lines of 30 bytes; the
 byte parse holds about 150 bytes of temporaries per line of its chunk.
@@ -40,11 +44,13 @@ one fresh process each on a 2-core machine: 20, 25 and 21 bytes a row on
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,16 +141,18 @@ def _sampling_label(timestamps: np.ndarray) -> str:
     return "daily" if spacing >= DAILY_SPACING_SECONDS else "intraday"
 
 
-def _csv_rows(reader, path: Path) -> Iterator[list[str]]:
+def _csv_rows(reader, path: Path, lines_before: int) -> Iterator[list[str]]:
     """``reader``'s rows; a csv or decoding error becomes a ValueError naming the file.
 
-    A decoding error names the byte, not where it is: the decoder reads ahead
-    of the rows, so it knows no line number.
+    A csv error names its line, counting the ``lines_before`` lines of the
+    file that came before ``reader``'s first.  A decoding error names the
+    byte, not where it is: the decoder reads ahead of the rows, so it knows no
+    line number.
     """
     try:
         yield from reader
     except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise ValueError(f"{path}: line {lines_before + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ValueError(f"{path}: not UTF-8: {exc.reason} (byte 0x{byte:02x})") from None
@@ -306,18 +314,51 @@ def _result(path: Path, rows: _Rows) -> IngestResult:
     return IngestResult(series=tuple(series), skipped_rows=rows.skipped, duplicate_rows=duplicates)
 
 
-def _ingest_rows(path: Path) -> IngestResult:
-    """Read every row with ``csv.reader``: for files not strict, and as the byte path's oracle."""
-    rows = _Rows()
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        lines = _csv_rows(csv.reader(fh), path)
-        header = next(lines, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if not _is_header(header):
-            raise ValueError(f"{path}: expected header {','.join(EXPECTED_HEADER)}, got {header}")
-        _parse_rows(lines, rows)
-    return _result(path, rows)
+class _Replay(io.RawIOBase):
+    """``head``, which starts at byte ``offset`` of the file, then the rest of ``fh``.
+
+    One stream, so that one decoder reads ahead over both.  Its first read ends
+    where reads of the same size from the start of the file would, so the
+    decoder sees a whole-file read's blocks: of a csv error and a byte not
+    UTF-8 after it, the same one is met first.
+    """
+
+    def __init__(self, head: bytes, fh: BinaryIO, offset: int) -> None:
+        self.head = memoryview(head)
+        self.fh = fh
+        self.offset = offset
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        size = len(buf) - self.offset % len(buf)
+        self.offset = 0
+        n = min(size, len(self.head))
+        buf[:n] = self.head[:n]
+        self.head = self.head[n:]
+        return n + self.fh.readinto(memoryview(buf)[n:size])
+
+
+def _read_rest(path: Path, raw: _Replay, lines: int, rows: _Rows) -> None:
+    """Add the rows of ``raw`` to ``rows``, read with ``csv.reader``.
+
+    ``lines`` lines, the header among them, were parsed from bytes before
+    ``raw``; with none, ``raw`` starts the file and the header is read here.
+    """
+    # a byte-order mark is skipped only at the start of the file, as a whole-file read does
+    encoding = "utf-8" if lines else "utf-8-sig"
+    with io.TextIOWrapper(raw, encoding=encoding, newline="") as text:
+        reader = _csv_rows(csv.reader(text), path, lines)
+        if not lines:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if not _is_header(header):
+                raise ValueError(
+                    f"{path}: expected header {','.join(EXPECTED_HEADER)}, got {header}"
+                )
+        _parse_rows(reader, rows)
 
 
 def ingest_csv(path: str | Path) -> IngestResult:
@@ -325,14 +366,18 @@ def ingest_csv(path: str | Path) -> IngestResult:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    if not path.is_file():  # a pipe can be read only once, so no path may fall back
-        return _ingest_rows(path)
     rows = _Rows()
+    lines = offset = 0  # the lines and bytes parsed from bytes, the header's among them
     with path.open("rb") as fh:
-        if not _plain_header(fh.readline().removeprefix(_BOM)):
-            return _ingest_rows(path)
-        while chunk := fh.read(CHUNK_BYTES):
-            chunk += fh.readline()
-            if b'"' in chunk or not _strict_rows(chunk, rows):
-                return _ingest_rows(path)
+        chunk = fh.readline()
+        if _plain_header(chunk.removeprefix(_BOM)):
+            lines, offset = 1, len(chunk)
+            while chunk := fh.read(CHUNK_BYTES):
+                chunk += fh.readline()
+                if b'"' in chunk or not _strict_rows(chunk, rows):
+                    break
+                lines += chunk.count(b"\n")
+                offset += len(chunk)
+        if chunk or not lines:
+            _read_rest(path, _Replay(chunk, fh, offset), lines, rows)
     return _result(path, rows)

@@ -342,10 +342,28 @@ def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
     )
 
 
+# a log return carries the rounding of its two log prices: a few ulps of the larger
+ROUNDING_ULPS = 64
+
+
+def _rounding_flat(returns: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
+    """Whether ``returns`` (each row of them) span at most ROUNDING_ULPS ulps of the
+    largest absolute value of ``log_prices`` (of its row).
+
+    Such returns are constant but for rounding, as those of a price path
+    growing at a fixed rate are; BDS and the correlations, which see only the
+    returns, would read their rounding as structure.
+    """
+    scale = np.maximum(log_prices.max(axis=-1), -log_prices.min(axis=-1))
+    return np.ptp(returns, axis=-1) <= ROUNDING_ULPS * np.finfo(float).eps * scale
+
+
 def _process_ticker(series: PriceSeries, config: RunConfig) -> TickerRecord:
     try:
         returns = _returns_for(series, config)
         symbols = quantile_discretize(returns, config.states)
+        if _rounding_flat(returns, np.log(series.prices)):
+            raise ValueError("zero-variance series")
         lz = lz_entropy_rate(symbols)
         ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth)
         bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
@@ -563,6 +581,8 @@ def _aligned_returns(cohort: list[PriceSeries], config: RunConfig) -> tuple[np.n
     exactly when its count over the cohort equals the cohort's size.  The
     shared prices are gathered into one matrix, a row per series, whose log
     returns are taken at once.  Fewer than two shared stamps give no columns.
+    A row of three or more returns flat but for rounding fails as
+    ``zero-variance series: <ticker>``.
     """
     stamps, counts = np.unique(
         np.concatenate([series.timestamps for series in cohort]), return_counts=True
@@ -572,8 +592,13 @@ def _aligned_returns(cohort: list[PriceSeries], config: RunConfig) -> tuple[np.n
     prices = np.empty((len(cohort), len(common)))
     for row, series in zip(prices, cohort):
         row[:] = series.prices[np.searchsorted(series.timestamps, common)]
-    returns = np.diff(np.log(prices, out=prices), axis=1)
-    return returns[:, _kept_returns(common, cohort[0].sampling, config)], dropped
+    logs = np.log(prices, out=prices)
+    returns = np.diff(logs, axis=1)[:, _kept_returns(common, cohort[0].sampling, config)]
+    if returns.shape[1] >= 3:  # fewer fail in correlation_matrix, which says why
+        flat = _rounding_flat(returns, logs)
+        if flat.any():
+            raise ValueError(f"zero-variance series: {cohort[int(np.argmax(flat))].ticker}")
+    return returns, dropped
 
 
 def _graph_task(

@@ -1,13 +1,16 @@
-"""The byte parse of ``ingest_csv`` against the per-row reader it falls back to.
+"""The byte parse of ``ingest_csv`` against ``csv.reader`` reading every line.
 
-``ingest._ingest_rows`` reads the whole file through ``csv.reader`` one row
-at a time; it is the oracle.  Every file here must give the same series,
-sampling labels, skipped and duplicate counts, or the same error, on both.
-The chunk size is patched small, so most files span many chunks, and so is
-the count of rows grouped by ticker at once, so the rows of most are grouped
-in many steps.  Both paths group their rows with the same code, so
-``reference`` groups them again in plain Python, a dict per ticker, as the
-oracle of that step.
+``by_rows`` is ``ingest_csv`` with no header taken as plain, so ``csv.reader``
+reads the whole file one row at a time; it is the oracle.  ``ingest_csv``
+parses chunks from bytes while they are strict and hands the first chunk that
+is not, and the rest of the same stream, to ``csv.reader``.  Every file here
+must give the same series, sampling labels, skipped and duplicate counts, or
+the same error, on both.  The chunk size is patched small, so most files span
+many chunks, and so is the count of rows grouped by ticker at once, so the rows
+of most are grouped in many steps.  Both read with the same code past the
+switch and group their rows with the same code, so ``reference`` reads each
+file whole with ``csv.reader`` and groups its rows in plain Python, a dict per
+ticker, as the oracle of both.
 """
 
 import csv
@@ -19,6 +22,7 @@ import threading
 import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,8 +52,14 @@ def outcome(read, path):
     )
 
 
+def by_rows(path):
+    """``ingest_csv`` with no header plain, so ``csv.reader`` reads every line: the oracle."""
+    with mock.patch.object(ingest, "_plain_header", lambda line: False):
+        return ingest_csv(path)
+
+
 def assert_same(path):
-    assert outcome(ingest_csv, path) == outcome(ingest._ingest_rows, path)
+    assert outcome(ingest_csv, path) == outcome(by_rows, path)
 
 
 def reference_timestamp(raw):
@@ -75,7 +85,7 @@ def reference(path):
     """The grouping oracle: per ticker, a dict of the last price read at each timestamp."""
     tickers, skipped, duplicates = {}, 0, 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = ingest._csv_rows(csv.reader(fh), path)
+        rows = ingest._csv_rows(csv.reader(fh), path, 0)
         header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
@@ -220,12 +230,12 @@ class TestDifferentialFuzz:
         """Small chunks and small groups against whole-file rows grouped at once."""
         rng = random.Random(seed)
         path = random_file(tmp_path / "p.csv", rng)
-        expected = outcome(ingest._ingest_rows, path)
+        expected = outcome(by_rows, path)
         assert outcome(reference, path) == expected
         monkeypatch.setattr(ingest, "CHUNK_BYTES", rng.choice([1, 16, 64, 256, 1 << 23]))
         monkeypatch.setattr(ingest, "_GROUP_ROWS", rng.choice([1, 2, 7, 50, 1 << 22]))
         assert outcome(ingest_csv, path) == expected
-        assert outcome(ingest._ingest_rows, path) == expected
+        assert outcome(by_rows, path) == expected
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -263,15 +273,17 @@ class TestGrouping:
         seen = spy_chunks(monkeypatch)
         assert outcome(ingest_csv, path) == expected
         assert seen and all(ok for _, ok in seen)
-        assert outcome(ingest._ingest_rows, path) == expected
+        assert outcome(by_rows, path) == expected
 
     def test_peak_allocation_per_row(self, tmp_path, monkeypatch):
-        """A ticker-major strict file of 400k rows allocates at most 24 bytes a row at its peak.
+        """A ticker-major strict file of 400k rows allocates at most 24 bytes a row at its peak,
+        and so does the same file with a last line that is not strict.
 
         This counts the allocations ``tracemalloc`` traces (numpy reports its buffers
         to it), not RSS.  The rows kept, grouped and then copied ticker by ticker into
         their series, cost 16 bytes each; chunks and groups are patched small, so their
-        temporaries stay a small share of the file's.
+        temporaries stay a small share of the file's.  csv.reader reads only the last
+        chunk, and the rows parsed from bytes before it are kept, not read again.
         """
         tickers, bars = 100, 4000
         path = tmp_path / "p.csv"
@@ -283,34 +295,48 @@ class TestGrouping:
         path.write_text(HEADER + "\n" + "".join(lines), encoding="utf-8")
         monkeypatch.setattr(ingest, "CHUNK_BYTES", 1 << 14)
         monkeypatch.setattr(ingest, "_GROUP_ROWS", 1 << 12)
-        tracemalloc.start()
-        try:
-            result = ingest_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sum(len(s) for s in result.series) == tickers * bars
-        assert peak <= 24 * tickers * bars, peak / (tickers * bars)
+        for late in ("", "2020-01-01,T000,12.5\n"):
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write(late)
+            tracemalloc.start()
+            try:
+                result = ingest_csv(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sum(len(s) for s in result.series) == tickers * bars + bool(late)
+            assert peak <= 24 * tickers * bars, peak / (tickers * bars)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_pipe_is_read_once(tmp_path):
-    """A pipe cannot be read twice, so a quote in it must not make ingest reopen it."""
-    text = HEADER + '\n1,"A",1.5\n2,A,2.5\n86400,B,0.25\n'
-    plain = tmp_path / "p.csv"
-    plain.write_text(text, encoding="utf-8")
-    fifo = tmp_path / "fifo.csv"
+def test_pipe_is_read_once(tmp_path, monkeypatch):
+    """A pipe is read once, in the chunks a file of its bytes is: parsed from bytes while
+    they are strict, then by csv.reader from a quote on the first line or an ISO date on
+    the last."""
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+    strict = [f"{10**9 + 60 * i},{'AB'[i % 2]},{i}.5" for i in range(40)]
+    plain, fifo = tmp_path / "p.csv", tmp_path / "fifo.csv"
     os.mkfifo(fifo)
-    result = []
-    reader = threading.Thread(target=lambda: result.append(outcome(ingest_csv, fifo)))
-    reader.start()
-    fifo.write_text(text, encoding="utf-8")  # returns once the reader has opened the pipe
-    reader.join(timeout=10)
-    if reader.is_alive():  # it opened the pipe again: let that open see an empty pipe
-        fifo.write_text("", encoding="utf-8")
+    seen = spy_chunks(monkeypatch)
+    for lines in (['1,"A",1.5', "2,A,2.5", "86400,B,0.25"], [*strict, "2020-01-01,A,2.5"]):
+        text = "\n".join([HEADER, *lines]) + "\n"
+        plain.write_text(text, encoding="utf-8")
+        expected = outcome(ingest_csv, plain)
+        chunks = seen[:]
+        seen.clear()
+        result = []
+        reader = threading.Thread(target=lambda: result.append(outcome(ingest_csv, fifo)))
+        reader.start()
+        fifo.write_text(text, encoding="utf-8")  # returns once the reader has opened the pipe
         reader.join(timeout=10)
-    assert not reader.is_alive()
-    assert result == [outcome(ingest_csv, plain)]
+        if reader.is_alive():  # it opened the pipe again: let that open see an empty pipe
+            fifo.write_text("", encoding="utf-8")
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert result == [expected]
+        assert seen == chunks
+        seen.clear()
+    assert [ok for _, ok in chunks].count(True) > 1 and not chunks[-1][1]
 
 
 def spy_chunks(monkeypatch):
@@ -376,6 +402,43 @@ class TestChunks:
         assert_same(path)
         assert [ok for _, ok in seen] == [True, True, True, False]
         assert outcome(ingest_csv, path)[1] == 4
+
+    def test_file_is_opened_once(self, tmp_path, monkeypatch):
+        """A late line that is not strict is read on from the file already open."""
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", self.LINES * self.WIDTH - 1)
+        lines = self.lines(30)
+        lines[28] = "2001-09-09,AAA,10.25"
+        path = self.write(tmp_path / "p.csv", lines)
+        expected = outcome(by_rows, path)
+        opens, path_open = [], Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opens.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        seen = spy_chunks(monkeypatch)
+        assert outcome(ingest_csv, path) == expected
+        assert opens == [path]
+        assert [ok for _, ok in seen] == [True] * 5 + [False]
+
+    @pytest.mark.parametrize("late", ["\ufeff1000000120,AAA,10.25", '1000000120,"A\nA",10.25'])
+    def test_switch_mid_file(self, tmp_path, monkeypatch, late):
+        """After strict chunks csv.reader reads on as a whole-file read does: a U+FEFF that
+        starts its first chunk is part of a line, not a byte-order mark, and a quoted field
+        spans lines."""
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", self.LINES * self.WIDTH - 1)
+        lines = self.lines(30)
+        lines[15] = late  # the first line of the fourth chunk
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+        seen = spy_chunks(monkeypatch)
+        expected = outcome(ingest_csv, path)
+        assert [ok for _, ok in seen][:3] == [True] * 3
+        assert expected == outcome(by_rows, path) == outcome(reference, path)
+        skipped, _, series = expected
+        assert skipped == late.startswith("\ufeff")
+        assert [ticker for ticker, *_ in series] == ["A\nA"] * ("A\nA" in late) + ["AAA", "BBB"]
 
     @pytest.mark.parametrize(
         "bad", [b"1000000120,A\rB,0.00", b"1000000120,\xff\xfe,0.00", "1000000120,Ä,0.00".encode()]
@@ -468,7 +531,8 @@ class TestStrayQuote:
         assert_same(path)
 
     def test_long_field_after_many_chunks(self, tmp_path, monkeypatch):
-        """Strict chunks, then a blank line: csv.reader rereads the file and counts every line."""
+        """Strict chunks, then a blank line: csv.reader reads on, and the error's line counts
+        the lines parsed from bytes before it."""
         monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
         rows = [f"{10**9 + 60 * i},TK,{i}.5" for i in range(300)]
         rows[100:103] = ["", "1,TK,1.5\r2,TK,2.5", "2020-01-01,TK,3.5"]  # a lone CR: two lines
@@ -478,6 +542,17 @@ class TestStrayQuote:
         with pytest.raises(ValueError, match=r"p\.csv: line 253: field larger than field limit"):
             ingest_csv(path)
         assert_same(path)
+
+    def test_second_fault_after_the_switch(self, tmp_path, monkeypatch):
+        """A field over the limit, then a byte not UTF-8 6,000 bytes on: wherever the switch
+        to csv.reader falls, the error is the one a whole-file read meets first."""
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+        path = tmp_path / "p.csv"
+        for strict in range(0, 400, 37):
+            rows = [f"{10**9 + 60 * i},TK,{i}.5".encode() for i in range(strict)]
+            faults = [b"", b"1,TK," + b"9" * 140_000, b"x" * 6000 + b"\xff", b""]
+            path.write_bytes(b"\n".join([HEADER.encode(), *rows, *faults]))
+            assert_same(path)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_cli_exits_1_without_traceback(self, tmp_path, capfd, jobs):

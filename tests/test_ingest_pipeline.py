@@ -246,6 +246,21 @@ class TestRunPipeline:
         assert not by_ticker["GOOD"].failed
         assert report.num_failed == 1
 
+    def test_rounding_flat_returns_fail(self):
+        """Returns equal but for the rounding of their log prices fail as equal ones do, not
+        as a BDS rejection; a walk with 1e-6 noise is not flat."""
+        t = np.arange(300)
+        noise = np.random.default_rng(0).normal(0, 1e-6, 300)
+        config = RunConfig(inputs=(), out_dir=Path("unused"), command="validate")
+        for prices, error in (
+            (np.full(300, 100.0), "ValueError: zero-variance series"),
+            (100 * np.exp(0.001 * t), "ValueError: zero-variance series"),
+            (100 * 1.01**t, "ValueError: zero-variance series"),
+            (100 * np.exp(np.cumsum(noise)), ""),
+        ):
+            series = PriceSeries("T", "daily", t * 86400, prices)
+            assert pipeline._process_ticker(series, config).error == error
+
     def test_reproducible_report_body(self, tmp_path):
         path = tiny_market(tmp_path)
 
@@ -607,6 +622,13 @@ class TestAlignedReturns:
         files, info, rows_dropped, error = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
         assert (files, info, rows_dropped) == ({}, {}, 3)
         assert error == "need at least 3 aligned observations"
+
+    def test_rounding_flat_row_fails_the_graph(self):
+        """A row whose shared returns are equal but for rounding is named as a flat one is."""
+        cohort = _cohort([range(300)] * 3)
+        cohort[1] = dataclasses.replace(cohort[1], prices=100 * np.exp(0.001 * np.arange(300)))
+        result = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        assert result == ({}, {}, 0, "zero-variance series: T1")
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_gaps(self, seed):

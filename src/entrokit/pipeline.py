@@ -17,16 +17,22 @@ All files are written atomically under the output directory.
 
 One executor runs a command's work: a process pool when ``jobs > 1``,
 else each task inline, at submit.  The estimates stage reads every input
-here, opens the pool once, and then submits each piece of work the moment
-its inputs exist: the backtest, the per-ticker estimates in (sampling,
-ticker) order, each cohort's graph build as soon as its last ticker's
-record is in, and the two density tests once every record is.
+into ``_SERIES``, opens the pool once, and then submits each piece of work
+the moment its inputs exist: the backtest, the per-ticker estimates in
+(sampling, ticker) order, each cohort's graph build as soon as its last
+ticker's record is in, and the two density tests once every record is.
 Each task a later stage reads is kept under the name its failure takes
 ("backtest", "graph[daily]", "equality[lz]").  The later stages only
 collect those results by name, in the order of ``COMMANDS``, and write the
 files and the report in this process; workers write nothing.  The graph
 files hold the MST and the PMFG as edge lists, and as GML with each node's
 CTW entropy.
+
+A task names its series by index in ``_SERIES``, the run's one table of
+series: no series crosses a process boundary.  Pool workers see the table
+only because every pool forks them after ingest fills it; at one job tasks
+read it inline.  It is module state, emptied once the executor closes, so
+a process runs one ``run_pipeline`` at a time.
 
 ``report.txt`` lists the settings the command read, then
 ``AnalysisReport.facts``, then a ``failure:`` line for each named failure.
@@ -175,6 +181,10 @@ class AnalysisReport:
 
 _FORK = multiprocessing.get_context("fork")
 
+# the run's series, sorted by (ticker, sampling), from ingest until its executor
+# closes; tasks name them by index, and pool workers inherit the table by fork
+_SERIES: list[PriceSeries] = []
+
 
 class _InlinePool:
     """The pool at one job: each task runs here, at submit."""
@@ -286,7 +296,6 @@ class _Run:
 
     report: AnalysisReport
     executor: _Executor
-    series: list[PriceSeries] = field(default_factory=list)  # by (ticker, sampling)
     cohorts: dict[str, list[TickerRecord]] = field(default_factory=dict)  # label -> ok records
     # (label, "lz" or "ctw") -> the cohort's entropy rates, in cohort order
     entropies: dict[tuple[str, str], list[float]] = field(default_factory=dict)
@@ -333,13 +342,11 @@ def _returns_for(series: PriceSeries, config: RunConfig) -> np.ndarray:
     return log_returns(series)[_kept_returns(series.timestamps, series.sampling, config)]
 
 
-def _failed_record(series: PriceSeries, exc: BaseException) -> TickerRecord:
-    return TickerRecord(
-        ticker=series.ticker,
-        sampling=series.sampling,
-        n=len(series),
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _record(k: int, exc: BaseException | None = None, **estimates) -> TickerRecord:
+    """The record of series ``k``: its estimates, or the error ``exc``."""
+    series = _SERIES[k]
+    error = "" if exc is None else f"{type(exc).__name__}: {exc}"
+    return TickerRecord(series.ticker, series.sampling, len(series), error=error, **estimates)
 
 
 # a log return carries the rounding of its two log prices: a few ulps of the larger
@@ -358,7 +365,8 @@ def _rounding_flat(returns: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
     return np.ptp(returns, axis=-1) <= ROUNDING_ULPS * np.finfo(float).eps * scale
 
 
-def _process_ticker(series: PriceSeries, config: RunConfig) -> TickerRecord:
+def _process_ticker(k: int, config: RunConfig) -> TickerRecord:
+    series = _SERIES[k]
     try:
         returns = _returns_for(series, config)
         symbols = quantile_discretize(returns, config.states)
@@ -367,17 +375,12 @@ def _process_ticker(series: PriceSeries, config: RunConfig) -> TickerRecord:
         lz = lz_entropy_rate(symbols)
         ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth)
         bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
-        return TickerRecord(
-            ticker=series.ticker,
-            sampling=series.sampling,
-            n=len(series),
-            lz_entropy=lz.bits_per_symbol,
-            ctw_entropy=ctw.bits_per_symbol,
-            bds_statistic=bds.statistic,
-            bds_p=bds.p_value,
+        return _record(
+            k, lz_entropy=lz.bits_per_symbol, ctw_entropy=ctw.bits_per_symbol,
+            bds_statistic=bds.statistic, bds_p=bds.p_value,
         )
     except Exception as exc:  # crash isolation: the run continues
-        return _failed_record(series, exc)
+        return _record(k, exc)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -431,7 +434,7 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
 
 
 def _ingest(run: _Run) -> None:
-    """Every input's series, sorted by (ticker, sampling); a ticker twice in one cohort is an error."""
+    """Fill ``_SERIES`` from every input; a ticker twice in one cohort is an error."""
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
     skipped = duplicates = 0
     for path in run.config.inputs:
@@ -444,18 +447,18 @@ def _ingest(run: _Run) -> None:
                     f"both {source[key]} and {path}"
                 )
             source[key] = path
-        run.series.extend(result.series)
+        _SERIES.extend(result.series)
         skipped += result.skipped_rows
         duplicates += result.duplicate_rows
-    if not run.series:
+    if not _SERIES:
         raise ValueError("no tickers found in inputs")
-    run.series.sort(key=lambda s: (s.ticker, s.sampling))
+    _SERIES.sort(key=lambda s: (s.ticker, s.sampling))
     run.report.facts.update(skipped_rows=str(skipped), duplicate_rows=str(duplicates))
 
 
-def _backtest_label(run: _Run) -> str:
+def _backtest_label() -> str:
     """The cohort the backtest trades and splits by entropy: daily if any series is, else intraday."""
-    return "daily" if any(s.sampling == "daily" for s in run.series) else "intraday"
+    return "daily" if any(s.sampling == "daily" for s in _SERIES) else "intraday"
 
 
 def _estimates(run: _Run) -> None:
@@ -468,35 +471,32 @@ def _estimates(run: _Run) -> None:
     _ingest(run)
     config, report, executor = run.config, run.report, run.executor
     stages = COMMANDS[config.command]
-    executor.open(len(run.series))
-    if "backtest" in stages:
-        label = _backtest_label(run)
-        run.tasks["backtest"] = executor.submit(
-            _backtest_task, [s for s in run.series if s.sampling == label], config.strategy
-        )
+    executor.open(len(_SERIES))
     by_label: dict[str, list[int]] = {}  # label -> its series' indices, in ticker order
-    for k, series in enumerate(run.series):
+    for k, series in enumerate(_SERIES):
         by_label.setdefault(series.sampling, []).append(k)
     by_label = dict(sorted(by_label.items()))
+    if "backtest" in stages:
+        run.tasks["backtest"] = executor.submit(
+            _backtest_task, by_label[_backtest_label()], config.strategy
+        )
     tickers = {
-        k: executor.submit(_process_ticker, run.series[k], config)
-        for ks in by_label.values() for k in ks
+        k: executor.submit(_process_ticker, k, config) for ks in by_label.values() for k in ks
     }
-    records: list[TickerRecord] = [None] * len(run.series)
+    records: list[TickerRecord] = [None] * len(_SERIES)
     for label, ks in by_label.items():
         for k in ks:
             try:
                 records[k] = executor.result(tickers.pop(k))
             except BrokenProcessPool as exc:
-                records[k] = _failed_record(run.series[k], exc)
+                records[k] = _record(k, exc)
         ok = [k for k in ks if not records[k].failed]
         if not ok:
             continue
         cohort = run.cohorts[label] = [records[k] for k in ok]
         if "graphs" in stages and len(cohort) >= 3:
             run.tasks[f"graph[{label}]"] = executor.submit(
-                _graph_task, label, [run.series[k] for k in ok],
-                {r.ticker: r.ctw_entropy for r in cohort}, config,
+                _graph_task, label, ok, {r.ticker: r.ctw_entropy for r in cohort}, config
             )
     report.records = records
     report.facts["tickers"] = str(len(records))
@@ -602,18 +602,19 @@ def _aligned_returns(cohort: list[PriceSeries], config: RunConfig) -> tuple[np.n
 
 
 def _graph_task(
-    label: str, prices: list[PriceSeries], entropies: dict[str, float], config: RunConfig
+    label: str, indices: list[int], entropies: dict[str, float], config: RunConfig
 ) -> tuple[dict[str, str], dict[str, str], int, str]:
-    """One cohort's graphs: files (name -> text), report facts, rows dropped, error.
+    """The graphs of series ``indices``' cohort: files (name -> text), facts, rows dropped, error.
 
     A ValueError ends the build; what was built before it is returned with
     its message as the error, "" when there is none.
     """
     files: dict[str, str] = {}
     info, dropped = {}, 0
-    tickers = tuple(series.ticker for series in prices)
+    cohort = [_SERIES[k] for k in indices]
+    tickers = tuple(series.ticker for series in cohort)
     try:
-        returns, dropped = _aligned_returns(prices, config)
+        returns, dropped = _aligned_returns(cohort, config)
         rho = correlation_matrix(tickers, returns)
         graph = distance_graph(tickers, rho)
         for kind, builder in (("mst", mst), ("pmfg", pmfg)):
@@ -681,16 +682,16 @@ def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> 
 
 
 def _backtest_task(
-    series: list[PriceSeries], strategy: StrategyParams
+    indices: list[int], strategy: StrategyParams
 ) -> tuple[dict[str, str], list[PerformanceReport], list[str]]:
-    """Backtest each series: the CSV files (name -> text), the reports and the failures.
+    """Backtest series ``indices``: the CSV files (name -> text), the reports and the failures.
 
     The reports come without their equity and fills, which the files hold;
     there are no files when no series could be backtested.
     """
     reports, failures, trades, equity, summary = [], [], [], [], []
     no_bars = np.empty(0)
-    for s in series:
+    for s in (_SERIES[k] for k in indices):
         try:
             r = mean_reversion_backtest(s, strategy)
         except ValueError as exc:
@@ -731,7 +732,7 @@ def _backtest(run: _Run) -> None:
     if not reports:
         return
     _write_files(run.out, files)
-    entropies = {r.ticker: r.ctw_entropy for r in run.cohorts.get(_backtest_label(run), [])}
+    entropies = {r.ticker: r.ctw_entropy for r in run.cohorts.get(_backtest_label(), [])}
     covered = [r for r in reports if r.ticker in entropies]
     facts = run.report.facts
     facts["backtest.num_tickers"] = str(len(reports))
@@ -797,9 +798,12 @@ def _report_text(report: AnalysisReport) -> str:
 
 def run_pipeline(config: RunConfig) -> AnalysisReport:
     """Run the stages of ``config.command`` in order, then write ``report.txt``."""
-    with _Executor(config.jobs) as executor:
-        run = _Run(AnalysisReport(config), executor)
-        for stage in COMMANDS[config.command]:
-            STAGES[stage][0](run)
+    try:
+        with _Executor(config.jobs) as executor:
+            run = _Run(AnalysisReport(config), executor)
+            for stage in COMMANDS[config.command]:
+                STAGES[stage][0](run)
+    finally:  # the pools, the recovery pools too, have closed
+        _SERIES.clear()
     _atomic_write(run.out / "report.txt", _report_text(run.report))
     return run.report

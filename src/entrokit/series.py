@@ -54,10 +54,6 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.prices)
 
-    def __reduce__(self):
-        # rebuild through the constructor, so an unpickled copy is read-only too
-        return type(self), (self.ticker, self.sampling, self.timestamps, self.prices)
-
 
 @dataclass(frozen=True)
 class EntropyEstimate:

@@ -9,6 +9,7 @@ import hashlib
 import io
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from entrokit import pipeline
 from entrokit.backtest import StrategyParams
 from entrokit.cli import build_parser
 from entrokit.cli import main as cli_main
+from entrokit.dataset import write_synthetic_market
 from entrokit.ingest import ingest_csv
 from entrokit.pipeline import COMMANDS, RunConfig, run_pipeline
 from entrokit.series import PriceSeries
@@ -42,17 +44,17 @@ def _exit_worker(what):
     os._exit(1)
 
 
-def _worker_dies_on_tk1(series, config):
+def _worker_dies_on_tk1(k, config):
     """Stand-in for the per-ticker worker: the pool worker running TK1 exits."""
-    if series.ticker == "TK1":
+    if pipeline._SERIES[k].ticker == "TK1":
         _exit_worker("TK1's estimates")
-    return _process_ticker(series, config)
+    return _process_ticker(k, config)
 
 
-def _estimator_marks_its_run(series, config):
+def _estimator_marks_its_run(k, config):
     """Stand-in for the per-ticker worker: leaves a file beside the output directory."""
     Path(config.out_dir).with_name("estimator-ran").touch()
-    return _process_ticker(series, config)
+    return _process_ticker(k, config)
 
 
 def _pmfg_dies_on_seven_nodes(graph):
@@ -246,7 +248,7 @@ class TestRunPipeline:
         assert not by_ticker["GOOD"].failed
         assert report.num_failed == 1
 
-    def test_rounding_flat_returns_fail(self):
+    def test_rounding_flat_returns_fail(self, monkeypatch):
         """Returns equal but for the rounding of their log prices fail as equal ones do, not
         as a BDS rejection; a walk with 1e-6 noise is not flat."""
         t = np.arange(300)
@@ -258,8 +260,8 @@ class TestRunPipeline:
             (100 * 1.01**t, "ValueError: zero-variance series"),
             (100 * np.exp(np.cumsum(noise)), ""),
         ):
-            series = PriceSeries("T", "daily", t * 86400, prices)
-            assert pipeline._process_ticker(series, config).error == error
+            monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t * 86400, prices)])
+            assert pipeline._process_ticker(0, config).error == error
 
     def test_reproducible_report_body(self, tmp_path):
         path = tiny_market(tmp_path)
@@ -468,6 +470,55 @@ class TestRunPipeline:
             assert args == ()
             assert kwargs["mp_context"].get_start_method() == "fork"
 
+    def test_tasks_carry_indices_not_series(self, tmp_path, monkeypatch):
+        """No task's pickled call exceeds 64 KiB on a market whose every cohort holds more
+        than that in prices: a task names its series by index."""
+        daily, intraday = write_synthetic_market(tmp_path / "m", n_points=300)
+        for path in (daily, intraday):
+            assert sum(s.prices.nbytes for s in ingest_csv(path).series) > 64 * 1024
+        sizes = collections.defaultdict(list)
+        submit = pipeline._Executor.submit
+
+        def measuring_submit(executor, fn, *args):
+            sizes[fn.__name__].append(len(pickle.dumps((fn, args))))
+            return submit(executor, fn, *args)
+
+        monkeypatch.setattr(pipeline._Executor, "submit", measuring_submit)
+        run_pipeline(RunConfig(inputs=(daily, intraday), out_dir=tmp_path / "o", permutations=20))
+        assert {name: len(v) for name, v in sizes.items()} == {
+            "_backtest_task": 1, "_process_ticker": 182, "_graph_task": 2, "_density_task": 2,
+        }
+        assert max(max(v) for v in sizes.values()) <= 64 * 1024, dict(sizes)
+
+    def test_series_table_lives_for_one_run(self, tmp_path, monkeypatch):
+        """The table of series is empty once a run returns or raises, and each of two
+        two-job runs in one process reads its own market."""
+        first = tiny_market(tmp_path)
+        second = tiny_market(tmp_path, n_tickers=9, seed=1, name="second.csv")
+        records = {}
+        for jobs in (2, 1):
+            for path in (first, second):
+                out = tmp_path / f"{path.stem}{jobs}"
+                run_pipeline(RunConfig(inputs=(path,), out_dir=out, command="estimate", jobs=jobs))
+                assert pipeline._SERIES == []
+                records[path.stem, jobs] = (out / "records.csv").read_text()
+        for path, tickers in ((first, 6), (second, 9)):
+            assert records[path.stem, 2] == records[path.stem, 1]
+            assert len(records[path.stem, 2].splitlines()) == 1 + tickers
+        # the second input repeats a daily ticker of the first, read into the table before it
+        seen = []
+
+        def ingest_notes_the_table(path):
+            seen.append(len(pipeline._SERIES))
+            return _ingest_csv(path)
+
+        monkeypatch.setattr(pipeline, "ingest_csv", ingest_notes_the_table)
+        config = RunConfig(inputs=(first, second), out_dir=tmp_path / "o", command="estimate")
+        with pytest.raises(ValueError, match="is in both"):
+            run_pipeline(config)
+        assert seen == [0, 6]
+        assert pipeline._SERIES == []
+
     def test_pool_no_larger_than_its_tickers(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path)
         sizes = []
@@ -590,6 +641,11 @@ class TestAlignedReturns:
         assert np.array_equal(aligned, expected[0])
         return aligned, dropped
 
+    def graph_task(self, cohort, monkeypatch):
+        """``_graph_task`` on ``cohort``, the table of series for the call."""
+        monkeypatch.setattr(pipeline, "_SERIES", cohort)
+        return pipeline._graph_task("daily", list(range(len(cohort))), {}, self.CONFIG)
+
     def test_missing_row(self):
         full = list(range(0, 50 * 86400, 86400))
         aligned, dropped = self.assert_same(_cohort([full, full[:20] + full[21:], full]))
@@ -602,32 +658,32 @@ class TestAlignedReturns:
         assert dropped == 0
         assert [len(r) for r in aligned] == [49] * 4
 
-    def test_disjoint_stamps(self):
+    def test_disjoint_stamps(self, monkeypatch):
         cohort = _cohort([range(0, 10), range(10, 20), range(0, 20)])
         aligned, dropped = pipeline._aligned_returns(cohort, self.CONFIG)
         assert dropped == 40
         assert [len(r) for r in aligned] == [0, 0, 0]
-        result = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        result = self.graph_task(cohort, monkeypatch)
         assert result == ({}, {}, 40, "need at least 3 aligned observations")
 
-    def test_one_shared_stamp_fails_the_graph(self):
+    def test_one_shared_stamp_fails_the_graph(self, monkeypatch):
         cohort = _cohort([[0, 5, 9], [3, 5, 7, 8], [5, 6]])
-        result = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        result = self.graph_task(cohort, monkeypatch)
         assert result == ({}, {}, 6, "need at least 3 aligned observations")
 
-    def test_three_shared_stamps_fail_the_graph(self):
+    def test_three_shared_stamps_fail_the_graph(self, monkeypatch):
         cohort = _cohort([[0, 5, 9, 12], [0, 5, 7, 9], [0, 1, 5, 9]])
         aligned, dropped = self.assert_same(cohort)
         assert dropped == 3
-        files, info, rows_dropped, error = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        files, info, rows_dropped, error = self.graph_task(cohort, monkeypatch)
         assert (files, info, rows_dropped) == ({}, {}, 3)
         assert error == "need at least 3 aligned observations"
 
-    def test_rounding_flat_row_fails_the_graph(self):
+    def test_rounding_flat_row_fails_the_graph(self, monkeypatch):
         """A row whose shared returns are equal but for rounding is named as a flat one is."""
         cohort = _cohort([range(300)] * 3)
         cohort[1] = dataclasses.replace(cohort[1], prices=100 * np.exp(0.001 * np.arange(300)))
-        result = pipeline._graph_task("daily", cohort, {}, self.CONFIG)
+        result = self.graph_task(cohort, monkeypatch)
         assert result == ({}, {}, 0, "zero-variance series: T1")
 
     @pytest.mark.parametrize("seed", range(8))
@@ -684,7 +740,7 @@ class TestGraphGml:
 class TestBacktestFiles:
     """The backtest CSVs, built line by line from the arrays, match csv.writer rows."""
 
-    def test_same_text_as_csv_rows(self):
+    def test_same_text_as_csv_rows(self, monkeypatch):
         rng = np.random.default_rng(2)
         strategy = StrategyParams(window=10)
         series = [
@@ -692,7 +748,8 @@ class TestBacktestFiles:
                         100 * np.exp(np.cumsum(rng.normal(0, 0.03, 300))))
             for ticker in ("A,B", 'Q"T', "N\nL", "plain")
         ]
-        files, reports, failures = pipeline._backtest_task(series, strategy)
+        monkeypatch.setattr(pipeline, "_SERIES", series)
+        files, reports, failures = pipeline._backtest_task(range(len(series)), strategy)
         assert failures == []
         trades, equity = io.StringIO(), io.StringIO()
         trade_rows = csv.writer(trades, lineterminator="\n")

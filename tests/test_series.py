@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -95,15 +94,6 @@ class TestArrays:
         prices[0] = 5.0
         assert prices.flags.writeable
         assert series.prices[0] == 100.0
-
-    def test_unpickled_series_is_validated_and_read_only(self):
-        series = price_series([100.0, 101.0, 102.0])
-        copy = pickle.loads(pickle.dumps(series))
-        assert (copy.ticker, copy.sampling) == (series.ticker, series.sampling)
-        assert np.array_equal(copy.prices, series.prices)
-        assert np.array_equal(copy.timestamps, series.timestamps)
-        assert not copy.prices.flags.writeable
-        assert not copy.timestamps.flags.writeable
 
     @pytest.mark.parametrize("timestamps", [[0, 0, 60], [0, 120, 60]])
     def test_timestamps_must_increase(self, timestamps):

@@ -20,13 +20,17 @@ else each task inline, at submit.  The estimates stage reads every input
 into ``_SERIES``, opens the pool once, and then submits each piece of work
 the moment its inputs exist: the backtest, the per-ticker estimates in
 (sampling, ticker) order, each cohort's graph build as soon as its last
-ticker's record is in, and the two density tests once every record is.
+ticker's record is in, and the density tests once every record is.
 Each task a later stage reads is kept under the name its failure takes
-("backtest", "graph[daily]", "equality[lz]").  The later stages only
-collect those results by name, in the order of ``COMMANDS``, and write the
-files and the report in this process; workers write nothing.  The graph
-files hold the MST and the PMFG as edge lists, and as GML with each node's
-CTW entropy.
+("backtest", "graph[daily]", "equality").  Each returns one shape,
+``(files, facts, failures, *rest)``: the files it built (name -> text), its
+``report.txt`` lines, and what it met and could not build, each a named
+failure.  ``_Run.collect`` writes the files, adds the facts and failures and
+gives the stage the rest, in the order of ``COMMANDS``; workers write
+nothing.  It is the one place a task's raised exception, a dead worker's
+``BrokenProcessPool`` or a ``MemoryError`` alike, becomes the failure
+``<name>: <type>: <message>``.  The graph files hold the MST and the PMFG as
+edge lists, and as GML with each node's CTW entropy.
 
 A task names its series by index in ``_SERIES``, the run's one table of
 series: no series crosses a process boundary.  Pool workers see the table
@@ -297,10 +301,8 @@ class _Run:
     report: AnalysisReport
     executor: _Executor
     cohorts: dict[str, list[TickerRecord]] = field(default_factory=dict)  # label -> ok records
-    # (label, "lz" or "ctw") -> the cohort's entropy rates, in cohort order
-    entropies: dict[tuple[str, str], list[float]] = field(default_factory=dict)
     # work submitted and not yet collected, by the name its failure takes:
-    # "backtest", "graph[<label>]" or "equality[<estimator>]"
+    # "backtest", "graph[<label>]" or "equality"
     tasks: dict[str, _Task] = field(default_factory=dict)
 
     @property
@@ -311,20 +313,28 @@ class _Run:
     def out(self) -> Path:
         return Path(self.report.config.out_dir)
 
-    def collect(self, name: str):
-        """The result of the task submitted as ``name``; None if there is none.
+    def collect(self, name: str) -> list | None:
+        """Write, record and return the result of the task submitted as ``name``.
 
-        A task whose worker died with it alone leaves the named failure
-        ``name: BrokenProcessPool: ...`` in its place.
+        The task's ``(files, facts, failures, *rest)``: its files are written,
+        its facts and failures added to the report, and ``rest`` returned.
+        None if there is no such task, or if it raised: a task whose worker
+        died with it alone, or that raised anything else, leaves the named
+        failure ``name: <type>: <message>`` in its place.
         """
         task = self.tasks.pop(name, None)
         if task is None:
             return None
         try:
-            return self.executor.result(task)
-        except BrokenProcessPool as exc:
+            files, facts, failures, *rest = self.executor.result(task)
+        except Exception as exc:  # BrokenProcessPool, MemoryError, ...: the run goes on
             self.report.failures.append(f"{name}: {type(exc).__name__}: {exc}")
             return None
+        for file, text in files.items():
+            _atomic_write(self.out / file, text)
+        self.report.facts.update(facts)
+        self.report.failures.extend(failures)
+        return rest
 
 
 def _kept_returns(timestamps: np.ndarray, sampling: str, config: RunConfig) -> np.ndarray | slice:
@@ -428,11 +438,6 @@ def _write_records(out: Path, records: list[TickerRecord]) -> None:
     _atomic_write(out / "records.csv", _csv_text(header, rows))
 
 
-def _write_files(out: Path, files: dict[str, str]) -> None:
-    for name, text in files.items():
-        _atomic_write(out / name, text)
-
-
 def _ingest(run: _Run) -> None:
     """Fill ``_SERIES`` from every input; a ticker twice in one cohort is an error."""
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
@@ -466,7 +471,7 @@ def _estimates(run: _Run) -> None:
 
     The backtest is submitted once the inputs are in, a cohort's graph build
     once the last of its tickers' records is, and the density tests once
-    every record is.
+    every record is, if both cohorts hold five tickers or more.
     """
     _ingest(run)
     config, report, executor = run.config, run.report, run.executor
@@ -501,22 +506,25 @@ def _estimates(run: _Run) -> None:
     report.records = records
     report.facts["tickers"] = str(len(records))
     report.facts["tickers_failed"] = str(sum(r.failed for r in records))
-    for label, cohort in run.cohorts.items():
-        run.entropies[label, "lz"] = [r.lz_entropy for r in cohort]
-        run.entropies[label, "ctw"] = [r.ctw_entropy for r in cohort]
-    if "equality_tests" in stages and len(run.cohorts) == 2:
-        labels = tuple(run.cohorts)
-        for estimator in ("lz", "ctw"):
-            a, b = (run.entropies[label, estimator] for label in labels)
-            if len(a) >= 5 and len(b) >= 5:
-                run.tasks[f"equality[{estimator}]"] = executor.submit(
-                    _density_task, a, b, labels, config.permutations, config.seed
-                )
+    sizes = [len(cohort) for cohort in run.cohorts.values()]
+    if "equality_tests" in stages and len(sizes) == 2 and min(sizes) >= 5:
+        run.tasks["equality"] = executor.submit(
+            _density_task, _entropies(run), tuple(run.cohorts), config
+        )
     _write_records(run.out, records)
 
 
+def _entropies(run: _Run) -> dict[tuple[str, str], list[float]]:
+    """(label, "ctw" or "lz") -> the cohort's entropy rates, cohorts by name, ctw first."""
+    return {
+        (label, estimator): [getattr(r, f"{estimator}_entropy") for r in cohort]
+        for label, cohort in run.cohorts.items()
+        for estimator in ("ctw", "lz")
+    }
+
+
 def _summaries(run: _Run) -> None:
-    for (label, estimator), values in sorted(run.entropies.items()):
+    for (label, estimator), values in _entropies(run).items():
         if len(values) >= 2:
             mean, sd = summary_stats(values)
             run.report.facts[f"summary[{label}][{estimator}]"] = (
@@ -525,53 +533,54 @@ def _summaries(run: _Run) -> None:
 
 
 def _density_task(
-    a: list[float], b: list[float], labels: tuple[str, str], permutations: int, seed: int
-) -> tuple[str, str]:
-    """One estimator's density equality test: its report value and its CSV text."""
-    res = density_equality_test(a, b, num_permutations=permutations, seed=seed)
+    entropies: dict[tuple[str, str], list[float]], labels: tuple[str, str], config: RunConfig
+) -> tuple[dict[str, str], dict[str, str], list[str]]:
+    """Each estimator's density equality test across the cohorts ``labels`` of ``entropies``.
+
+    Its CSV files, its facts (ctw first) and its failures (lz first): a
+    test on degenerate samples is the failure ``equality[<estimator>]: ...``.
+    """
     a_label, b_label = labels
-    value = f"statistic={res.statistic:.6g} p_value={res.p_value:.6g} ({a_label} vs {b_label})"
-    rows = [
-        [_fmt(float(v)) for v in row]
-        for row in zip(
-            res.grid, res.density_a, res.density_b,
-            res.reference_band_low, res.reference_band_high,
+    files, facts, failures = {}, {}, []
+    for estimator in ("lz", "ctw"):
+        name = f"equality[{estimator}]"
+        a, b = entropies[a_label, estimator], entropies[b_label, estimator]
+        try:
+            res = density_equality_test(a, b, num_permutations=config.permutations, seed=config.seed)
+        except ValueError as exc:
+            failures.append(f"{name}: {exc}")
+            continue
+        facts[name] = (
+            f"statistic={res.statistic:.6g} p_value={res.p_value:.6g} ({a_label} vs {b_label})"
         )
-    ]
-    header = ["grid", f"density_{a_label}", f"density_{b_label}", "band_low", "band_high"]
-    return value, _csv_text(header, rows)
+        facts[f"{name}.method"] = "permutation stand-in for the reference-band equality test"
+        rows = [
+            [_fmt(float(v)) for v in row]
+            for row in zip(
+                res.grid, res.density_a, res.density_b,
+                res.reference_band_low, res.reference_band_high,
+            )
+        ]
+        header = ["grid", f"density_{a_label}", f"density_{b_label}", "band_low", "band_high"]
+        files[f"density_{estimator}.csv"] = _csv_text(header, rows)
+    return files, dict(sorted(facts.items())), failures
 
 
 def _equality_tests(run: _Run) -> None:
-    """Collect the lz test, then the ctw one; report.txt lists ctw first."""
-    values = {}
-    for estimator in ("lz", "ctw"):
-        name = f"equality[{estimator}]"
-        try:
-            result = run.collect(name)
-        except ValueError as exc:  # degenerate samples
-            run.report.failures.append(f"{name}: {exc}")
-            continue
-        if result is not None:
-            values[name], text = result
-            _atomic_write(run.out / f"density_{estimator}.csv", text)
-    for name, value in sorted(values.items()):
-        run.report.facts[name] = value
-        run.report.facts[f"{name}.method"] = (
-            "permutation stand-in for the reference-band equality test"
-        )
+    run.collect("equality")
 
 
 def _associations(run: _Run) -> None:
-    for (label, estimator), values in sorted(run.entropies.items()):
+    """Each cohort's Spearman rho of entropy against |BDS|; constant input is a named failure."""
+    for (label, estimator), values in _entropies(run).items():
         bds = [r.bds_statistic for r in run.cohorts[label]]
         if len(bds) < 3:
             continue
+        name = f"entropy_bds_spearman[{label}][{estimator}]"
         try:
-            rho = entropy_bds_association(values, bds)
-        except ValueError:
-            continue
-        run.report.facts[f"entropy_bds_spearman[{label}][{estimator}]"] = f"{rho:.6f}"
+            run.report.facts[name] = f"{entropy_bds_association(values, bds):.6f}"
+        except ValueError as exc:  # every entropy, or every |BDS|, is equal
+            run.report.failures.append(f"{name}: {exc}")
 
 
 def _aligned_returns(cohort: list[PriceSeries], config: RunConfig) -> tuple[np.ndarray, int]:
@@ -603,14 +612,14 @@ def _aligned_returns(cohort: list[PriceSeries], config: RunConfig) -> tuple[np.n
 
 def _graph_task(
     label: str, indices: list[int], entropies: dict[str, float], config: RunConfig
-) -> tuple[dict[str, str], dict[str, str], int, str]:
-    """The graphs of series ``indices``' cohort: files (name -> text), facts, rows dropped, error.
+) -> tuple[dict[str, str], dict[str, str], list[str], int]:
+    """The graphs of series ``indices``' cohort: files, facts, failures and rows dropped.
 
     A ValueError ends the build; what was built before it is returned with
-    its message as the error, "" when there is none.
+    its message as the failure ``graph[<label>]: ...``.
     """
     files: dict[str, str] = {}
-    info, dropped = {}, 0
+    facts, dropped = {}, 0
     cohort = [_SERIES[k] for k in indices]
     tickers = tuple(series.ticker for series in cohort)
     try:
@@ -624,33 +633,26 @@ def _graph_task(
                 ["source", "target", "distance"], rows
             )
             files[f"graph_{label}_{kind}.gml"] = _graph_gml(kind, filtered, entropies)
-            info[f"graph[{label}][{kind}]"] = (
+            facts[f"graph[{label}][{kind}]"] = (
                 f"nodes={len(filtered.nodes)} edges={len(filtered.edges)}"
             )
         corr_rows = [[ticker] + [_fmt(v) for v in row] for ticker, row in zip(tickers, rho.tolist())]
         files[f"correlation_{label}.csv"] = _csv_text(["ticker", *tickers], corr_rows)
     except ValueError as exc:
-        return files, info, dropped, str(exc)
-    return files, info, dropped, ""
+        return files, facts, [f"graph[{label}]: {exc}"], dropped
+    return files, facts, [], dropped
 
 
 def _graphs(run: _Run) -> None:
-    """Graph files per cohort; report.txt lists every cohort's rows dropped to align after them."""
-    report, dropped_rows = run.report, {}
+    """Collect each cohort's graphs; report.txt lists every cohort's rows dropped to align after them."""
+    dropped_rows = {}
     for label in run.cohorts:
-        result = run.collect(f"graph[{label}]")
-        if result is None:
-            continue
-        files, info, dropped, error = result
+        [dropped] = run.collect(f"graph[{label}]") or [0]
         if dropped:
             dropped_rows[f"graph[{label}].rows_dropped"] = (
                 f"{dropped} (timestamps not shared by every ticker)"
             )
-        _write_files(run.out, files)
-        report.facts.update(info)
-        if error:
-            report.failures.append(f"graph[{label}]: {error}")
-    report.facts.update(dropped_rows)
+    run.report.facts.update(dropped_rows)
 
 
 def _gml_string(text: str) -> str:
@@ -683,11 +685,11 @@ def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> 
 
 def _backtest_task(
     indices: list[int], strategy: StrategyParams
-) -> tuple[dict[str, str], list[PerformanceReport], list[str]]:
-    """Backtest series ``indices``: the CSV files (name -> text), the reports and the failures.
+) -> tuple[dict[str, str], dict[str, str], list[str], list[PerformanceReport]]:
+    """Backtest series ``indices``: the CSV files, the facts, the failures and the reports.
 
     The reports come without their equity and fills, which the files hold;
-    there are no files when no series could be backtested.
+    there are no files and no facts when no series could be backtested.
     """
     reports, failures, trades, equity, summary = [], [], [], [], []
     no_bars = np.empty(0)
@@ -712,7 +714,7 @@ def _backtest_task(
         )
         reports.append(replace(r, equity=no_bars, trade_bars=no_bars, trade_shares=no_bars))
     if not reports:
-        return {}, [], failures
+        return {}, {}, failures, []
     files = {
         "backtest_trades.csv": "ticker,timestamp,side,price,shares\n" + "".join(trades),
         "backtest_equity.csv": "ticker,timestamp,equity\n" + "".join(equity),
@@ -720,27 +722,19 @@ def _backtest_task(
             ["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary
         ),
     }
-    return files, reports, failures
+    facts = {"backtest.num_tickers": str(len(reports)), "backtest.params": str(strategy)}
+    return files, facts, failures, reports
 
 
 def _backtest(run: _Run) -> None:
-    result = run.collect("backtest")
-    if result is None:
-        return
-    files, reports, failures = result
-    run.report.failures.extend(failures)
-    if not reports:
-        return
-    _write_files(run.out, files)
+    """The entropy split of the backtested cohort's tickers, from the backtest's reports."""
+    [reports] = run.collect("backtest") or [[]]
     entropies = {r.ticker: r.ctw_entropy for r in run.cohorts.get(_backtest_label(), [])}
     covered = [r for r in reports if r.ticker in entropies]
-    facts = run.report.facts
-    facts["backtest.num_tickers"] = str(len(reports))
-    facts["backtest.params"] = str(run.config.strategy)
     if len(covered) >= 2:
         split = entropy_cohort_report(covered, entropies)
         for side in ("low_entropy", "high_entropy"):
-            facts[f"backtest.{side}"] = (
+            run.report.facts[f"backtest.{side}"] = (
                 f"strategy={split[side]['mean_strategy_return_pct']:.4f}% "
                 f"benchmark={split[side]['mean_benchmark_return_pct']:.4f}%"
             )

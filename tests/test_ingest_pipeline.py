@@ -64,6 +64,11 @@ def _pmfg_dies_on_seven_nodes(graph):
     return _pmfg(graph)
 
 
+def _out_of_memory(*args, **kwargs):
+    """Stand-in for a function that runs out of memory."""
+    raise MemoryError("stand-in out of memory")
+
+
 def _ingest_notes_its_pid(path):
     """Stand-in for ingest_csv: appends the reading process's pid to ``ingest-pids`` beside the input."""
     with Path(path).with_name("ingest-pids").open("a") as fh:
@@ -433,6 +438,48 @@ class TestRunPipeline:
             if not line.startswith("failure:")
         ] == kept
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "target, names, files, facts",
+        [
+            ("pmfg", ["graph[daily]", "graph[intraday]"], ("graph_", "correlation_"), "graph["),
+            ("mean_reversion_backtest", ["backtest"], "backtest_", "backtest."),
+            ("density_equality_test", ["equality"], "density_", "equality["),
+        ],
+        ids=["graph", "backtest", "equality"],
+    )
+    def test_raising_task_is_a_named_failure(
+        self, tmp_path, monkeypatch, target, names, files, facts, jobs
+    ):
+        """A MemoryError in a cross-sectional task fails that task alone, by name, untraced."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, n_tickers=7, seed=1, step=60, name="intraday.csv")
+        argv = [
+            "report", "--input", str(daily), "--input", str(intraday),
+            "--jobs", jobs, "--permutations", "99", "--out",
+        ]
+        assert cli_main(argv + [str(tmp_path / "clean")]) == 0
+        monkeypatch.setattr(pipeline, target, _out_of_memory)
+        assert cli_main(argv + [str(tmp_path / "raised")]) == 2
+        clean, raised = read_outputs(tmp_path / "clean"), read_outputs(tmp_path / "raised")
+        lost = {name for name in clean if name.startswith(files)}
+        assert lost
+        assert raised.keys() == clean.keys() - lost
+        for name in raised.keys() - {"report.txt"}:
+            assert raised[name] == clean[name], name
+        lines = report_body(raised["report.txt"]).splitlines()
+        assert [line for line in lines if line.startswith("failure:")] == [
+            f"failure: {name}: MemoryError: stand-in out of memory" for name in names
+        ]
+        assert "Traceback" not in raised["report.txt"]
+        # report.txt loses the task's lines and gains its failures, no other
+        kept = [
+            line for line in report_body(clean["report.txt"]).splitlines()
+            if not line.startswith(facts)
+        ]
+        assert len(kept) < len(report_body(clean["report.txt"]).splitlines())
+        assert [line for line in lines if not line.startswith("failure:")] == kept
+
     def test_dead_worker_reruns_keep_parallelism(self, tmp_path, monkeypatch):
         path = tiny_market(tmp_path, n_tickers=40)
         monkeypatch.setattr(pipeline, "_process_ticker", _worker_dies_on_tk1)
@@ -486,7 +533,7 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline._Executor, "submit", measuring_submit)
         run_pipeline(RunConfig(inputs=(daily, intraday), out_dir=tmp_path / "o", permutations=20))
         assert {name: len(v) for name, v in sizes.items()} == {
-            "_backtest_task": 1, "_process_ticker": 182, "_graph_task": 2, "_density_task": 2,
+            "_backtest_task": 1, "_process_ticker": 182, "_graph_task": 2, "_density_task": 1,
         }
         assert max(max(v) for v in sizes.values()) <= 64 * 1024, dict(sizes)
 
@@ -664,27 +711,27 @@ class TestAlignedReturns:
         assert dropped == 40
         assert [len(r) for r in aligned] == [0, 0, 0]
         result = self.graph_task(cohort, monkeypatch)
-        assert result == ({}, {}, 40, "need at least 3 aligned observations")
+        assert result == ({}, {}, ["graph[daily]: need at least 3 aligned observations"], 40)
 
     def test_one_shared_stamp_fails_the_graph(self, monkeypatch):
         cohort = _cohort([[0, 5, 9], [3, 5, 7, 8], [5, 6]])
         result = self.graph_task(cohort, monkeypatch)
-        assert result == ({}, {}, 6, "need at least 3 aligned observations")
+        assert result == ({}, {}, ["graph[daily]: need at least 3 aligned observations"], 6)
 
     def test_three_shared_stamps_fail_the_graph(self, monkeypatch):
         cohort = _cohort([[0, 5, 9, 12], [0, 5, 7, 9], [0, 1, 5, 9]])
         aligned, dropped = self.assert_same(cohort)
         assert dropped == 3
-        files, info, rows_dropped, error = self.graph_task(cohort, monkeypatch)
-        assert (files, info, rows_dropped) == ({}, {}, 3)
-        assert error == "need at least 3 aligned observations"
+        files, facts, failures, rows_dropped = self.graph_task(cohort, monkeypatch)
+        assert (files, facts, rows_dropped) == ({}, {}, 3)
+        assert failures == ["graph[daily]: need at least 3 aligned observations"]
 
     def test_rounding_flat_row_fails_the_graph(self, monkeypatch):
         """A row whose shared returns are equal but for rounding is named as a flat one is."""
         cohort = _cohort([range(300)] * 3)
         cohort[1] = dataclasses.replace(cohort[1], prices=100 * np.exp(0.001 * np.arange(300)))
         result = self.graph_task(cohort, monkeypatch)
-        assert result == ({}, {}, 0, "zero-variance series: T1")
+        assert result == ({}, {}, ["graph[daily]: zero-variance series: T1"], 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_gaps(self, seed):
@@ -749,8 +796,9 @@ class TestBacktestFiles:
             for ticker in ("A,B", 'Q"T', "N\nL", "plain")
         ]
         monkeypatch.setattr(pipeline, "_SERIES", series)
-        files, reports, failures = pipeline._backtest_task(range(len(series)), strategy)
+        files, facts, failures, reports = pipeline._backtest_task(range(len(series)), strategy)
         assert failures == []
+        assert facts == {"backtest.num_tickers": "4", "backtest.params": str(strategy)}
         trades, equity = io.StringIO(), io.StringIO()
         trade_rows = csv.writer(trades, lineterminator="\n")
         equity_rows = csv.writer(equity, lineterminator="\n")
@@ -924,10 +972,10 @@ class TestCommands:
             "estimate": estimates,
             "validate": {},
             "bds": estimates,
-            "compare": {**estimates, "_density_task": 2},
+            "compare": {**estimates, "_density_task": 1},
             "graph": {**estimates, "_graph_task": 2},
             "backtest": {**estimates, "_backtest_task": 1},
-            "report": {**estimates, "_density_task": 2, "_graph_task": 2, "_backtest_task": 1},
+            "report": {**estimates, "_density_task": 1, "_graph_task": 2, "_backtest_task": 1},
         }
         assert expected.keys() == COMMANDS.keys()
         submitted = collections.Counter()
@@ -971,6 +1019,23 @@ class TestCommands:
         ]
         assert not any(line.startswith("equality[") for line in lines)
         assert sorted(p.name for p in out.iterdir()) == ["records.csv", "report.txt"]
+
+    def test_constant_association_input(self, tmp_path):
+        """Two cohorts of one series six times over: each entropy-|BDS| rho is a named failure."""
+        prices = 100 * np.exp(np.cumsum(np.random.default_rng(2).normal(0, 0.02, 301)))
+        inputs = []
+        for name, step in (("daily.csv", 86400), ("intraday.csv", 60)):
+            rows = [f"{i * step},TK{k},{p:.4f}" for k in range(6) for i, p in enumerate(prices)]
+            inputs += ["--input", str(write_csv(tmp_path / name, rows))]
+        out = tmp_path / "out"
+        assert cli_main(["report", *inputs, "--out", str(out), "--permutations", "20"]) == 2
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("failure: entropy_bds_spearman")] == [
+            f"failure: entropy_bds_spearman[{label}][{e}]: "
+            "rank correlation undefined for constant input"
+            for label in ("daily", "intraday") for e in ("ctw", "lz")
+        ]
+        assert not any(line.startswith("entropy_bds_spearman") for line in lines)
 
     @pytest.mark.parametrize("command", ["graph", "report"])
     def test_failed_tickers_leave_every_cohort(self, tmp_path, monkeypatch, command):

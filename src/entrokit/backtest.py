@@ -4,10 +4,10 @@ The strategy enters when the z-score of price against its rolling mean
 drops to entry_z and exits back to cash when it recovers to exit_z.
 Signals use only the trailing window ending at the current bar and fill at
 that bar's close; there is no shorting, no leverage and no transaction
-cost model.  A report holds arrays, not rows: the equity at every bar, and
-each fill's bar index and share count.  Fills alternate buy and sell,
-starting with a buy, so a fill's side, price and timestamp come from the
-series.
+cost model.  A report keeps the fills as arrays: each one's bar index and
+share count.  Fills alternate buy and sell, starting with a buy, so a fill's
+side, price and timestamp come from the series, and the equity at every bar
+from the fills and the series' prices (``PerformanceReport.equity``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class PerformanceReport:
     ticker: str
     strategy_return_pct: float
     benchmark_return_pct: float
-    equity: np.ndarray  # float64, one value per bar of the series
     trade_bars: np.ndarray  # int64 bar index of each fill; even positions buy, odd sell
     trade_shares: np.ndarray  # float64 shares bought or sold at each fill
     params: StrategyParams
@@ -64,6 +63,16 @@ class PerformanceReport:
     @property
     def num_trades(self) -> int:
         return len(self.trade_bars)
+
+    def equity(self, prices: np.ndarray) -> np.ndarray:
+        """The equity at every bar of the backtested series' ``prices``: the capital before
+        the first buy, ``shares * price`` from each buy through its sale, then the sale's cash,
+        the bits of the state machine's ``cash + shares * price`` (its other term is 0.0)."""
+        value = np.full(len(prices), float(self.params.initial_capital))
+        bars = self.trade_bars.tolist()
+        for k, (bar, end) in enumerate(zip(bars, bars[1:] + [len(prices)])):
+            value[bar:end] = self.trade_shares[k] * (prices[bar:end] if k % 2 == 0 else prices[bar])
+        return value
 
 
 def _rolling_mean_std(prices: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,10 +96,10 @@ def _rolling_mean_std(prices: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarra
 def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = StrategyParams()) -> PerformanceReport:
     """Run the z-score mean-reversion state machine over one price series.
 
-    Rolling statistics (mean and population standard deviation) use the
-    trailing ``window`` bars ending at the current bar, so a decision at
-    bar t sees nothing past t; fills happen at bar t's close.  Bars with
-    zero rolling standard deviation are skipped (no signal).
+    Rolling statistics (mean and population standard deviation) use the trailing
+    ``window`` bars ending at the current bar, so a decision at bar t sees nothing
+    past t; fills happen at bar t's close.  Bars with zero rolling standard
+    deviation are skipped (no signal).  A buy that rounds to 0 shares raises ValueError.
     """
     n = len(series)
     if n <= params.window:
@@ -103,12 +112,13 @@ def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = Strate
     shares = 0.0
     bars: list[int] = []
     held: list[float] = []  # shares bought or sold at each fill
-    equity = [cash] * (w - 1)
     for t, price, mean, sd in zip(range(w - 1, n), prices[w - 1 :], means.tolist(), sds.tolist()):
         if sd > 0:
             z = (price - mean) / sd
             if shares == 0.0 and z <= params.entry_z:
                 shares = cash / price
+                if shares == 0.0:
+                    raise ValueError(f"{series.ticker}: buying {cash!r} at {price!r} gives 0 shares")
                 cash = 0.0
                 bars.append(t)
                 held.append(shares)
@@ -117,13 +127,11 @@ def mean_reversion_backtest(series: PriceSeries, params: StrategyParams = Strate
                 bars.append(t)
                 held.append(shares)
                 shares = 0.0
-        equity.append(cash + shares * price)
 
     return PerformanceReport(
         ticker=series.ticker,
-        strategy_return_pct=(equity[-1] / params.initial_capital - 1.0) * 100.0,
+        strategy_return_pct=((cash + shares * prices[-1]) / params.initial_capital - 1.0) * 100.0,
         benchmark_return_pct=(prices[-1] / prices[0] - 1.0) * 100.0,
-        equity=_frozen(equity, np.float64, "equity"),
         trade_bars=_frozen(bars, np.int64, "trade_bars"),
         trade_shares=_frozen(held, np.float64, "trade_shares"),
         params=params,
@@ -134,8 +142,6 @@ def entropy_cohort_report(reports: list[PerformanceReport], entropies: dict[str,
     """Split tickers at the median entropy and compare cohort returns.
 
     Ties at the median fall back to a deterministic split by ticker order.
-    ``tie_split_by_ticker_order`` is true when every entropy is equal; the
-    pipeline's report does not print it.
     """
     missing = [r.ticker for r in reports if r.ticker not in entropies]
     if missing:
@@ -143,7 +149,6 @@ def entropy_cohort_report(reports: list[PerformanceReport], entropies: dict[str,
     ordered = sorted(reports, key=lambda r: (entropies[r.ticker], r.ticker))
     half = len(ordered) // 2
     low, high = ordered[:half], ordered[half:]
-    tie_split = len({entropies[r.ticker] for r in ordered}) == 1
 
     def cohort_summary(cohort: list[PerformanceReport]) -> dict:
         return {
@@ -156,8 +161,4 @@ def entropy_cohort_report(reports: list[PerformanceReport], entropies: dict[str,
             else 0.0,
         }
 
-    return {
-        "low_entropy": cohort_summary(low),
-        "high_entropy": cohort_summary(high),
-        "tie_split_by_ticker_order": tie_split,
-    }
+    return {"low_entropy": cohort_summary(low), "high_entropy": cohort_summary(high)}

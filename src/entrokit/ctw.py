@@ -167,7 +167,7 @@ def ctw_log_mixture(bits: np.ndarray | list[int], params: CtwParams) -> CtwResul
     # gaps[i]: the context bits to drop before nodes i and i+1 share a node;
     # frexp's exponent is the bit length, exact for keys below 2**53
     gaps = np.frexp(np.bitwise_xor(keys[starts[1:]], keys[starts[:-1]]))[1]
-    merging = set(np.unique(gaps).tolist())
+    merging = set(gaps.tolist())
     node_count = len(starts)
     for drop in range(1, depth + 1):
         if drop in merging:

@@ -23,14 +23,15 @@ the moment its inputs exist: the backtest, the per-ticker estimates in
 ticker's record is in, and the density tests once every record is.
 Each task a later stage reads is kept under the name its failure takes
 ("backtest", "graph[daily]", "equality").  Each returns one shape,
-``(files, facts, failures, *rest)``: the files it built (name -> text), its
-``report.txt`` lines, and what it met and could not build, each a named
-failure.  ``_Run.collect`` writes the files, adds the facts and failures and
-gives the stage the rest, in the order of ``COMMANDS``; workers write
-nothing.  It is the one place a task's raised exception, a dead worker's
-``BrokenProcessPool`` or a ``MemoryError`` alike, becomes the failure
-``<name>: <type>: <message>``.  The graph files hold the MST and the PMFG as
-edge lists, and as GML with each node's CTW entropy.
+``(files, facts, failures, *rest)``: the files it built (name -> text, or
+texts to write in turn), its ``report.txt`` lines, and what it met and
+could not build, each a named failure.  ``_Run.collect`` writes the files,
+adds the facts and failures and gives the stage the rest, in the order of
+``COMMANDS``; workers write nothing.  It is the one place a task's raised
+exception, a dead worker's ``BrokenProcessPool`` or a ``MemoryError``
+alike, becomes the failure ``<name>: <type>: <message>``.  The graph files
+hold the MST and the PMFG as edge lists, and as GML with each node's CTW
+entropy.
 
 A task names its series by index in ``_SERIES``, the run's one table of
 series: no series crosses a process boundary.  Pool workers see the table
@@ -56,7 +57,8 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from itertools import chain, cycle
 from pathlib import Path
 from typing import Any, Callable
 
@@ -393,10 +395,11 @@ def _process_ticker(k: int, config: RunConfig) -> TickerRecord:
         return _record(k, exc)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str | list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with tmp.open("w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -663,61 +666,56 @@ def _gml_string(text: str) -> str:
     return re.sub('[^ -~]|[&"]', lambda m: f"&#{ord(m.group(0))};", text)
 
 
+def _lines(line: str, *columns) -> str:
+    """``line`` %-formatted with each row of ``columns`` in turn, as one text; the first sets the rows."""
+    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def _graph_gml(kind: str, graph: WeightedGraph, entropies: dict[str, float]) -> str:
     """GML text of ``graph``; ``entropies`` holds each node's CTW entropy rate."""
-    lines = ["graph [", "  directed 0", f'  kind "{kind}"']
     index = {node: i for i, node in enumerate(graph.nodes)}
-    for node in graph.nodes:
-        lines.append("  node [")
-        lines.append(f"    id {index[node]}")
-        lines.append(f'    label "{_gml_string(node)}"')
-        lines.append(f"    entropy {entropies[node]:.6f}")
-        lines.append("  ]")
-    for i, j, d in graph.edges:
-        lines.append("  edge [")
-        lines.append(f"    source {index[i]}")
-        lines.append(f"    target {index[j]}")
-        lines.append(f"    distance {d:.6f}")
-        lines.append("  ]")
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+    nodes = _lines(
+        '  node [\n    id %d\n    label "%s"\n    entropy %.6f\n  ]\n', range(len(graph.nodes)),
+        [_gml_string(node) for node in graph.nodes], [entropies[node] for node in graph.nodes],
+    )
+    edges = _lines(
+        "  edge [\n    source %d\n    target %d\n    distance %.6f\n  ]\n",
+        [index[i] for i, _, _ in graph.edges], [index[j] for _, j, _ in graph.edges],
+        [d for _, _, d in graph.edges],
+    )
+    return f'graph [\n  directed 0\n  kind "{kind}"\n{nodes}{edges}]\n'
 
 
 def _backtest_task(
     indices: list[int], strategy: StrategyParams
-) -> tuple[dict[str, str], dict[str, str], list[str], list[PerformanceReport]]:
+) -> tuple[dict[str, str | list[str]], dict[str, str], list[str], list[PerformanceReport]]:
     """Backtest series ``indices``: the CSV files, the facts, the failures and the reports.
 
-    The reports come without their equity and fills, which the files hold;
-    there are no files and no facts when no series could be backtested.
+    Each per-bar file is a list of texts, one %-format a ticker; there are no
+    files and no facts when no series could be backtested.
     """
-    reports, failures, trades, equity, summary = [], [], [], [], []
-    no_bars = np.empty(0)
+    reports, failures, summary = [], [], []
+    trades, equity = ["ticker,timestamp,side,price,shares\n"], ["ticker,timestamp,equity\n"]
     for s in (_SERIES[k] for k in indices):
         try:
             r = mean_reversion_backtest(s, strategy)
         except ValueError as exc:
             failures.append(f"backtest[{s.ticker}]: {exc}")
             continue
-        cell = _csv_text([s.ticker], [])[:-1]  # the ticker quoted as csv.writer quotes it
+        cell = _csv_text([s.ticker], [])[:-1].replace("%", "%%")  # quoted as csv.writer quotes it
         bars = r.trade_bars
-        fills = zip(s.timestamps[bars].tolist(), s.prices[bars].tolist(), r.trade_shares.tolist())
-        trades += [
-            f"{cell},{ts},{('buy', 'sell')[k % 2]},{price:.6f},{shares:.6f}\n"
-            for k, (ts, price, shares) in enumerate(fills)
-        ]
-        equity += [
-            f"{cell},{ts},{v:.6f}\n" for ts, v in zip(s.timestamps.tolist(), r.equity.tolist())
-        ]
+        fills = s.timestamps[bars].tolist(), cycle(("buy", "sell")), s.prices[bars].tolist()
+        trades.append(_lines(f"{cell},%d,%s,%.6f,%.6f\n", *fills, r.trade_shares.tolist()))
+        equity.append(_lines(f"{cell},%d,%.6f\n", s.timestamps.tolist(), r.equity(s.prices).tolist()))
         summary.append(
             [s.ticker, _fmt(r.strategy_return_pct), _fmt(r.benchmark_return_pct), len(bars)]
         )
-        reports.append(replace(r, equity=no_bars, trade_bars=no_bars, trade_shares=no_bars))
+        reports.append(r)
     if not reports:
         return {}, {}, failures, []
     files = {
-        "backtest_trades.csv": "ticker,timestamp,side,price,shares\n" + "".join(trades),
-        "backtest_equity.csv": "ticker,timestamp,equity\n" + "".join(equity),
+        "backtest_trades.csv": trades,
+        "backtest_equity.csv": equity,
         "backtest_summary.csv": _csv_text(
             ["ticker", "strategy_return_pct", "benchmark_return_pct", "num_trades"], summary
         ),

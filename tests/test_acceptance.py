@@ -313,12 +313,10 @@ def test_criterion_11_backtest_accounting():
     ok &= uptrend.strategy_return_pct == 0.0
     ok &= math.isclose(uptrend.benchmark_return_pct, 100.0, rel_tol=1e-9)
 
-    osc = mean_reversion_backtest(
-        price_series([100.0 if t % 2 == 0 else 80.0 for t in range(12)]),
-        StrategyParams(window=4, entry_z=-1.0, exit_z=0.0),
-    )
+    oscillation = price_series([100.0 if t % 2 == 0 else 80.0 for t in range(12)])
+    osc = mean_reversion_backtest(oscillation, StrategyParams(window=4, entry_z=-1.0, exit_z=0.0))
     ok &= osc.strategy_return_pct > 0
-    ok &= math.isclose(osc.equity[-1], 24414.0625, rel_tol=1e-12)
+    ok &= math.isclose(osc.equity(oscillation.prices)[-1], 24414.0625, rel_tol=1e-12)
 
     rng = np.random.default_rng(7)
     noisy = price_series(list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 300)))))
@@ -331,5 +329,5 @@ def test_criterion_11_backtest_accounting():
             cash, shares = shares * noisy.prices[bar], 0.0
     final = cash + shares * noisy.prices[-1]
     ok &= replay.num_trades > 0
-    ok &= math.isclose(final, replay.equity[-1], rel_tol=1e-12)
+    ok &= math.isclose(final, replay.equity(noisy.prices)[-1], rel_tol=1e-12)
     _report("11", "backtest replay exact; constant/uptrend/oscillation examples", ok)

@@ -87,9 +87,10 @@ class TestMeanReversionBacktest:
         # full times and re-enters on the final bar:
         # 10000 * 1.25^4 = 24414.0625
         prices = [100.0 if t % 2 == 0 else 80.0 for t in range(12)]
-        report = mean_reversion_backtest(price_series(prices), OSC_PARAMS)
+        series = price_series(prices)
+        report = mean_reversion_backtest(series, OSC_PARAMS)
         assert report.strategy_return_pct > 0
-        assert report.equity[-1] == pytest.approx(24414.0625)
+        assert report.equity(series.prices)[-1] == pytest.approx(24414.0625)
         assert report.strategy_return_pct == pytest.approx(144.140625)
         assert report.num_trades == 9  # 5 buys, 4 sells; still long at the end
         assert report.trade_bars.tolist() == [3, 4, 5, 6, 7, 8, 9, 10, 11]
@@ -98,30 +99,43 @@ class TestMeanReversionBacktest:
     def test_accounting_replay(self):
         rng = np.random.default_rng(3)
         prices = list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 200))))
-        report = mean_reversion_backtest(price_series(prices), StrategyParams(window=10))
+        series = price_series(prices)
+        report = mean_reversion_backtest(series, StrategyParams(window=10))
         # replay the fills: final equity must compound exactly
-        assert replay(report, prices) == pytest.approx(report.equity[-1], rel=1e-12)
+        assert replay(report, prices) == pytest.approx(report.equity(series.prices)[-1], rel=1e-12)
         sold = report.trade_shares[1::2]
         assert sold.tolist() == report.trade_shares[::2][: len(sold)].tolist()  # whole positions
 
     def test_no_lookahead(self):
         rng = np.random.default_rng(4)
         prices = list(100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, 300))))
-        full = mean_reversion_backtest(price_series(prices), StrategyParams(window=10))
         cut = 150
-        prefix = mean_reversion_backtest(price_series(prices[:cut]), StrategyParams(window=10))
+        full_series, prefix_series = price_series(prices), price_series(prices[:cut])
+        full = mean_reversion_backtest(full_series, StrategyParams(window=10))
+        prefix = mean_reversion_backtest(prefix_series, StrategyParams(window=10))
         # the truncated run may close differently at its last bar; all earlier
         # decisions must agree
         early = full.trade_bars < cut
         assert full.trade_bars[early].tolist() == prefix.trade_bars.tolist()
         assert full.trade_shares[early].tolist() == prefix.trade_shares.tolist()
-        assert full.equity[: cut - 1].tolist() == prefix.equity[: cut - 1].tolist()
+        assert (
+            full.equity(full_series.prices)[: cut - 1].tolist()
+            == prefix.equity(prefix_series.prices)[: cut - 1].tolist()
+        )
 
     def test_equity_curve_starts_at_initial_capital(self):
-        report = mean_reversion_backtest(price_series([100.0] * 25))
-        assert report.equity[0] == report.params.initial_capital
-        assert len(report.equity) == 25
-        assert not report.equity.flags.writeable
+        series = price_series([100.0] * 25)
+        report = mean_reversion_backtest(series)
+        assert report.equity(series.prices)[0] == report.params.initial_capital
+        assert len(report.equity(series.prices)) == 25
+        assert not report.trade_bars.flags.writeable and not report.trade_shares.flags.writeable
+
+    def test_buy_of_zero_shares_raises(self):
+        # the oscillation's first entry at bar 3 buys 5e-324 / 80 shares, which is 0.0
+        prices = [100.0 if t % 2 == 0 else 80.0 for t in range(12)]
+        params = StrategyParams(window=4, initial_capital=5e-324)
+        with pytest.raises(ValueError, match="0 shares"):
+            mean_reversion_backtest(price_series(prices, ticker="TINY"), params)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -176,7 +190,8 @@ class TestAgainstLoop:
         bars, held, equity, strategy_pct, benchmark_pct = loop_backtest(series, params)
         assert got.trade_bars.dtype == np.int64 and got.trade_bars.tolist() == bars
         assert got.trade_shares.dtype == np.float64 and got.trade_shares.tolist() == held
-        assert got.equity.dtype == np.float64 and got.equity.tolist() == equity
+        derived = got.equity(series.prices)
+        assert derived.dtype == np.float64 and derived.tolist() == equity
         assert got.strategy_return_pct == strategy_pct
         assert got.benchmark_return_pct == benchmark_pct
         assert got.ticker == series.ticker and got.params == params
@@ -234,11 +249,10 @@ class TestEntropyCohortReport:
         assert result["low_entropy"]["tickers"] == ["A", "B"]
         assert result["high_entropy"]["tickers"] == ["C", "D"]
 
-    def test_tie_split_flagged(self):
+    def test_tie_split_by_ticker_order(self):
         reports = [_fake_report(t, 1.0, 2.0) for t in ("A", "B", "C", "D")]
         entropies = {t: 1.5 for t in ("A", "B", "C", "D")}
         result = entropy_cohort_report(reports, entropies)
-        assert result["tie_split_by_ticker_order"]
         assert result["low_entropy"]["tickers"] == ["A", "B"]
 
     def test_equal_strategy_and_benchmark(self):
@@ -263,7 +277,6 @@ def _fake_report(ticker, strategy_pct, benchmark_pct):
         ticker=ticker,
         strategy_return_pct=strategy_pct,
         benchmark_return_pct=benchmark_pct,
-        equity=np.array([10_000.0]),
         trade_bars=np.empty(0, dtype=np.int64),
         trade_shares=np.empty(0),
         params=StrategyParams(),

@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
@@ -353,6 +354,18 @@ class TestRunPipeline:
         assert report.facts["backtest.num_tickers"] == "6"
         assert (tmp_path / "b" / "backtest_summary.csv").exists()
         assert (tmp_path / "b" / "backtest_equity.csv").exists()
+
+    def test_buy_of_zero_shares_is_a_named_failure(self, tmp_path):
+        """A capital that buys 0.0 shares fails its tickers; it does not trade them at -100%."""
+        path = tiny_market(tmp_path)
+        out = tmp_path / "b"
+        argv = ["backtest", "--input", str(path), "--out", str(out), "--capital", "5e-324"]
+        assert cli_main(argv) == 2
+        failures = [line for line in (out / "report.txt").read_text().splitlines()
+                    if line.startswith("failure: ")]
+        assert len(failures) == 6
+        assert all(re.fullmatch(r"failure: backtest\[TK\d\]: TK\d: .* 0 shares", f) for f in failures)
+        assert not (out / "backtest_trades.csv").exists()
 
     def test_split_sessions_drops_overnight_gaps(self, tmp_path):
         rows = []
@@ -793,32 +806,51 @@ class TestBacktestFiles:
         series = [
             PriceSeries(ticker, "daily", np.arange(300) * 86400,
                         100 * np.exp(np.cumsum(rng.normal(0, 0.03, 300))))
-            for ticker in ("A,B", 'Q"T', "N\nL", "plain")
+            for ticker in ("A,B", 'Q"T', "N\nL", "50%", "%d", "plain")
         ]
         monkeypatch.setattr(pipeline, "_SERIES", series)
         files, facts, failures, reports = pipeline._backtest_task(range(len(series)), strategy)
         assert failures == []
-        assert facts == {"backtest.num_tickers": "4", "backtest.params": str(strategy)}
+        assert facts == {"backtest.num_tickers": "6", "backtest.params": str(strategy)}
         trades, equity = io.StringIO(), io.StringIO()
         trade_rows = csv.writer(trades, lineterminator="\n")
         equity_rows = csv.writer(equity, lineterminator="\n")
         trade_rows.writerow(["ticker", "timestamp", "side", "price", "shares"])
         equity_rows.writerow(["ticker", "timestamp", "equity"])
-        for s in series:
+        for s, got in zip(series, reports, strict=True):
             report = pipeline.mean_reversion_backtest(s, strategy)
+            assert got.ticker == s.ticker
+            assert got.trade_bars.tolist() == report.trade_bars.tolist()
+            assert got.trade_shares.tolist() == report.trade_shares.tolist()
             assert report.num_trades > 1
             for k, (bar, shares) in enumerate(zip(report.trade_bars, report.trade_shares)):
                 trade_rows.writerow([
                     s.ticker, int(s.timestamps[bar]), ("buy", "sell")[k % 2],
                     f"{s.prices[bar]:.6f}", f"{shares:.6f}",
                 ])
-            for ts, value in zip(s.timestamps, report.equity):
+            for ts, value in zip(s.timestamps, report.equity(s.prices)):
                 equity_rows.writerow([s.ticker, int(ts), f"{value:.6f}"])
-        assert files["backtest_trades.csv"] == trades.getvalue()
-        assert files["backtest_equity.csv"] == equity.getvalue()
-        # the main process gets each ticker's returns and no per-bar data
-        assert [r.ticker for r in reports] == [s.ticker for s in series]
-        assert all(len(r.equity) == len(r.trade_bars) == 0 for r in reports)
+        assert "".join(files["backtest_trades.csv"]) == trades.getvalue()
+        assert "".join(files["backtest_equity.csv"]) == equity.getvalue()
+
+    def test_task_memory_per_bar(self, monkeypatch):
+        """The task holds about the text of its files: one string a ticker, none a bar."""
+        rng = np.random.default_rng(3)
+        tickers, bars = 40, 5_000
+        series = [
+            PriceSeries(f"SYN{k:03d}", "intraday", np.arange(bars) * 60,
+                        100 * np.exp(np.cumsum(rng.normal(0, 0.01, bars))))
+            for k in range(tickers)
+        ]
+        monkeypatch.setattr(pipeline, "_SERIES", series)
+        tracemalloc.start()
+        try:
+            files, _, failures, _ = pipeline._backtest_task(range(tickers), StrategyParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures == [] and len(files["backtest_trades.csv"]) == tickers + 1
+        assert peak <= 48 * tickers * bars  # 150 bytes a bar with one string a bar
 
 
 RUN_FILES = {"records.csv", "report.txt"}
@@ -1322,6 +1354,18 @@ class TestCli:
         env = _env_with_src()
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+    def test_estimate_imports_no_numpy_ma(self, tmp_path):
+        path = tiny_market(tmp_path)
+        script = (
+            "import sys; from entrokit.cli import main; "
+            f"code = main(['estimate', '--input', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+            "print(code, sorted({'numpy.ma', 'scipy', 'networkx'} & sys.modules.keys()))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_env_with_src(), check=True
         )
         assert proc.stdout.strip().splitlines()[-1] == "0 []"
 

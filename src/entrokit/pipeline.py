@@ -7,20 +7,21 @@ the two: the CLI gives each subcommand the flags of those fields and no
 other, and ``report.txt`` lists those settings and no other.
 
 Per ticker: log returns -> quartile discretization -> LZ and CTW entropy
-rates -> BDS on the raw returns.  Cross-sectional stages compare estimate
-densities across sampling cohorts, build correlation graphs and run the
-mean-reversion backtest.  A failing ticker is recorded and skipped; it
-never aborts the run.  A ticker belongs to its sampling cohort, the input
-of every cross-sectional stage, only if LZ, CTW and BDS all succeed on it:
-a flat series or one of fewer than 50 returns fails BDS, and so is left out.
-All files are written atomically under the output directory.
+rates -> BDS on the raw returns; ``graph`` and ``backtest`` run CTW alone
+(their ``cohorts`` stage).  A ticker belongs to its sampling cohort, the
+input of every cross-sectional stage, if it passes the cohort rule (at
+least ``bds.MIN_LENGTH`` returns, not flat but for rounding) and its
+estimators succeed; else its record names the failure, and the run goes on.
+Cross-sectional stages compare estimate densities across sampling cohorts,
+build correlation graphs and run the mean-reversion backtest.  All files
+are written atomically under the output directory.
 
 One executor runs a command's work: a process pool when ``jobs > 1``,
-else each task inline, at submit.  The estimates stage reads every input
-into ``_SERIES``, opens the pool once, and then submits each piece of work
-the moment its inputs exist: the backtest, the per-ticker estimates in
-(sampling, ticker) order, each cohort's graph build as soon as its last
-ticker's record is in, and the density tests once every record is.
+else each task inline, at submit.  The estimates (or cohorts) stage reads
+every input into ``_SERIES``, opens the pool once, and then submits each
+piece of work the moment its inputs exist: the backtest, the per-ticker
+estimates in (sampling, ticker) order, each cohort's graph build as soon as
+its last ticker's record is in, and the density tests once every record is.
 Each task a later stage reads is kept under the name its failure takes
 ("backtest", "graph[daily]", "equality").  Each returns one shape,
 ``(files, facts, failures, *rest)``: the files it built (name -> text, or
@@ -68,7 +69,7 @@ from . import __version__
 from .backtest import (
     PerformanceReport, StrategyParams, entropy_cohort_report, mean_reversion_backtest,
 )
-from .bds import BdsParams, bds_statistic, entropy_bds_association
+from .bds import MIN_LENGTH, BdsParams, bds_statistic, entropy_bds_association
 from .ctw import DEFAULT_DEPTH, CtwParams, ctw_entropy_rate
 from .densities import DEFAULT_PERMUTATIONS, density_equality_test, summary_stats
 from .graphs import WeightedGraph, correlation_matrix, distance_graph, mst, pmfg
@@ -89,8 +90,8 @@ COMMANDS = {
     "validate": ("curves",),
     "bds": ("estimates", "associations"),
     "compare": ("estimates", "summaries", "equality_tests"),
-    "graph": ("estimates", "graphs"),
-    "backtest": ("estimates", "backtest"),
+    "graph": ("cohorts", "graphs"),
+    "backtest": ("cohorts", "backtest"),
     "report": ("estimates", "summaries", "equality_tests", "associations", "graphs", "backtest"),
 }
 
@@ -378,21 +379,23 @@ def _rounding_flat(returns: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
 
 
 def _process_ticker(k: int, config: RunConfig) -> TickerRecord:
+    """Series ``k``'s record; it raises if the series fails the cohort rule, checked first."""
     series = _SERIES[k]
-    try:
-        returns = _returns_for(series, config)
-        symbols = quantile_discretize(returns, config.states)
-        if _rounding_flat(returns, np.log(series.prices)):
-            raise ValueError("zero-variance series")
-        lz = lz_entropy_rate(symbols)
-        ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth)
-        bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
-        return _record(
-            k, lz_entropy=lz.bits_per_symbol, ctw_entropy=ctw.bits_per_symbol,
-            bds_statistic=bds.statistic, bds_p=bds.p_value,
-        )
-    except Exception as exc:  # crash isolation: the run continues
-        return _record(k, exc)
+    returns = _returns_for(series, config)
+    symbols = quantile_discretize(returns, config.states)
+    if _rounding_flat(returns, np.log(series.prices)):
+        raise ValueError("zero-variance series")
+    if len(returns) < MIN_LENGTH:
+        raise ValueError(f"need at least {MIN_LENGTH} observations, got {len(returns)}")
+    ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth).bits_per_symbol
+    if "estimates" not in COMMANDS[config.command]:  # graph and backtest read CTW alone
+        return _record(k, ctw_entropy=ctw)
+    lz = lz_entropy_rate(symbols)
+    bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
+    return _record(
+        k, lz_entropy=lz.bits_per_symbol, ctw_entropy=ctw,
+        bds_statistic=bds.statistic, bds_p=bds.p_value,
+    )
 
 
 def _atomic_write(path: Path, text: str | list[str]) -> None:
@@ -420,25 +423,13 @@ def _fmt(x) -> str:
 
 
 def _write_records(out: Path, records: list[TickerRecord]) -> None:
+    """records.csv: a column per ``TickerRecord`` field, and the status before the error."""
+    *cells, error = (f.name for f in fields(TickerRecord))
     rows = [
-        [
-            r.ticker,
-            r.sampling,
-            r.n,
-            _fmt(r.lz_entropy),
-            _fmt(r.ctw_entropy),
-            _fmt(r.bds_statistic),
-            _fmt(r.bds_p),
-            "failed" if r.failed else "ok",
-            r.error,
-        ]
+        [*(_fmt(getattr(r, name)) for name in cells), "failed" if r.failed else "ok", r.error]
         for r in records
     ]
-    header = [
-        "ticker", "sampling", "n", "lz_entropy", "ctw_entropy",
-        "bds_statistic", "bds_p", "status", "error",
-    ]
-    _atomic_write(out / "records.csv", _csv_text(header, rows))
+    _atomic_write(out / "records.csv", _csv_text([*cells, "status", error], rows))
 
 
 def _ingest(run: _Run) -> None:
@@ -470,7 +461,7 @@ def _backtest_label() -> str:
 
 
 def _estimates(run: _Run) -> None:
-    """Ingest every input, run LZ, CTW and BDS on each ticker, and submit the later stages' work.
+    """Ingest every input, run each ticker's estimators, and submit the later stages' work.
 
     The backtest is submitted once the inputs are in, a cohort's graph build
     once the last of its tickers' records is, and the density tests once
@@ -496,7 +487,7 @@ def _estimates(run: _Run) -> None:
         for k in ks:
             try:
                 records[k] = executor.result(tickers.pop(k))
-            except BrokenProcessPool as exc:
+            except Exception as exc:  # BrokenProcessPool, ValueError, ...: the run goes on
                 records[k] = _record(k, exc)
         ok = [k for k in ks if not records[k].failed]
         if not ok:
@@ -759,6 +750,8 @@ STAGES = {
         _estimates,
         ("inputs", "states", "ctw_depth", "bds_m", "bds_eps", "jobs", "split_sessions"),
     ),
+    # the estimates stage with CTW alone (_process_ticker)
+    "cohorts": (_estimates, ("inputs", "states", "ctw_depth", "jobs", "split_sessions")),
     "summaries": (_summaries, ()),
     "equality_tests": (_equality_tests, ("permutations", "seed")),
     "associations": (_associations, ()),

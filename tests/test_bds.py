@@ -293,6 +293,12 @@ class TestBdsStatistic:
         with pytest.raises(ValueError, match="NaN or infinite"):
             bds_statistic(x, BdsParams(m, 1.0))
 
+    def test_every_pair_within_epsilon(self):
+        """An epsilon wider than the range puts every pair within it: C = K = 1, variance 0."""
+        x = np.random.default_rng(0).standard_normal(200)
+        with pytest.raises(ValueError, match="nonpositive BDS variance estimate"):
+            bds_statistic(x, BdsParams(2, 1e3))
+
     def test_epsilon_overflow(self):
         x = 1e10 * np.random.default_rng(0).standard_normal(200)
         with pytest.raises(ValueError, match="not finite"):

@@ -58,6 +58,32 @@ def matrix_equality_test(xa, xb, num_permutations, seed):
     return p, float(stats[0]), fa[0], fb[0], fa[1:].std(axis=0)
 
 
+def percentile_bandwidth(samples):
+    """Reference: the normal-reference rule with ``np.percentile``'s quartiles."""
+    q75, q25 = np.percentile(samples, [75, 25])
+    iqr = float(q75 - q25)
+    sd = float(np.std(samples, ddof=1))
+    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+    return 0.9 * spread * len(samples) ** (-0.2)
+
+
+class TestReferenceBandwidth:
+    def test_matches_percentile(self):
+        """Bit for bit on 10 to 400 samples: rounded ones (ties, a zero IQR) and heavy-tailed
+        ones (the IQR below the sd) among them."""
+        rng = np.random.default_rng(0)
+        branches = set()
+        for i in range(600):
+            n = int(rng.integers(10, 401))
+            x = rng.standard_t(1 + i % 10, n) * rng.uniform(0.01, 2)
+            if i % 3 == 0:
+                x = np.round(x, 2)
+            expected = percentile_bandwidth(x)
+            assert _reference_bandwidth(x) == expected, (i, n)
+            branches.add(expected == 0.9 * float(np.std(x, ddof=1)) * n ** (-0.2))
+        assert branches == {True, False}
+
+
 class TestDensityEqualityTest:
     def test_identical_samples(self):
         x = np.random.default_rng(3).standard_normal(60)

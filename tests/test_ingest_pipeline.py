@@ -17,6 +17,7 @@ import threading
 import tracemalloc
 
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import networkx as nx
@@ -260,14 +261,13 @@ class TestRunPipeline:
         t = np.arange(300)
         noise = np.random.default_rng(0).normal(0, 1e-6, 300)
         config = RunConfig(inputs=(), out_dir=Path("unused"), command="validate")
-        for prices, error in (
-            (np.full(300, 100.0), "ValueError: zero-variance series"),
-            (100 * np.exp(0.001 * t), "ValueError: zero-variance series"),
-            (100 * 1.01**t, "ValueError: zero-variance series"),
-            (100 * np.exp(np.cumsum(noise)), ""),
-        ):
+        for prices in (np.full(300, 100.0), 100 * np.exp(0.001 * t), 100 * 1.01**t):
             monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t * 86400, prices)])
-            assert pipeline._process_ticker(0, config).error == error
+            with pytest.raises(ValueError, match="^zero-variance series$"):
+                pipeline._process_ticker(0, config)
+        prices = 100 * np.exp(np.cumsum(noise))
+        monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t * 86400, prices)])
+        assert pipeline._process_ticker(0, config).error == ""
 
     def test_reproducible_report_body(self, tmp_path):
         path = tiny_market(tmp_path)
@@ -508,6 +508,37 @@ class TestRunPipeline:
         # one pool for the run, one rerun pool, then one ticker alone per further break
         assert len(pools) < 10, pools
         assert pools[:2] == [2, 2]
+
+    def test_pool_broken_at_submit(self, tmp_path, monkeypatch):
+        """A pool that raises BrokenProcessPool at a submit loses that task, which runs again
+        in a fresh pool of the same size; the outputs are a clean run's."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        args = ["report", "--input", str(daily), "--input", str(intraday), "--permutations", "20"]
+        assert cli_main(args + ["--out", str(tmp_path / "clean"), "--jobs", "1"]) == 0
+        sizes, submitted = [], []  # each pool's size; (pools opened, task) at each submit
+
+        class BreaksAtFirstSubmit(inline_pool(sizes)):
+            def submit(self, fn, *args):
+                submitted.append((len(sizes), fn.__name__))
+                if len(submitted) == 1:  # as if a worker had died since the last submit
+                    raise BrokenProcessPool("stand-in broken pool")
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", BreaksAtFirstSubmit)
+        assert cli_main(args + ["--out", str(tmp_path / "broken"), "--jobs", "2"]) == 0
+        assert sizes == [2, 2]
+        assert submitted[0] == (1, "_backtest_task")
+        assert [s for s in submitted if s[1] == "_backtest_task"] == [
+            (1, "_backtest_task"), (2, "_backtest_task"),
+        ]
+        assert all(pools == 1 for pools, fn in submitted if fn != "_backtest_task")
+        clean, broken = read_outputs(tmp_path / "clean"), read_outputs(tmp_path / "broken")
+        assert clean.keys() == broken.keys()
+        for name, text in clean.items():
+            if name == "report.txt":
+                text, broken[name] = report_body(text), report_body(broken[name])
+            assert broken[name] == text, name
 
     def test_every_pool_forks(self, tmp_path, monkeypatch):
         """Each pool of a two-job run names the fork context, the dead-worker reruns' too:
@@ -865,6 +896,7 @@ GRAPH_FILES = {
 BACKTEST_FILES = {"backtest_trades.csv", "backtest_equity.csv", "backtest_summary.csv"}
 DENSITY_FILES = {"density_lz.csv", "density_ctw.csv"}
 ESTIMATE_SETTINGS = ["states", "ctw_depth", "bds_m", "bds_eps", "split_sessions", "inputs"]
+COHORT_SETTINGS = ["states", "ctw_depth", "split_sessions", "inputs"]
 ALL_SETTINGS = [
     "seed", "states", "ctw_depth", "bds_m", "bds_eps", "permutations", "split_sessions", "inputs",
 ]
@@ -886,8 +918,8 @@ class TestCommands:
         "validate": ({"convergence.csv", "report.txt"}, ["seed", "ctw_depth"]),
         "bds": (RUN_FILES, ESTIMATE_SETTINGS),
         "compare": (RUN_FILES | DENSITY_FILES, ALL_SETTINGS),
-        "graph": (RUN_FILES | GRAPH_FILES, ESTIMATE_SETTINGS),
-        "backtest": (RUN_FILES | BACKTEST_FILES, ESTIMATE_SETTINGS),
+        "graph": (RUN_FILES | GRAPH_FILES, COHORT_SETTINGS),
+        "backtest": (RUN_FILES | BACKTEST_FILES, COHORT_SETTINGS),
         "report": (RUN_FILES | DENSITY_FILES | GRAPH_FILES | BACKTEST_FILES, ALL_SETTINGS),
     }
 
@@ -951,10 +983,20 @@ class TestCommands:
             ], command
 
     def test_commands_write_what_report_writes(self, outputs):
+        """Every file but report.txt equals report's; graph and backtest, which run CTW
+        alone, leave their records' LZ and BDS cells empty."""
         report = outputs["report"]
         for command in ("estimate", "bds", "compare", "graph", "backtest"):
             for name, text in outputs[command].items():
-                if name != "report.txt":
+                if name == "records.csv" and command in ("graph", "backtest"):
+                    rows, expected = (
+                        list(csv.DictReader(io.StringIO(t))) for t in (text, report[name])
+                    )
+                    assert list(rows[0]) == list(expected[0]), command
+                    for row in expected:
+                        row.update(lz_entropy="", bds_statistic="", bds_p="")
+                    assert rows == expected, command
+                elif name != "report.txt":
                     assert text == report[name], (command, name)
 
     # sha256 of each file `report` writes on the tiny market, report.txt without
@@ -1033,6 +1075,52 @@ class TestCommands:
                 argv += ["--permutations", "20"]
             assert cli_main(argv) == 0, command
             assert dict(submitted) == counts, command
+
+    def test_estimators_per_command(self, tmp_path, monkeypatch):
+        """Each command runs LZ and BDS once per ticker that passes the cohort rule if it reads
+        them, and never if, like graph and backtest, it reads CTW alone."""
+        calls = collections.Counter()
+
+        def counted(name):
+            estimator = getattr(pipeline, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return estimator(*args, **kwargs)
+
+            return call
+
+        for name in ("lz_entropy_rate", "ctw_entropy_rate", "bds_statistic"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        # FLAT and SHORT fail the cohort rule, so no estimator runs on them
+        rows = [f"{i * 86400},FLAT,100" for i in range(120)]
+        rows += [f"{i * 86400},SHORT,{100 + i % 7}" for i in range(40)]
+        inputs = [
+            "--input", str(tiny_market(tmp_path)),
+            "--input", str(tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")),
+            "--input", str(write_csv(tmp_path / "failing.csv", rows)),
+        ]
+        every = {"lz_entropy_rate": 12, "ctw_entropy_rate": 12, "bds_statistic": 12}
+        ctw = {"ctw_entropy_rate": 12}
+        expected = {
+            "estimate": every, "validate": {}, "bds": every, "compare": every,
+            "graph": ctw, "backtest": ctw, "report": every,
+        }
+        assert expected.keys() == COMMANDS.keys()
+        for command, counts in expected.items():
+            calls.clear()
+            out = ["--out", str(tmp_path / command)]
+            if command == "validate":
+                assert cli_main([command, *out, "--ctw-depth", "8"]) == 0
+            else:
+                argv = [command, *inputs, *out, "--jobs", "1", *(
+                    ["--permutations", "20"] if command in ("compare", "report") else []
+                )]
+                assert cli_main(argv) == 2, command
+                with (tmp_path / command / "records.csv").open(newline="") as fh:
+                    failed = [row["ticker"] for row in csv.DictReader(fh) if row["status"] != "ok"]
+                assert failed == ["FLAT", "SHORT"], command
+            assert dict(calls) == counts, command
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_degenerate_density_samples(self, tmp_path, jobs):
@@ -1250,7 +1338,7 @@ class TestCli:
         assert {a.option_strings[0] for a in sub.choices["validate"]._actions} == {
             "-h", "--out", "--seed", "--ctw-depth",
         }
-        assert pairs == 63
+        assert pairs == 59
 
     def test_ticker_in_two_inputs_rejected_before_work(self, tmp_path, monkeypatch, capsys):
         path = tiny_market(tmp_path)
@@ -1345,11 +1433,15 @@ class TestCli:
         assert intraday.series[0].sampling == "intraday"
 
     def test_report_imports_no_scipy(self, tmp_path):
-        path = tiny_market(tmp_path)
+        """Nor numpy.ma: two cohorts, so that the density tests run too."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
         script = (
             "import sys; from entrokit.cli import main; "
-            f"code = main(['report', '--input', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
-            "print(code, sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))"
+            f"code = main(['report', '--input', {str(daily)!r}, '--input', {str(intraday)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}, '--permutations', '20']); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m == 'numpy.ma' or m.startswith(('scipy', 'networkx'))))"
         )
         env = _env_with_src()
         proc = subprocess.run(

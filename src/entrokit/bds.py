@@ -12,19 +12,24 @@ V_m is asymptotically standard Normal under iid.  The test runs on raw
 real-valued log returns, not on discretized symbols.
 
 Every count is an exact integer, so C_m, C_1, C and K follow as exact
-integer ratios and both count paths give bit-identical floats:
+integer ratios and every count path gives bit-identical floats.
 
-- m = 2 (the default): ranks (Kanzler 1999).  After one sort, the points
-  within epsilon of x_s form one run [lo_s, hi_s) of sorted positions,
-  found with the same float test as the pair matrix.  A pair of 2-histories
-  is then a point (rank x_t, rank x_{t+1}) inside the rectangle
-  [lo_s, hi_s) x [lo_{s+1}, hi_{s+1}), and all n rectangles are counted
-  offline by descending a wavelet matrix over the successor ranks.  Time is
-  O(n log n), memory O(n).
-- m >= 3 (and m = 1): tiles.  One pass over the upper triangle of the pair
-  matrix |x_s - x_t| <= epsilon, BLOCK rows at a time; each tile yields its
-  share of the m-history pairs, the single-point pairs and every point's
-  neighbour count.  Time is O(n^2 / 2) comparisons, memory O(BLOCK * n).
+One stable sort gives every neighbourhood (Kanzler 1999): the points within
+epsilon of x_s form one run [lo_s, hi_s) of sorted positions, found with the
+same float test as the pair matrix.  The run widths are the neighbour counts
+behind C and K, and the embedded points in each run give the single-point
+pairs behind C_1, in O(n log n) time at every m.  The m-history pairs behind
+C_m are counted one of three ways:
+
+- m = 1: they are the single-point pairs.
+- m = 2 (the default): a pair of 2-histories is a point (rank x_t,
+  rank x_{t+1}) inside the rectangle [lo_s, hi_s) x [lo_{s+1}, hi_{s+1}),
+  and all n rectangles are counted offline by descending a wavelet matrix
+  over the successor ranks.  Time is O(n log n), memory O(n).
+- m >= 3: tiles (LeBaron 1997).  One pass over the upper triangle of the
+  pair matrix |x_s - x_t| <= epsilon, BLOCK embedded rows at a time, ANDs
+  the m shifted indicators.  Time is O(n^2 / 2) comparisons, memory
+  O(BLOCK * n).
 """
 
 from __future__ import annotations
@@ -69,44 +74,6 @@ class BdsResult:
     c_1: float
     params: BdsParams
     n: int
-
-
-def _pair_counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.ndarray]:
-    """Pair counts of ``|x_s - x_t| <= epsilon``, taken BLOCK rows at a time.
-
-    Returns ``(pairs_m, pairs_1, deg)``: the pairs s < t < N of m-histories
-    within epsilon under the max norm, the pairs s < t < N of single points
-    within epsilon (both on the N = n - m + 1 embedded indices), and each
-    point's number of neighbours within epsilon among all n points, itself
-    excluded.  Only the upper triangle is compared; a tile holds rows
-    [a, b + m - 1) against columns [a, n).
-    """
-    n = len(x)
-    n_emb = n - m + 1
-    pairs_m = pairs_1 = 0
-    deg = np.zeros(n, dtype=np.int64)
-    for a in range(0, n, BLOCK):
-        b = min(a + BLOCK, n)
-        rows = b - a
-        diff = x[a : b + m - 1, None] - x[None, a:]
-        tile = np.abs(diff, out=diff) <= epsilon
-        head = tile[:rows]
-        deg[a:b] += np.count_nonzero(head, axis=1)
-        deg[b:] += np.count_nonzero(head[:, rows:], axis=0)
-        emb_rows = min(b, n_emb) - a
-        if emb_rows <= 0:
-            continue
-        near_1 = tile[:emb_rows, : n_emb - a]
-        near_m = near_1.copy()
-        for k in range(1, m):
-            near_m &= tile[k : k + emb_rows, k : k + n_emb - a]
-        # the square left of the rectangle holds each pair twice, plus the diagonal
-        pairs_1 += (np.count_nonzero(near_1[:, :emb_rows]) - emb_rows) // 2
-        pairs_1 += np.count_nonzero(near_1[:, emb_rows:])
-        pairs_m += (np.count_nonzero(near_m[:, :emb_rows]) - emb_rows) // 2
-        pairs_m += np.count_nonzero(near_m[:, emb_rows:])
-    deg -= 1
-    return pairs_m, pairs_1, deg
 
 
 def _bisect(test, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,37 +155,62 @@ def _count_in_boxes(
     return int(below[0] - below[1])
 
 
-def _rank_counts(x: np.ndarray, epsilon: float) -> tuple[int, int, np.ndarray]:
-    """``_pair_counts(x, epsilon, 2)`` from sorted ranks in O(n log n) time.
+def _history_pairs(x: np.ndarray, epsilon: float, m: int) -> int:
+    """Pairs s < t < N = n - m + 1 of m-histories within epsilon under the max norm.
 
-    Pairs s < t of 2-histories within epsilon are the t whose rank lies in
-    [lo_s, hi_s) and whose successor's rank lies in [lo_{s+1}, hi_{s+1}):
-    summed over s < N this counts each pair twice and each s once with itself.
+    One pass over the upper triangle of the pair matrix ``|x_s - x_t| <=
+    epsilon``, BLOCK embedded rows at a time (LeBaron 1997): a tile holds rows
+    [a, a + BLOCK + m - 1) against columns [a, n), and a pair of m-histories
+    is the AND of its m diagonally shifted indicators.
+    """
+    n_emb = len(x) - m + 1
+    pairs = 0
+    for a in range(0, n_emb, BLOCK):
+        rows = min(BLOCK, n_emb - a)
+        cols = n_emb - a
+        diff = x[a : a + rows + m - 1, None] - x[None, a:]
+        tile = np.abs(diff, out=diff) <= epsilon
+        near = tile[:rows, :cols] & tile[1 : 1 + rows, 1 : 1 + cols]
+        for k in range(2, m):
+            near &= tile[k : k + rows, k : k + cols]
+        # the square left of the rectangle holds each pair twice, plus the diagonal
+        pairs += (np.count_nonzero(near[:, :rows]) - rows) // 2
+        pairs += np.count_nonzero(near[:, rows:])
+    return int(pairs)
+
+
+def _counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.ndarray]:
+    """``(pairs_m, pairs_1, deg)`` of ``|x_s - x_t| <= epsilon``.
+
+    The pairs s < t < N = n - m + 1 of m-histories within epsilon under the
+    max norm, the pairs s < t < N of single points within epsilon, and each
+    point's number of neighbours within epsilon among all n points, itself
+    excluded.  One sort gives every point's run of neighbours; the m-history
+    pairs come from the runs at m <= 2 and from the tiles at m >= 3.
     """
     n = len(x)
+    n_emb = n - m + 1
     order = np.argsort(x, kind="stable")
     v = x[order]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     lo, hi = _neighbour_ranges(x, v, rank, epsilon)
-    width = hi - lo
-    deg = width.astype(np.int64) - 1
-    n_emb = n - 1
-    # single points s < t < N: the last point is the one not embedded
-    last = rank[-1]
-    with_last = int(np.count_nonzero((lo[:-1] <= last) & (last < hi[:-1])))
-    pairs_1 = (int(width[:-1].sum()) - with_last - n_emb) // 2
-    # successor rank of the point at each sorted position; n (no rank) for the last point
-    succ = np.full(n, n, dtype=np.intp)
+    deg = (hi - lo).astype(np.int64) - 1
+    # embedded[j]: the points s < N at sorted positions [0, j); each s's run holds s itself
+    embedded = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(order < n_emb, out=embedded[1:])
+    pairs_1 = (int((embedded[hi[:n_emb]] - embedded[lo[:n_emb]]).sum()) - n_emb) // 2
+    if m == 1:
+        return pairs_1, pairs_1, deg
+    if m > 2:
+        return _history_pairs(x, epsilon, m), pairs_1, deg
+    # pairs s < t of 2-histories are the t whose rank lies in [lo_s, hi_s) and whose
+    # successor's rank lies in [lo_{s+1}, hi_{s+1}): summed over s < N this counts
+    # each pair twice and each s once with itself
+    succ = np.full(n, n, dtype=np.intp)  # n (no rank) for the last point
     succ[rank[:-1]] = rank[1:]
     in_boxes = _count_in_boxes(succ, lo[:-1], hi[:-1], lo[1:], hi[1:])
-    pairs_m = (in_boxes - n_emb) // 2
-    return pairs_m, pairs_1, deg
-
-
-def _counts(x: np.ndarray, epsilon: float, m: int) -> tuple[int, int, np.ndarray]:
-    """``(pairs_m, pairs_1, deg)`` by ranks at m = 2 and by tiles otherwise."""
-    return _rank_counts(x, epsilon) if m == 2 else _pair_counts(x, epsilon, m)
+    return (in_boxes - n_emb) // 2, pairs_1, deg
 
 
 def _require_finite(x: np.ndarray) -> None:

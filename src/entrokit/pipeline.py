@@ -382,11 +382,11 @@ def _process_ticker(k: int, config: RunConfig) -> TickerRecord:
     """Series ``k``'s record; it raises if the series fails the cohort rule, checked first."""
     series = _SERIES[k]
     returns = _returns_for(series, config)
-    symbols = quantile_discretize(returns, config.states)
-    if _rounding_flat(returns, np.log(series.prices)):
+    if len(returns) and _rounding_flat(returns, np.log(series.prices)):
         raise ValueError("zero-variance series")
     if len(returns) < MIN_LENGTH:
         raise ValueError(f"need at least {MIN_LENGTH} observations, got {len(returns)}")
+    symbols = quantile_discretize(returns, config.states)
     ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth).bits_per_symbol
     if "estimates" not in COMMANDS[config.command]:  # graph and backtest read CTW alone
         return _record(k, ctw_entropy=ctw)

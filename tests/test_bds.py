@@ -8,8 +8,7 @@ import pytest
 from entrokit.bds import (
     BLOCK,
     BdsParams,
-    _pair_counts,
-    _rank_counts,
+    _counts,
     bds_statistic,
     correlation_integral,
     entropy_bds_association,
@@ -28,7 +27,7 @@ def brute_force_correlation_integral(x, m, epsilon):
     return count / pairs
 
 
-# n = 2*BLOCK + m - 1 fills two tiles with m-histories and leaves a third with none
+# n = 2*BLOCK + m - 1 fills exactly two tiles with m-histories
 TWO_TILES = "2*BLOCK+m-1"
 SIZES = [BLOCK - 1, BLOCK, BLOCK + 1, TWO_TILES, 1000]
 
@@ -44,9 +43,9 @@ def market_returns(rng, n):
 
 
 def matrix_counts(x, epsilon, m):
-    """Second oracle: the pair counts read off full n x n indicator matrices.
+    """The oracle: the pair counts read off full n x n indicator matrices.
 
-    Returns (pairs_m, pairs_1, deg) as ``_pair_counts`` does: m-history and
+    Returns (pairs_m, pairs_1, deg) as ``_counts`` does: m-history and
     single-point pairs s < t < N = n - m + 1, and neighbours among all n.
     """
     ind = np.abs(x[:, None] - x[None, :]) <= epsilon
@@ -110,7 +109,7 @@ class TestCorrelationIntegral:
     @pytest.mark.parametrize("n", SIZES)
     def test_tiled_counts_match_matrices(self, n):
         rng = np.random.default_rng(11)
-        for m in range(2, 11):
+        for m in range(1, 11):
             size = _size(n, m)
             # integers put many pairs exactly at epsilon; one decimal gives ties
             inputs = [
@@ -119,12 +118,24 @@ class TestCorrelationIntegral:
                 (rng.standard_normal(size), 0.7),
             ]
             for x, eps in inputs:
-                pairs_m, pairs_1, deg = _pair_counts(x, eps, m)
+                pairs_m, pairs_1, deg = _counts(x, eps, m)
                 ref_m, ref_1, ref_deg = matrix_counts(x, eps, m)
                 assert (pairs_m, pairs_1) == (ref_m, ref_1)
                 np.testing.assert_array_equal(deg, ref_deg)
                 n_emb = size - m + 1
                 assert correlation_integral(x, m, eps) == ref_m / (n_emb * (n_emb - 1) / 2)
+
+    def test_single_points_from_one_sort(self):
+        # the pair matrix would hold 2.5e9 pairs: m = 1 reads the sorted runs alone
+        x = np.random.default_rng(15).standard_normal(50_000)
+        tracemalloc.start()
+        try:
+            value = correlation_integral(x, 1, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert type(value) is float and 0 < value < 1
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -151,7 +162,7 @@ def assert_same_counts(got, want):
 
 
 class TestRankCounts:
-    """The m = 2 rank path against the tiles and the full matrices."""
+    """The m = 2 rank path against the full matrices."""
 
     @pytest.mark.parametrize("n", SIZES)
     def test_grid(self, n):
@@ -166,9 +177,7 @@ class TestRankCounts:
             (rng.standard_normal(size), 0.7),
         ]
         for x, eps in inputs:
-            got = _rank_counts(x, eps)
-            assert_same_counts(got, _pair_counts(x, eps, 2))
-            assert_same_counts(got, matrix_counts(x, eps, 2))
+            assert_same_counts(_counts(x, eps, 2), matrix_counts(x, eps, 2))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 50, 749, 1000])
     def test_market_shaped(self, n):
@@ -176,9 +185,7 @@ class TestRankCounts:
         for _ in range(5):
             x = market_returns(rng, n)
             for eps in (0.002, 0.02, float(np.std(x, ddof=1)), 0.0600000001, 1.0):
-                got = _rank_counts(x, eps)
-                assert_same_counts(got, _pair_counts(x, eps, 2))
-                assert_same_counts(got, matrix_counts(x, eps, 2))
+                assert_same_counts(_counts(x, eps, 2), matrix_counts(x, eps, 2))
 
     def test_edges_one_ulp_from_shifted_bounds(self):
         # x_t a few ulps either side of x_s -+ eps, where fl(x_s -+ eps) and
@@ -190,7 +197,7 @@ class TestRankCounts:
             edges = np.concatenate([centre - eps, centre + eps])
             near = [np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
             x = rng.permutation(np.concatenate([centre, edges, *near, edges]))
-            assert_same_counts(_rank_counts(x, eps), matrix_counts(x, eps, 2))
+            assert_same_counts(_counts(x, eps, 2), matrix_counts(x, eps, 2))
 
     def test_statistics_bit_identical_to_matrices(self):
         rng = np.random.default_rng(24)

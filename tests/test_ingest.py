@@ -441,6 +441,23 @@ class TestChunks:
         assert [ticker for ticker, *_ in series] == ["A\nA"] * ("A\nA" in late) + ["AAA", "BBB"]
 
     @pytest.mark.parametrize(
+        "header", [b'"timestamp","ticker","close"\n', b"timestamp,ticker,close\r\r\n"]
+    )
+    def test_quoted_or_cr_header_read_by_rows(self, tmp_path, monkeypatch, header):
+        """A header with a quote, or a carriage return other than its CRLF's, is not plain:
+        csv.reader reads the whole file, and no chunk is parsed from bytes."""
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", self.LINES * self.WIDTH - 1)
+        path = tmp_path / "p.csv"
+        path.write_bytes(header + "\n".join(self.lines(30)).encode() + b"\n")
+        seen = spy_chunks(monkeypatch)
+        expected = outcome(reference, path)
+        assert outcome(ingest_csv, path) == expected
+        assert seen == []
+        skipped, duplicates, series = expected
+        assert (skipped, duplicates) == (0, 0)
+        assert [ticker for ticker, *_ in series] == ["AAA", "BBB"]
+
+    @pytest.mark.parametrize(
         "bad", [b"1000000120,A\rB,0.00", b"1000000120,\xff\xfe,0.00", "1000000120,Ä,0.00".encode()]
     )
     def test_zero_price_ticker_is_checked(self, tmp_path, monkeypatch, bad):

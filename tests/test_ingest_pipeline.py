@@ -269,6 +269,36 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t * 86400, prices)])
         assert pipeline._process_ticker(0, config).error == ""
 
+    @pytest.mark.parametrize(
+        "prices, error",
+        [
+            ([100.0], "T: need at least 2 points for returns"),
+            ([100.0, 100.0], "zero-variance series"),
+            ([100.0, 101.0], "zero-variance series"),  # one return spans nothing
+            ([100.0] * 3, "zero-variance series"),
+            ([100.0, 101.0, 103.0], "need at least 50 observations, got 2"),
+            ([100.0] * 4, "zero-variance series"),
+            ([100.0, 101.0, 103.0, 102.0], "need at least 50 observations, got 3"),
+        ],
+    )
+    def test_short_tickers_fail_the_cohort_rule(self, monkeypatch, prices, error):
+        """Fewer returns than --states fail the cohort rule, not the discretization."""
+        t = np.arange(len(prices)) * 86400
+        monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t, prices)])
+        config = RunConfig(inputs=(), out_dir=Path("unused"), command="validate")
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            pipeline._process_ticker(0, config)
+
+    def test_no_returns_left_by_split_sessions(self, monkeypatch):
+        """Its one return spans a session gap: no return is left, and none is flat."""
+        series = PriceSeries("T", "intraday", [0, pipeline.SESSION_GAP_SECONDS], [100.0, 101.0])
+        monkeypatch.setattr(pipeline, "_SERIES", [series])
+        config = RunConfig(
+            inputs=(), out_dir=Path("unused"), command="validate", split_sessions=True
+        )
+        with pytest.raises(ValueError, match="^need at least 50 observations, got 0$"):
+            pipeline._process_ticker(0, config)
+
     def test_reproducible_report_body(self, tmp_path):
         path = tiny_market(tmp_path)
 
@@ -1156,6 +1186,19 @@ class TestCommands:
             for label in ("daily", "intraday") for e in ("ctw", "lz")
         ]
         assert not any(line.startswith("entropy_bds_spearman") for line in lines)
+
+    def test_association_skips_small_cohorts(self, tmp_path):
+        """A cohort of fewer than three tickers has no entropy-|BDS| rho, and no failure."""
+        daily = tiny_market(tmp_path)
+        intraday = tiny_market(tmp_path, n_tickers=2, seed=1, step=60, name="intraday.csv")
+        out = tmp_path / "out"
+        argv = ["bds", "--input", str(daily), "--input", str(intraday), "--out", str(out)]
+        assert cli_main(argv) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines if "entropy_bds_spearman" in line] == [
+            f"entropy_bds_spearman[daily][{e}]" for e in ("ctw", "lz")
+        ]
+        assert not any(line.startswith("failure:") for line in lines)
 
     @pytest.mark.parametrize("command", ["graph", "report"])
     def test_failed_tickers_leave_every_cohort(self, tmp_path, monkeypatch, command):

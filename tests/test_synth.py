@@ -173,6 +173,18 @@ class TestConvergenceCurve:
         assert curve.true_entropy == 2.0
         assert curve.estimates_ctw[0] >= curve.estimates_lz[0]
 
+    def test_markov_true_entropy(self):
+        transition = shift_register_chain(1.5)
+        curve = convergence_curve(
+            SyntheticSource(kind="markov", alphabet_size=4, seed=3, transition=transition),
+            [200, 2000],
+            trials=2,
+            ctw_depth=8,
+        )
+        assert curve.true_entropy == markov_entropy_rate(transition)
+        assert curve.sizes == (200, 2000)
+        assert all(0 < h < 2.2 for h in curve.estimates_lz + curve.estimates_ctw)
+
     def test_invalid_sizes(self):
         src = SyntheticSource(kind="constant", alphabet_size=4)
         with pytest.raises(ValueError):

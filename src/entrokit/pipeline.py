@@ -16,23 +16,29 @@ Cross-sectional stages compare estimate densities across sampling cohorts,
 build correlation graphs and run the mean-reversion backtest.  All files
 are written atomically under the output directory.
 
-One executor runs a command's work: a process pool when ``jobs > 1``,
-else each task inline, at submit.  The estimates (or cohorts) stage reads
-every input into ``_SERIES``, opens the pool once, and then submits each
-piece of work the moment its inputs exist: the backtest, the per-ticker
-estimates in (sampling, ticker) order, each cohort's graph build as soon as
-its last ticker's record is in, and the density tests once every record is.
-Each task a later stage reads is kept under the name its failure takes
-("backtest", "graph[daily]", "equality").  Each returns one shape,
-``(files, facts, failures, *rest)``: the files it built (name -> text, or
-texts to write in turn), its ``report.txt`` lines, and what it met and
-could not build, each a named failure.  ``_Run.collect`` writes the files,
-adds the facts and failures and gives the stage the rest, in the order of
-``COMMANDS``; workers write nothing.  It is the one place a task's raised
-exception, a dead worker's ``BrokenProcessPool`` or a ``MemoryError``
-alike, becomes the failure ``<name>: <type>: <message>``.  The graph files
-hold the MST and the PMFG as edge lists, and as GML with each node's CTW
-entropy.
+One executor runs a command's work: a process pool when ``jobs > 1``, else
+each task inline, at submit.  The estimates (or cohorts) stage reads every
+input into ``_SERIES``, opens the pool once, and then submits each piece of
+work the moment its inputs exist: the backtest, the per-ticker tasks in
+(sampling, ticker) order, each cohort's graph build as soon as its last
+ticker's task is in, and the density tests once every ticker's is.  A
+per-ticker task returns its values by name: ``ctw_entropy``, and under the
+estimates stage ``lz_entropy``, ``bds_statistic`` and ``bds_p``.
+``_estimates`` keeps them in ``_Run.values`` by series index, where later
+stages read them (a ticker is ok exactly when it has values), and builds
+each ``TickerRecord``, a ``records.csv`` row, from those named by its
+fields; any other name is for later stages alone.  The other tasks, kept
+under the name their failure takes ("backtest", "graph[daily]", "equality"),
+return one shape, ``(files, facts, failures, *rest)``: the files they built
+(name -> text, or texts to write in turn), their ``report.txt`` lines, and
+what they met and could not build, each a named failure.  ``_Run.collect``
+writes the files, adds the facts and failures and gives the stage the rest,
+in the order of ``COMMANDS``; workers write nothing.  A raised task, a dead
+worker's ``BrokenProcessPool`` or a ``MemoryError`` alike, becomes a failure
+in one of two places: ``_Run.collect`` names it ``<name>: <type>:
+<message>``, and ``_estimates`` gives the ticker a failed record, with the
+error ``<type>: <message>`` and no values.  The graph files hold the MST and
+the PMFG as edge lists, and as GML with each node's CTW entropy.
 
 A task names its series by index in ``_SERIES``, the run's one table of
 series: no series crosses a process boundary.  Pool workers see the table
@@ -303,7 +309,9 @@ class _Run:
 
     report: AnalysisReport
     executor: _Executor
-    cohorts: dict[str, list[TickerRecord]] = field(default_factory=dict)  # label -> ok records
+    # series index -> the values its ticker's task returned by name; ok tickers only
+    values: dict[int, dict[str, float]] = field(default_factory=dict)
+    cohorts: dict[str, list[int]] = field(default_factory=dict)  # label -> its ok indices
     # work submitted and not yet collected, by the name its failure takes:
     # "backtest", "graph[<label>]" or "equality"
     tasks: dict[str, _Task] = field(default_factory=dict)
@@ -355,13 +363,6 @@ def _returns_for(series: PriceSeries, config: RunConfig) -> np.ndarray:
     return log_returns(series)[_kept_returns(series.timestamps, series.sampling, config)]
 
 
-def _record(k: int, exc: BaseException | None = None, **estimates) -> TickerRecord:
-    """The record of series ``k``: its estimates, or the error ``exc``."""
-    series = _SERIES[k]
-    error = "" if exc is None else f"{type(exc).__name__}: {exc}"
-    return TickerRecord(series.ticker, series.sampling, len(series), error=error, **estimates)
-
-
 # a log return carries the rounding of its two log prices: a few ulps of the larger
 ROUNDING_ULPS = 64
 
@@ -378,8 +379,8 @@ def _rounding_flat(returns: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
     return np.ptp(returns, axis=-1) <= ROUNDING_ULPS * np.finfo(float).eps * scale
 
 
-def _process_ticker(k: int, config: RunConfig) -> TickerRecord:
-    """Series ``k``'s record; it raises if the series fails the cohort rule, checked first."""
+def _process_ticker(k: int, config: RunConfig) -> dict[str, float]:
+    """Series ``k``'s named values; it raises if the series fails the cohort rule, checked first."""
     series = _SERIES[k]
     returns = _returns_for(series, config)
     if len(returns) and _rounding_flat(returns, np.log(series.prices)):
@@ -389,13 +390,13 @@ def _process_ticker(k: int, config: RunConfig) -> TickerRecord:
     symbols = quantile_discretize(returns, config.states)
     ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth).bits_per_symbol
     if "estimates" not in COMMANDS[config.command]:  # graph and backtest read CTW alone
-        return _record(k, ctw_entropy=ctw)
+        return {"ctw_entropy": ctw}
     lz = lz_entropy_rate(symbols)
     bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
-    return _record(
-        k, lz_entropy=lz.bits_per_symbol, ctw_entropy=ctw,
-        bds_statistic=bds.statistic, bds_p=bds.p_value,
-    )
+    return {
+        "lz_entropy": lz.bits_per_symbol, "ctw_entropy": ctw,
+        "bds_statistic": bds.statistic, "bds_p": bds.p_value,
+    }
 
 
 def _atomic_write(path: Path, text: str | list[str]) -> None:
@@ -464,55 +465,53 @@ def _estimates(run: _Run) -> None:
     """Ingest every input, run each ticker's estimators, and submit the later stages' work.
 
     The backtest is submitted once the inputs are in, a cohort's graph build
-    once the last of its tickers' records is, and the density tests once
-    every record is, if both cohorts hold five tickers or more.
+    once the last of its tickers' values are, and the density tests once
+    every ticker's are, if both cohorts hold five tickers or more.
     """
     _ingest(run)
     config, report, executor = run.config, run.report, run.executor
     stages = COMMANDS[config.command]
     executor.open(len(_SERIES))
-    by_label: dict[str, list[int]] = {}  # label -> its series' indices, in ticker order
-    for k, series in enumerate(_SERIES):
-        by_label.setdefault(series.sampling, []).append(k)
-    by_label = dict(sorted(by_label.items()))
+    labels = sorted({series.sampling for series in _SERIES})
+    # label -> its series' indices, in ticker order
+    by_label = {label: [k for k, s in enumerate(_SERIES) if s.sampling == label] for label in labels}
     if "backtest" in stages:
         run.tasks["backtest"] = executor.submit(
             _backtest_task, by_label[_backtest_label()], config.strategy
         )
-    tickers = {
-        k: executor.submit(_process_ticker, k, config) for ks in by_label.values() for k in ks
-    }
-    records: list[TickerRecord] = [None] * len(_SERIES)
+    tickers = {k: executor.submit(_process_ticker, k, config) for k in chain(*by_label.values())}
+    errors: dict[int, str] = {}
     for label, ks in by_label.items():
         for k in ks:
             try:
-                records[k] = executor.result(tickers.pop(k))
+                run.values[k] = executor.result(tickers.pop(k))
             except Exception as exc:  # BrokenProcessPool, ValueError, ...: the run goes on
-                records[k] = _record(k, exc)
-        ok = [k for k in ks if not records[k].failed]
-        if not ok:
-            continue
-        cohort = run.cohorts[label] = [records[k] for k in ok]
-        if "graphs" in stages and len(cohort) >= 3:
-            run.tasks[f"graph[{label}]"] = executor.submit(
-                _graph_task, label, ok, {r.ticker: r.ctw_entropy for r in cohort}, config
-            )
-    report.records = records
-    report.facts["tickers"] = str(len(records))
-    report.facts["tickers_failed"] = str(sum(r.failed for r in records))
-    sizes = [len(cohort) for cohort in run.cohorts.values()]
+                errors[k] = f"{type(exc).__name__}: {exc}"
+        ok = run.cohorts[label] = [k for k in ks if k in run.values]
+        if "graphs" in stages and len(ok) >= 3:
+            entropies = {_SERIES[k].ticker: run.values[k]["ctw_entropy"] for k in ok}
+            run.tasks[f"graph[{label}]"] = executor.submit(_graph_task, label, ok, entropies, config)
+    names = {f.name for f in fields(TickerRecord)}
+    report.records = [  # a failed ticker's record holds its error, and no values
+        TickerRecord(s.ticker, s.sampling, len(s), error=errors.get(k, ""), **{
+            name: v for name, v in run.values.get(k, {}).items() if name in names})
+        for k, s in enumerate(_SERIES)
+    ]
+    report.facts["tickers"] = str(len(_SERIES))
+    report.facts["tickers_failed"] = str(len(errors))
+    sizes = [len(ok) for ok in run.cohorts.values()]
     if "equality_tests" in stages and len(sizes) == 2 and min(sizes) >= 5:
         run.tasks["equality"] = executor.submit(
             _density_task, _entropies(run), tuple(run.cohorts), config
         )
-    _write_records(run.out, records)
+    _write_records(run.out, report.records)
 
 
 def _entropies(run: _Run) -> dict[tuple[str, str], list[float]]:
     """(label, "ctw" or "lz") -> the cohort's entropy rates, cohorts by name, ctw first."""
     return {
-        (label, estimator): [getattr(r, f"{estimator}_entropy") for r in cohort]
-        for label, cohort in run.cohorts.items()
+        (label, estimator): [run.values[k][f"{estimator}_entropy"] for k in ok]
+        for label, ok in run.cohorts.items()
         for estimator in ("ctw", "lz")
     }
 
@@ -567,7 +566,7 @@ def _equality_tests(run: _Run) -> None:
 def _associations(run: _Run) -> None:
     """Each cohort's Spearman rho of entropy against |BDS|; constant input is a named failure."""
     for (label, estimator), values in _entropies(run).items():
-        bds = [r.bds_statistic for r in run.cohorts[label]]
+        bds = [run.values[k]["bds_statistic"] for k in run.cohorts[label]]
         if len(bds) < 3:
             continue
         name = f"entropy_bds_spearman[{label}][{estimator}]"
@@ -718,7 +717,8 @@ def _backtest_task(
 def _backtest(run: _Run) -> None:
     """The entropy split of the backtested cohort's tickers, from the backtest's reports."""
     [reports] = run.collect("backtest") or [[]]
-    entropies = {r.ticker: r.ctw_entropy for r in run.cohorts.get(_backtest_label(), [])}
+    ok = run.cohorts[_backtest_label()]
+    entropies = {_SERIES[k].ticker: run.values[k]["ctw_entropy"] for k in ok}
     covered = [r for r in reports if r.ticker in entropies]
     if len(covered) >= 2:
         split = entropy_cohort_report(covered, entropies)
@@ -750,7 +750,7 @@ STAGES = {
         _estimates,
         ("inputs", "states", "ctw_depth", "bds_m", "bds_eps", "jobs", "split_sessions"),
     ),
-    # the estimates stage with CTW alone (_process_ticker)
+    # the estimates stage with CTW alone: _process_ticker returns ctw_entropy only
     "cohorts": (_estimates, ("inputs", "states", "ctw_depth", "jobs", "split_sessions")),
     "summaries": (_summaries, ()),
     "equality_tests": (_equality_tests, ("permutations", "seed")),

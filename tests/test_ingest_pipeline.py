@@ -47,16 +47,38 @@ def _exit_worker(what):
 
 
 def _worker_dies_on_tk1(k, config):
-    """Stand-in for the per-ticker worker: the pool worker running TK1 exits."""
+    """Stand-in for the per-ticker task: the pool worker running TK1 exits; the others
+    return the task's named values."""
     if pipeline._SERIES[k].ticker == "TK1":
         _exit_worker("TK1's estimates")
     return _process_ticker(k, config)
 
 
 def _estimator_marks_its_run(k, config):
-    """Stand-in for the per-ticker worker: leaves a file beside the output directory."""
+    """Stand-in for the per-ticker task: leaves a file beside the output directory, then
+    returns the task's named values."""
     Path(config.out_dir).with_name("estimator-ran").touch()
     return _process_ticker(k, config)
+
+
+def _task_returns_its_pid(k, config):
+    """Stand-in for the per-ticker task: its named values and ``probe``, the pid of the
+    process that ran it, a name that is no record field; TK1's task raises."""
+    if pipeline._SERIES[k].ticker == "TK1":
+        raise ValueError("stand-in failure")
+    return {**_process_ticker(k, config), "probe": float(os.getpid())}
+
+
+def keep_runs(monkeypatch, stage):
+    """The list to which each later run appends the ``_Run`` its ``stage`` reads."""
+    runs, (fn, read) = [], pipeline.STAGES[stage]
+
+    def keeping(run):
+        runs.append(run)
+        return fn(run)
+
+    monkeypatch.setitem(pipeline.STAGES, stage, (keeping, read))
+    return runs
 
 
 def _pmfg_dies_on_seven_nodes(graph):
@@ -245,7 +267,7 @@ class TestRunPipeline:
             f"{i * 86400},GOOD,{p:.4f}"
             for i, p in enumerate(100 * np.exp(np.cumsum(rng.normal(0, 0.02, 120))))
         ]
-        # FLAT has constant prices: zero-variance returns fail BDS
+        # FLAT has constant prices: zero-variance returns fail the cohort rule
         rows += [f"{i * 86400},FLAT,100" for i in range(120)]
         path = write_csv(tmp_path / "m.csv", rows)
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "out", command="estimate")
@@ -267,7 +289,7 @@ class TestRunPipeline:
                 pipeline._process_ticker(0, config)
         prices = 100 * np.exp(np.cumsum(noise))
         monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t * 86400, prices)])
-        assert pipeline._process_ticker(0, config).error == ""
+        assert set(pipeline._process_ticker(0, config)) == {"ctw_entropy"}
 
     @pytest.mark.parametrize(
         "prices, error",
@@ -450,6 +472,42 @@ class TestRunPipeline:
         assert len(summary) == 7
         gml = (out / "graph_daily_pmfg.gml").read_text()
         assert set(re.findall(r'label "(\w+)"', gml)) == {"TK0", "TK2", "TK3", "TK4", "TK5"}
+
+    def test_extra_value_comes_back_from_a_worker(self, tmp_path, monkeypatch):
+        """A value a per-ticker task returns under a name that is no record field reaches the
+        later stages from its pool worker, and no file; a task that raised leaves no values."""
+        path = tiny_market(tmp_path)
+        plain = tmp_path / "plain"
+        assert cli_main(["report", "--input", str(path), "--out", str(plain)]) == 0
+        monkeypatch.setattr(pipeline, "_process_ticker", _task_returns_its_pid)
+        runs = keep_runs(monkeypatch, "backtest")
+        out = tmp_path / "o"
+        assert cli_main(["report", "--input", str(path), "--out", str(out), "--jobs", "2"]) == 2
+        [run] = runs
+        ok = [0, 2, 3, 4, 5]  # TK0..TK5 in ticker order, all but TK1
+        assert sorted(run.values) == ok
+        assert run.cohorts == {"daily": ok}
+        for values in run.values.values():
+            assert set(values) == {"lz_entropy", "ctw_entropy", "bds_statistic", "bds_p", "probe"}
+            assert values["probe"] != os.getpid()
+        outputs = read_outputs(out)
+        assert not any("probe" in text for text in outputs.values())
+        rows = outputs["records.csv"].splitlines()
+        assert rows[2] == "TK1,daily,120,,,,,failed,ValueError: stand-in failure"
+        assert rows[:2] + rows[3:] == [
+            row for row in (plain / "records.csv").read_text().splitlines() if row[:4] != "TK1,"
+        ]
+
+    @pytest.mark.parametrize("command", ["graph", "backtest"])
+    def test_cohorts_stage_keeps_ctw_alone(self, tmp_path, monkeypatch, command):
+        path = tiny_market(tmp_path)
+        runs = keep_runs(monkeypatch, COMMANDS[command][-1])
+        out = tmp_path / "o"
+        assert cli_main([command, "--input", str(path), "--out", str(out), "--jobs", "2"]) == 0
+        [run] = runs
+        assert {k: set(values) for k, values in run.values.items()} == {
+            k: {"ctw_entropy"} for k in range(6)
+        }
 
     def test_dead_worker_fails_its_graph(self, tmp_path, monkeypatch):
         """A worker that dies in one cohort's graph build fails that build alone."""
@@ -1202,7 +1260,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["graph", "report"])
     def test_failed_tickers_leave_every_cohort(self, tmp_path, monkeypatch, command):
-        """A ticker BDS fails on (flat, or under 50 returns) joins no cross-sectional stage."""
+        """A ticker that fails the cohort rule (flat, or under 50 returns) joins no
+        cross-sectional stage."""
         splits, cohort_report = [], pipeline.entropy_cohort_report
 
         def recording_split(reports, entropies):

@@ -65,10 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
         for name in command_fields(command):
             for flag, options in _FLAGS[name].items():
                 p.add_argument(flag, **options)
-    demo = sub.add_parser("make-dataset", help="write the bundled synthetic 91-ticker market")
-    demo.add_argument("--out", required=True, metavar="DIR")
-    demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument("--points", type=int, default=1500)
+    demo = sub.add_parser(
+        "make-dataset", argument_default=argparse.SUPPRESS,
+        help="write the bundled synthetic 91-ticker market",
+    )
+    demo.add_argument("--out", **_FLAGS["out_dir"]["--out"])
+    demo.add_argument("--seed", **_FLAGS["seed"]["--seed"])
+    demo.add_argument("--points", type=int, dest="n_points", metavar="N")
     return parser
 
 
@@ -76,8 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = vars(build_parser().parse_args(argv))
         if args["command"] == "make-dataset":
-            paths = write_synthetic_market(args["out"], n_points=args["points"], seed=args["seed"])
-            for path in paths:
+            del args["command"]  # each other dest is a write_synthetic_market parameter
+            for path in write_synthetic_market(**args):
                 print(f"wrote {path}")
             return EXIT_OK
         strategy = {f.name: args.pop(f.name) for f in fields(StrategyParams) if f.name in args}

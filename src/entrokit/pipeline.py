@@ -11,10 +11,10 @@ rates -> BDS on the raw returns; ``graph`` and ``backtest`` run CTW alone
 (their ``cohorts`` stage).  A ticker belongs to its sampling cohort, the
 input of every cross-sectional stage, if it passes the cohort rule (at
 least ``bds.MIN_LENGTH`` returns, not flat but for rounding) and its
-estimators succeed; else its record names the failure, and the run goes on.
-Cross-sectional stages compare estimate densities across sampling cohorts,
-build correlation graphs and run the mean-reversion backtest.  All files
-are written atomically under the output directory.
+estimators succeed; else its ``records.csv`` row names the failure, and the
+run goes on.  Cross-sectional stages compare estimate densities across
+sampling cohorts, build correlation graphs and run the mean-reversion
+backtest.  All files are written atomically under the output directory.
 
 One executor runs a command's work: a process pool when ``jobs > 1``, else
 each task inline, at submit.  The estimates (or cohorts) stage reads every
@@ -25,18 +25,18 @@ ticker's task is in, and the density tests once every ticker's is.  A
 per-ticker task returns its values by name: ``ctw_entropy``, and under the
 estimates stage ``lz_entropy``, ``bds_statistic`` and ``bds_p``.
 ``_estimates`` keeps them in ``_Run.values`` by series index, where later
-stages read them (a ticker is ok exactly when it has values), and builds
-each ``TickerRecord``, a ``records.csv`` row, from those named by its
-fields; any other name is for later stages alone.  The other tasks, kept
-under the name their failure takes ("backtest", "graph[daily]", "equality"),
-return one shape, ``(files, facts, failures, *rest)``: the files they built
-(name -> text, or texts to write in turn), their ``report.txt`` lines, and
-what they met and could not build, each a named failure.  ``_Run.collect``
-writes the files, adds the facts and failures and gives the stage the rest,
-in the order of ``COMMANDS``; workers write nothing.  A raised task, a dead
+stages read them (a ticker is ok exactly when it has values), and writes
+``records.csv``, a row per series, from those ``RECORD_VALUES`` names; any
+other name is for later stages alone.  The other tasks, kept under the name
+their failure takes ("backtest", "graph[daily]", "equality"), return one
+shape, ``(files, facts, failures, *rest)``: the files they built (name ->
+text, or texts to write in turn), their ``report.txt`` lines, and what they
+met and could not build, each a named failure.  ``_Run.collect`` writes the
+files, adds the facts and failures and gives the stage the rest, in the
+order of ``COMMANDS``; workers write nothing.  A raised task, a dead
 worker's ``BrokenProcessPool`` or a ``MemoryError`` alike, becomes a failure
 in one of two places: ``_Run.collect`` names it ``<name>: <type>:
-<message>``, and ``_estimates`` gives the ticker a failed record, with the
+<message>``, and ``_estimates`` gives the ticker a failed row, with the
 error ``<type>: <message>`` and no values.  The graph files hold the MST and
 the PMFG as edge lists, and as GML with each node's CTW entropy.
 
@@ -47,10 +47,11 @@ read it inline.  It is module state, emptied once the executor closes, so
 a process runs one ``run_pipeline`` at a time.
 
 ``report.txt`` lists the settings the command read, then
-``AnalysisReport.facts``, then a ``failure:`` line for each named failure.
-``facts`` maps each ``name: value`` line to its value, in print order: the
-input counts (zero for ``validate``, which reads no input), then the lines
-each stage writes as it collects its results, in the order of ``COMMANDS``.
+``AnalysisReport.facts``, then a ``failure:`` line for each named failure;
+``AnalysisReport`` holds just these.  ``facts`` maps each ``name: value``
+line to its value, in print order: the input counts (zero for
+``validate``, which reads no input), then the lines each stage writes as it
+collects its results, in the order of ``COMMANDS``.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .series import PriceSeries, log_returns, quantile_discretize
 from .synth import SyntheticSource, convergence_curve
 
 __all__ = [
-    "COMMANDS", "RunConfig", "TickerRecord", "AnalysisReport", "command_fields", "run_pipeline",
+    "COMMANDS", "RECORD_VALUES", "RunConfig", "AnalysisReport", "command_fields", "run_pipeline",
 ]
 
 SESSION_GAP_SECONDS = 4 * 3600  # intraday gap treated as a session boundary
@@ -159,21 +160,8 @@ class RunConfig:
         BdsParams(self.bds_m, self.bds_eps)
 
 
-@dataclass(frozen=True)
-class TickerRecord:
-    ticker: str
-    sampling: str
-    n: int
-    lz_entropy: float | None = None
-    ctw_entropy: float | None = None
-    bds_statistic: float | None = None
-    bds_p: float | None = None
-    error: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.error)
-
+# the task values records.csv lists, in column order; a task's other names reach no file
+RECORD_VALUES = ("lz_entropy", "ctw_entropy", "bds_statistic", "bds_p")
 
 # the input counts every report.txt lists first; the estimates stage sets them
 _INPUT_COUNTS = ("skipped_rows", "duplicate_rows", "tickers", "tickers_failed")
@@ -182,14 +170,14 @@ _INPUT_COUNTS = ("skipped_rows", "duplicate_rows", "tickers", "tickers_failed")
 @dataclass
 class AnalysisReport:
     config: RunConfig
-    records: list[TickerRecord] = field(default_factory=list)
     # each "name: value" line of report.txt after the settings -> its value, in print order
     facts: dict[str, str] = field(default_factory=lambda: dict.fromkeys(_INPUT_COUNTS, "0"))
     failures: list[str] = field(default_factory=list)
 
     @property
     def num_failed(self) -> int:
-        return sum(1 for r in self.records if r.failed) + len(self.failures)
+        """The failed tickers, as ``report.txt`` counts them, and the named failures."""
+        return int(self.facts["tickers_failed"]) + len(self.failures)
 
 
 _FORK = multiprocessing.get_context("fork")
@@ -423,16 +411,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_records(out: Path, records: list[TickerRecord]) -> None:
-    """records.csv: a column per ``TickerRecord`` field, and the status before the error."""
-    *cells, error = (f.name for f in fields(TickerRecord))
-    rows = [
-        [*(_fmt(getattr(r, name)) for name in cells), "failed" if r.failed else "ok", r.error]
-        for r in records
-    ]
-    _atomic_write(out / "records.csv", _csv_text([*cells, "status", error], rows))
-
-
 def _ingest(run: _Run) -> None:
     """Fill ``_SERIES`` from every input; a ticker twice in one cohort is an error."""
     source: dict[tuple[str, str], Path] = {}  # (ticker, sampling) -> its input file
@@ -491,20 +469,19 @@ def _estimates(run: _Run) -> None:
         if "graphs" in stages and len(ok) >= 3:
             entropies = {_SERIES[k].ticker: run.values[k]["ctw_entropy"] for k in ok}
             run.tasks[f"graph[{label}]"] = executor.submit(_graph_task, label, ok, entropies, config)
-    names = {f.name for f in fields(TickerRecord)}
-    report.records = [  # a failed ticker's record holds its error, and no values
-        TickerRecord(s.ticker, s.sampling, len(s), error=errors.get(k, ""), **{
-            name: v for name, v in run.values.get(k, {}).items() if name in names})
-        for k, s in enumerate(_SERIES)
-    ]
-    report.facts["tickers"] = str(len(_SERIES))
-    report.facts["tickers_failed"] = str(len(errors))
+    report.facts.update(tickers=str(len(_SERIES)), tickers_failed=str(len(errors)))
     sizes = [len(ok) for ok in run.cohorts.values()]
     if "equality_tests" in stages and len(sizes) == 2 and min(sizes) >= 5:
         run.tasks["equality"] = executor.submit(
             _density_task, _entropies(run), tuple(run.cohorts), config
         )
-    _write_records(run.out, report.records)
+    rows = [  # a failed ticker's row holds its error, and no values
+        [s.ticker, s.sampling, len(s), *(_fmt(run.values.get(k, {}).get(v)) for v in RECORD_VALUES),
+         "failed" if k in errors else "ok", errors.get(k, "")]
+        for k, s in enumerate(_SERIES)
+    ]
+    header = ["ticker", "sampling", "n", *RECORD_VALUES, "status", "error"]
+    _atomic_write(run.out / "records.csv", _csv_text(header, rows))
 
 
 def _entropies(run: _Run) -> dict[tuple[str, str], list[float]]:

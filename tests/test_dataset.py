@@ -78,6 +78,13 @@ class TestMakeDatasetCli:
         assert out.read_text(encoding="utf-8") == "keep me"
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_absent_flag_leaves_the_default(self, tmp_path):
+        """--points with no --seed writes what write_synthetic_market does at its default seed."""
+        assert cli_main(["make-dataset", "--out", str(tmp_path / "cli"), "--points", "40"]) == 0
+        dataset.write_synthetic_market(tmp_path / "call", n_points=40)
+        for name in ("daily.csv", "intraday.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "call" / name).read_bytes()
+
     def test_two_points(self, tmp_path):
         assert cli_main(["make-dataset", "--out", str(tmp_path / "d"), "--points", "2"]) == 0
         rows = (tmp_path / "d" / "daily.csv").read_text(encoding="utf-8").splitlines()

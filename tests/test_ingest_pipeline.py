@@ -143,6 +143,12 @@ def read_outputs(out):
     return {p.name: p.read_text() for p in sorted(out.iterdir())}
 
 
+def read_records(out):
+    """Ticker -> its row of ``records.csv`` in ``out``, a dict by column."""
+    with (out / "records.csv").open(newline="") as fh:
+        return {row["ticker"]: row for row in csv.DictReader(fh)}
+
+
 def report_body(text):
     """report.txt without its time stamp."""
     return re.sub("generated_at: .*", "", text)
@@ -252,14 +258,14 @@ class TestRunPipeline:
     def test_estimate_records(self, tmp_path):
         path = tiny_market(tmp_path)
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "out", command="estimate")
-        report = run_pipeline(config)
-        assert len(report.records) == 6
-        assert all(not r.failed for r in report.records)
-        assert (tmp_path / "out" / "records.csv").exists()
+        run_pipeline(config)
+        rows = read_records(tmp_path / "out")
+        assert len(rows) == 6
+        assert all(r["status"] == "ok" for r in rows.values())
         assert (tmp_path / "out" / "report.txt").exists()
-        for r in report.records:
-            assert 0 <= r.lz_entropy <= 2.15
-            assert 0 <= r.ctw_entropy <= 2.15
+        for r in rows.values():
+            assert 0 <= float(r["lz_entropy"]) <= 2.15
+            assert 0 <= float(r["ctw_entropy"]) <= 2.15
 
     def test_crash_isolation(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -272,9 +278,9 @@ class TestRunPipeline:
         path = write_csv(tmp_path / "m.csv", rows)
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "out", command="estimate")
         report = run_pipeline(config)
-        by_ticker = {r.ticker: r for r in report.records}
-        assert by_ticker["FLAT"].failed
-        assert not by_ticker["GOOD"].failed
+        rows = read_records(tmp_path / "out")
+        assert rows["FLAT"]["status"] == "failed"
+        assert rows["GOOD"]["status"] == "ok"
         assert report.num_failed == 1
 
     def test_rounding_flat_returns_fail(self, monkeypatch):
@@ -338,13 +344,12 @@ class TestRunPipeline:
 
     def test_jobs_parallel_matches_serial(self, tmp_path):
         path = tiny_market(tmp_path)
-        r1 = run_pipeline(
-            RunConfig(inputs=(path,), out_dir=tmp_path / "s", command="estimate", jobs=1)
-        )
-        r2 = run_pipeline(
-            RunConfig(inputs=(path,), out_dir=tmp_path / "p", command="estimate", jobs=3)
-        )
-        assert r1.records == r2.records
+        for out, jobs in (("s", 1), ("p", 3)):
+            run_pipeline(
+                RunConfig(inputs=(path,), out_dir=tmp_path / out, command="estimate", jobs=jobs)
+            )
+        records = [(tmp_path / out / "records.csv").read_bytes() for out in ("s", "p")]
+        assert records[0] == records[1]
         # every file each command writes on a daily and an intraday cohort is
         # the same at one job, at two and at three
         intraday = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
@@ -428,17 +433,16 @@ class TestRunPipeline:
                 t += 60
             t += 18 * 3600  # overnight
         path = write_csv(tmp_path / "m.csv", rows)
-        with_gaps = run_pipeline(
-            RunConfig(inputs=(path,), out_dir=tmp_path / "w", command="estimate")
-        )
-        without = run_pipeline(
+        run_pipeline(RunConfig(inputs=(path,), out_dir=tmp_path / "w", command="estimate"))
+        run_pipeline(
             RunConfig(
                 inputs=(path,), out_dir=tmp_path / "wo", command="estimate", split_sessions=True
             )
         )
-        assert with_gaps.records[0].n == 120
+        with_gaps, without = (read_records(tmp_path / out)["AAA"] for out in ("w", "wo"))
+        assert with_gaps["n"] == "120"
         assert "split_sessions: True" in (tmp_path / "wo" / "report.txt").read_text()
-        assert without.records[0].lz_entropy != with_gaps.records[0].lz_entropy
+        assert without["lz_entropy"] != with_gaps["lz_entropy"]
         # the two returns across the overnight gaps are dropped, no other
         series = ingest_csv(path).series[0]
         config = RunConfig(inputs=(path,), out_dir=tmp_path / "x", split_sessions=True)
@@ -1339,6 +1343,28 @@ class TestCli:
         for path in (tmp_path / "missing.csv", tmp_path):
             assert cli_main(["estimate", "--input", str(path), "--out", str(out)]) == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["backtest", "report"])
+    def test_warning_counts_every_failure(self, tmp_path, command, jobs, capsys):
+        """The warning counts the failed rows of records.csv and the failure lines of
+        report.txt: FLAT fails the cohort rule, and SHORT's 60 bars, fewer than the
+        window, fail its backtest by name."""
+        path = tiny_market(tmp_path)
+        rows = path.read_text().splitlines()[1:]
+        rows += [f"{i * 86400},FLAT,100" for i in range(120)]
+        rows += [f"{i * 86400},SHORT,{100 + i % 3}" for i in range(60)]
+        write_csv(path, rows)
+        out = tmp_path / "o"
+        argv = [command, "--input", str(path), "--out", str(out), "--jobs", jobs, "--window", "80"]
+        assert cli_main(argv) == 2
+        failed = [ticker for ticker, row in read_records(out).items() if row["status"] == "failed"]
+        assert failed == ["FLAT"]
+        failures = [line for line in (out / "report.txt").read_text().splitlines()
+                    if line.startswith("failure: ")]
+        assert "failure: backtest[SHORT]: SHORT: need more than 80 bars, got 60" in failures
+        warning = f"warning: {len(failed) + len(failures)} analyses failed; see report.txt\n"
+        assert capsys.readouterr().err == warning
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -68,7 +68,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from itertools import chain, cycle
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -187,18 +187,6 @@ _FORK = multiprocessing.get_context("fork")
 _SERIES: list[PriceSeries] = []
 
 
-class _InlinePool:
-    """The pool at one job: each task runs here, at submit."""
-
-    def submit(self, fn: Callable, *args) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # raised again when the result is read, as from a worker
-            future.set_exception(exc)
-        return future
-
-
 @dataclass(eq=False)
 class _Task:
     """One call given to the executor, kept so that a broken pool's loss can run again."""
@@ -226,7 +214,7 @@ class _Executor:
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         self.workers = 0  # of the process pool; 0 while tasks run inline
-        self._pool: Any = _InlinePool()
+        self._pool: ProcessPoolExecutor | None = None
         self._stack = ExitStack()  # the process pool's with block
         self._live: dict[_Task, None] = {}  # submitted to this pool, in order, not yet collected
 
@@ -259,11 +247,14 @@ class _Executor:
         return task
 
     def _start(self, task: _Task) -> None:
+        task.future = Future()
         try:
-            task.future = self._pool.submit(task.fn, *task.args)
-        except BrokenProcessPool as exc:  # a worker died since the last submit
-            task.future = Future()
-            task.future.set_exception(exc)
+            if self._pool is None:  # inline: the task runs now
+                task.future.set_result(task.fn(*task.args))
+            else:  # raises BrokenProcessPool if a worker died since the last submit
+                task.future = self._pool.submit(task.fn, *task.args)
+        except (Exception if self._pool is None else BrokenProcessPool) as exc:
+            task.future.set_exception(exc)  # raised again when the result is read, as from a worker
         self._live[task] = None
 
     def result(self, task: _Task):
@@ -403,12 +394,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.6f}"
-    return str(x)
+def _fmt(x: float | None) -> str:
+    return "" if x is None else f"{x:.6f}"
 
 
 def _ingest(run: _Run) -> None:
@@ -428,8 +415,6 @@ def _ingest(run: _Run) -> None:
         _SERIES.extend(result.series)
         skipped += result.skipped_rows
         duplicates += result.duplicate_rows
-    if not _SERIES:
-        raise ValueError("no tickers found in inputs")
     _SERIES.sort(key=lambda s: (s.ticker, s.sampling))
     run.report.facts.update(skipped_rows=str(skipped), duplicate_rows=str(duplicates))
 

@@ -86,14 +86,11 @@ def quantile_discretize(returns: np.ndarray, num_states: int = 4) -> np.ndarray:
     n = len(returns)
     if n < num_states:
         raise ValueError(f"need at least {num_states} observations, got {n}")
-    order = np.argsort(returns, kind="stable")
     base, rem = divmod(n, num_states)
+    sizes = np.full(num_states, base)
+    sizes[:rem] += 1
     symbols = np.empty(n, dtype=np.int64)
-    start = 0
-    for state in range(num_states):
-        size = base + (1 if state < rem else 0)
-        symbols[order[start : start + size]] = state
-        start += size
+    symbols[np.argsort(returns, kind="stable")] = np.repeat(np.arange(num_states), sizes)
     symbols.flags.writeable = False
     return symbols
 

@@ -1,7 +1,10 @@
-"""The public names each entrokit module lists in ``__all__``."""
+"""The public names each entrokit module lists in ``__all__``, and what importing the package loads."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,3 +19,18 @@ def test_every_listed_name_resolves(name):
     module = importlib.import_module(f"entrokit.{name}")
     listed = getattr(module, "__all__", [])
     assert [attr for attr in listed if not hasattr(module, attr)] == []
+
+
+def test_package_import_loads_no_module():
+    """``import entrokit`` sets the BLAS default and loads neither numpy nor a module of it."""
+    src = os.path.dirname(os.path.dirname(entrokit.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = (
+        "import os, sys; import entrokit; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('entrokit.'))); "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.splitlines() == ["[]", "1"]

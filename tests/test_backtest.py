@@ -144,6 +144,10 @@ class TestMeanReversionBacktest:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             StrategyParams(entry_z=0.5, exit_z=0.0)
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            StrategyParams(window=1)
+        with pytest.raises(ValueError, match="initial_capital must be positive"):
+            StrategyParams(initial_capital=0.0)
 
     @pytest.mark.parametrize(
         "kw",

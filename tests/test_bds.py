@@ -141,6 +141,13 @@ class TestCorrelationIntegral:
         with pytest.raises(ValueError):
             correlation_integral(np.arange(10.0), 2, 0.0)
 
+    @pytest.mark.parametrize(
+        "m,n,message", [(0, 10, "m must be >= 1"), (3, 3, "need at least 4 observations, got 3")]
+    )
+    def test_bad_m_or_length(self, m, n, message):
+        with pytest.raises(ValueError, match=message):
+            correlation_integral(np.arange(float(n)), m, 0.5)
+
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
     def test_non_finite_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="finite"):
@@ -330,6 +337,10 @@ class TestEntropyBdsAssociation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             entropy_bds_association([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_two_pairs_rejected(self):
+        with pytest.raises(ValueError, match="need at least 3 pairs"):
+            entropy_bds_association([1.0, 2.0], [3.0, 1.0])
 
     def test_matches_scipy_spearman(self):
         from scipy import stats as sps

@@ -180,6 +180,16 @@ class TestDensityEqualityTest:
         with pytest.raises(ValueError):
             density_equality_test([1.0, 2.0], [3.0, 4.0])
 
+    def test_no_permutations_rejected(self):
+        a, b = np.arange(6.0), np.arange(6.0) + 0.5
+        with pytest.raises(ValueError, match="num_permutations must be >= 1"):
+            density_equality_test(a, b, num_permutations=0)
+
+    def test_subnormal_spread_rejected(self):
+        # the values differ, but their standard deviation underflows to 0
+        with pytest.raises(ValueError, match="zero bandwidth"):
+            density_equality_test([0.0] * 5, [0.0] * 4 + [5e-324])
+
     @pytest.mark.parametrize("value", [2.0, 0.1, 1.934675])
     def test_equal_values_rejected(self, value):
         # 0.1 and 1.934675 leave a rounding-sized sd, so a bandwidth above 0

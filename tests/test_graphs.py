@@ -263,6 +263,12 @@ class TestPmfg:
         with pytest.raises(ValueError):
             pmfg(random_complete_graph(2, seed=0))
 
+    def test_incomplete_graph_rejected(self):
+        graph = random_complete_graph(5, seed=0)
+        graph = WeightedGraph(nodes=graph.nodes, edges=graph.edges[1:])
+        with pytest.raises(ValueError, match=r"complete graph \(10 edges, got 9\)"):
+            pmfg(graph)
+
     @pytest.mark.parametrize("n", [4, 5, 8, 13, 21, 40])
     @pytest.mark.parametrize("levels", [None, 3, 12])
     def test_matches_networkx_greedy(self, n, levels):

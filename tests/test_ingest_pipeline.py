@@ -244,6 +244,10 @@ class TestIngestCsv:
         with pytest.raises(ValueError):
             ingest_csv(path)
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="absent.csv"):
+            ingest_csv(tmp_path / "absent.csv")
+
 
 def tiny_market(tmp_path, n_tickers=6, n_points=120, seed=0, step=86400, name="market.csv"):
     rng = np.random.default_rng(seed)
@@ -377,6 +381,18 @@ class TestRunPipeline:
     def test_empty_inputs_error(self, tmp_path):
         with pytest.raises(ValueError):
             RunConfig(inputs=(), out_dir=tmp_path / "out", command="estimate")
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ({"command": "plot"}, "unknown command 'plot'"),
+            ({"states": 5}, "states must be 4 or 8"),
+            ({"jobs": 0}, "jobs must be >= 1"),
+        ],
+    )
+    def test_bad_setting_rejected(self, tmp_path, setting, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{"inputs": (), "out_dir": tmp_path / "out", "command": "validate", **setting})
 
     def test_no_outputs_on_ingest_failure(self, tmp_path):
         bad = write_csv(tmp_path / "bad.csv", ["0,AAA,100"], header="x,y,z")
@@ -1402,6 +1418,7 @@ class TestCli:
             ("--capital", "nan"),
             ("--capital", "inf"),
             ("--seed", "-1"),
+            ("--jobs", "0"),
         ],
     )
     def test_bad_parameter_rejected_before_work(self, tmp_path, flag, value, capsys):

@@ -52,6 +52,8 @@ class TestQuantileDiscretize:
         assert symbols.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
         assert symbols.dtype == np.int64
         assert not symbols.flags.writeable
+        # n not divisible by the states: the earlier buckets take the extra element
+        assert quantile_discretize(np.arange(1.0, 8.0), 4).tolist() == [0, 0, 1, 1, 2, 2, 3]
 
     def test_all_ties_balanced(self):
         symbols = quantile_discretize(np.array([5.0, 5.0, 5.0, 5.0]), 4)
@@ -64,6 +66,10 @@ class TestQuantileDiscretize:
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
             quantile_discretize(np.array([1.0, 2.0]), 4)
+
+    def test_one_state_rejected(self):
+        with pytest.raises(ValueError, match="num_states must be >= 2"):
+            quantile_discretize(np.arange(10.0), 1)
 
     @given(
         st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=60),
@@ -105,6 +111,10 @@ class TestArrays:
             PriceSeries("A", "daily", [0, 60], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="1-D"):
             PriceSeries("A", "daily", [[0, 60]], [[1.0, 2.0]])
+
+    def test_unknown_sampling_rejected(self):
+        with pytest.raises(ValueError, match="unknown sampling label 'weekly'"):
+            PriceSeries("A", "weekly", [0, 60], [1.0, 2.0])
 
     def test_return_values_read_only(self):
         r = log_returns(price_series([100.0, 110.0, 99.0]))

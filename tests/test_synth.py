@@ -87,6 +87,17 @@ class TestGenerate:
         bad = np.array([[0.5, 0.6], [0.5, 0.5]])
         with pytest.raises(ValueError):
             SyntheticSource(kind="markov", alphabet_size=2, transition=bad)
+        for transition in (None, np.full((2, 4), 0.25)):
+            with pytest.raises(ValueError, match="needs a square transition matrix"):
+                SyntheticSource(kind="markov", alphabet_size=2, transition=transition)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown source kind 'walk'"):
+            SyntheticSource(kind="walk", alphabet_size=4)
+
+    def test_no_symbols_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            generate(SyntheticSource(kind="uniform_iid", alphabet_size=4), 0)
 
 
 class TestMarkovEntropyRate:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EqualityTestResult", "density_equality_test", "summary_stats"]
+__all__ = ["EqualityTestResult", "density_equality_test"]
 
 GRID_POINTS = 512
 DEFAULT_PERMUTATIONS = 1000
@@ -116,11 +116,3 @@ def density_equality_test(
         reference_band_high=pooled_density + 2 * se,
         num_permutations=num_permutations,
     )
-
-
-def summary_stats(samples) -> tuple[float, float]:
-    """(mean, unbiased standard deviation)."""
-    x = np.asarray(list(samples), dtype=float)
-    if len(x) < 2:
-        raise ValueError("need at least 2 samples")
-    return float(np.mean(x)), float(np.std(x, ddof=1))

@@ -4,8 +4,9 @@ Input format: header ``timestamp,ticker,close``; timestamp is epoch seconds
 or an ISO date (YYYY-MM-DD); UTF-8, with or without a byte-order mark,
 comma-delimited.  Rows with missing, nonpositive or infinite prices, or
 timestamps outside int64, are skipped and counted; duplicate timestamps
-keep the last row seen.  The sampling label (daily vs intraday) is
-inferred from the median timestamp spacing.  A csv error (such as a quote
+keep the last row seen.  A file holds one sampling frequency: each of its
+series takes the label (daily vs intraday) of the median timestamp spacing
+of its ticker with the most rows.  A csv error (such as a quote
 never closed) or bytes that are not UTF-8 raise ValueError naming the file.
 
 The file is read as bytes, ``CHUNK_BYTES`` at a time, each chunk extended
@@ -61,7 +62,7 @@ __all__ = ["IngestResult", "ingest_csv"]
 
 EXPECTED_HEADER = ["timestamp", "ticker", "close"]
 
-# spacing at or above half a day means the series is daily
+# median spacing at or above half a day means the file is daily
 DAILY_SPACING_SECONDS = 43_200
 
 CHUNK_BYTES = 1 << 18
@@ -134,11 +135,18 @@ def _parse_timestamp(raw: str) -> int:
     return ts
 
 
-def _sampling_label(timestamps: np.ndarray) -> str:
-    if len(timestamps) < 2:
+def _sampling_label(rows: _Rows) -> str:
+    """The file's sampling label: that of its ticker with the most rows read, duplicates
+    counted, and of a tie the first by name."""
+    pieces = max(
+        (rows.pieces[rows.codes[t]] for t in sorted(rows.codes)),
+        key=lambda p: sum(len(ts) for ts, _ in p),
+    )
+    spacing = np.diff(np.sort(np.concatenate([ts for ts, _ in pieces])))
+    spacing = spacing[spacing > 0]  # the rows of one timestamp are one bar
+    if not len(spacing):
         return "daily"
-    spacing = float(np.median(np.diff(timestamps)))
-    return "daily" if spacing >= DAILY_SPACING_SECONDS else "intraday"
+    return "daily" if float(np.median(spacing)) >= DAILY_SPACING_SECONDS else "intraday"
 
 
 def _csv_rows(reader, path: Path, lines_before: int) -> Iterator[list[str]]:
@@ -294,6 +302,7 @@ def _result(path: Path, rows: _Rows) -> IngestResult:
         raise ValueError(f"{path}: no valid rows")
     if rows.waiting:
         rows.group()
+    sampling = _sampling_label(rows)
     series = []
     duplicates = 0
     for ticker in sorted(rows.codes):
@@ -309,7 +318,7 @@ def _result(path: Path, rows: _Rows) -> IngestResult:
             duplicates += len(last) - int(np.count_nonzero(last))
             ts, prices = ts[last], prices[last]
         series.append(
-            PriceSeries(ticker=ticker, sampling=_sampling_label(ts), timestamps=ts, prices=prices)
+            PriceSeries(ticker=ticker, sampling=sampling, timestamps=ts, prices=prices)
         )
     return IngestResult(series=tuple(series), skipped_rows=rows.skipped, duplicate_rows=duplicates)
 

@@ -1,4 +1,4 @@
-"""Synthetic symbol sources with known entropy rates and convergence harness.
+"""Synthetic symbol sources with known entropy rates.
 
 The sources are seeded and fully deterministic so estimator comparisons are
 reproducible; the Markov oracle gives the analytic entropy rate both
@@ -13,16 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctw import DEFAULT_DEPTH, ctw_entropy_rate
-from .lz import lz_entropy_rate
-
 __all__ = [
     "SyntheticSource",
-    "ConvergenceCurve",
     "generate",
     "stationary_distribution",
     "markov_entropy_rate",
-    "convergence_curve",
     "shift_register_chain",
 ]
 
@@ -45,14 +40,6 @@ class SyntheticSource:
                 raise ValueError("markov source needs a square transition matrix")
             if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
                 raise ValueError("transition rows must be nonnegative and sum to 1")
-
-
-@dataclass(frozen=True)
-class ConvergenceCurve:
-    sizes: tuple[int, ...]
-    estimates_lz: tuple[float, ...]
-    estimates_ctw: tuple[float, ...]
-    true_entropy: float
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -108,47 +95,6 @@ def generate(source: SyntheticSource, n: int) -> np.ndarray:
         state = bisect_left(cdf[state], draw)
         symbols.append(state)
     return np.array(symbols, dtype=np.int64)
-
-
-def convergence_curve(
-    source: SyntheticSource,
-    sizes: list[int],
-    trials: int = 10,
-    ctw_depth: int = DEFAULT_DEPTH,
-) -> ConvergenceCurve:
-    """Mean LZ and CTW estimates per sample size, averaged over trials."""
-    if any(s < 10 for s in sizes):
-        raise ValueError("all sizes must be >= 10")
-    if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
-        raise ValueError("sizes must be strictly increasing")
-    if source.kind == "constant":
-        true_h = 0.0
-    elif source.kind == "uniform_iid":
-        true_h = math.log2(source.alphabet_size)
-    else:
-        true_h = markov_entropy_rate(source.transition)
-    lz_means, ctw_means = [], []
-    for size in sizes:
-        lz_vals, ctw_vals = [], []
-        for trial in range(trials):
-            trial_source = SyntheticSource(
-                kind=source.kind,
-                alphabet_size=source.alphabet_size,
-                seed=source.seed + trial,
-                transition=source.transition,
-            )
-            symbols = generate(trial_source, size)
-            lz_vals.append(lz_entropy_rate(symbols).bits_per_symbol)
-            ctw = ctw_entropy_rate(symbols, source.alphabet_size, depth_D=ctw_depth)
-            ctw_vals.append(ctw.bits_per_symbol)
-        lz_means.append(float(np.mean(lz_vals)))
-        ctw_means.append(float(np.mean(ctw_vals)))
-    return ConvergenceCurve(
-        sizes=tuple(sizes),
-        estimates_lz=tuple(lz_means),
-        estimates_ctw=tuple(ctw_means),
-        true_entropy=true_h,
-    )
 
 
 def _cycle_row_entropy(q: float) -> float:

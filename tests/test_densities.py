@@ -7,7 +7,6 @@ from entrokit.densities import (
     _kernel_matrix,
     _reference_bandwidth,
     density_equality_test,
-    summary_stats,
 )
 
 
@@ -211,23 +210,3 @@ class TestDensityEqualityTest:
         assert blocked.statistic == whole.statistic
         np.testing.assert_allclose(blocked.reference_band_low, whole.reference_band_low, rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocked.reference_band_high, whole.reference_band_high, rtol=0, atol=1e-12)
-
-
-class TestSummaryStats:
-    def test_constant(self):
-        assert summary_stats([1.0, 1.0, 1.0]) == (1.0, 0.0)
-
-    def test_two_values(self):
-        mean, sd = summary_stats([0.0, 2.0])
-        assert mean == 1.0
-        assert sd == pytest.approx(np.sqrt(2))
-
-    def test_jittered_cluster(self):
-        rng = np.random.default_rng(10)
-        samples = 2.04 + rng.normal(0, 1e-4, 91)
-        mean, _ = summary_stats(samples)
-        assert mean == pytest.approx(2.04, abs=1e-3)
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            summary_stats([1.0])

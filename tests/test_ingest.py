@@ -13,6 +13,7 @@ file whole with ``csv.reader`` and groups its rows in plain Python, a dict per
 ticker, as the oracle of both.
 """
 
+import collections
 import csv
 import math
 import os
@@ -82,8 +83,12 @@ def reference_price(raw):
 
 
 def reference(path):
-    """The grouping oracle: per ticker, a dict of the last price read at each timestamp."""
+    """The grouping oracle: per ticker, a dict of the last price read at each timestamp.
+
+    Every series takes the label of the ticker with the most rows read, the first by
+    name of a tie."""
     tickers, skipped, duplicates = {}, 0, 0
+    read = collections.Counter()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = ingest._csv_rows(csv.reader(fh), path, 0)
         header = next(rows, None)
@@ -102,17 +107,21 @@ def reference(path):
                 skipped += 1
                 continue
             prices = tickers.setdefault(fields[1], {})
+            read[fields[1]] += 1
             duplicates += ts in prices
             prices[ts] = price
     if not tickers:
         raise ValueError(f"{path}: no valid rows")
+    longest = max(sorted(tickers), key=read.__getitem__)
+    stamps = sorted(tickers[longest])
+    spacing = statistics.median(b - a for a, b in zip(stamps, stamps[1:])) if stamps[1:] else 0
+    sampling = "intraday" if 0 < spacing < 43_200 else "daily"
     series = []
     for ticker in sorted(tickers):
         stamps = sorted(tickers[ticker])
-        spacing = statistics.median(b - a for a, b in zip(stamps, stamps[1:])) if stamps[1:] else 0
         series.append(PriceSeries(
             ticker=ticker,
-            sampling="intraday" if 0 < spacing < 43_200 else "daily",
+            sampling=sampling,
             timestamps=stamps,
             prices=[tickers[ticker][ts] for ts in stamps],
         ))

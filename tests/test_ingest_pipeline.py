@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import statistics
 import subprocess
 import sys
 import threading
@@ -27,12 +28,15 @@ import pytest
 import entrokit
 from entrokit import pipeline
 from entrokit.backtest import StrategyParams
+from entrokit.bds import BdsParams, bds_statistic
 from entrokit.cli import build_parser
 from entrokit.cli import main as cli_main
+from entrokit.ctw import ctw_entropy_rate
 from entrokit.dataset import write_synthetic_market
 from entrokit.ingest import ingest_csv
+from entrokit.lz import lz_entropy_rate
 from entrokit.pipeline import COMMANDS, RunConfig, run_pipeline
-from entrokit.series import PriceSeries
+from entrokit.series import PriceSeries, log_returns, quantile_discretize
 
 _process_ticker = pipeline._process_ticker
 _ingest_csv = pipeline.ingest_csv
@@ -1147,6 +1151,34 @@ class TestCommands:
                 digests[path.name] = hashlib.sha256(data).hexdigest()
         assert digests == self.PINNED
 
+    # sha256 of the convergence.csv `validate --ctw-depth 8` writes at each seed
+    PINNED_VALIDATE = {
+        0: "8cb5f467edfee32be87a7c3a90e8c176bd018cdc42cf471b83f7a0758293cb2e",
+        3: "6ed9794878c0888b7619b8f0158b3b8181cc3013ff6d5c9e6d93ac307bcc0053",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_VALIDATE))
+    def test_validate_output_pinned(self, tmp_path, seed):
+        """The curves are pinned, and hold what each estimator must: on the constant source
+        both fall with size, and on uniform iid input CTW, a code length, is never below LZ."""
+        out = tmp_path / "out"
+        argv = ["validate", "--out", str(out), "--ctw-depth", "8", "--seed", str(seed)]
+        assert cli_main(argv) == 0
+        data = (out / "convergence.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED_VALIDATE[seed]
+        rows = list(csv.DictReader(io.StringIO(data.decode())))
+        sizes = [100, 300, 1000, 3000, 10000]
+        assert [(r["source"], int(r["size"])) for r in rows] == [
+            (source, size) for source in ("constant", "uniform_iid") for size in sizes
+        ]
+        constant, uniform = rows[:5], rows[5:]
+        assert {float(r["true_entropy"]) for r in constant} == {0.0}
+        assert {float(r["true_entropy"]) for r in uniform} == {2.0}
+        for estimator in ("lz_mean", "ctw_mean"):
+            values = [float(r[estimator]) for r in constant]
+            assert all(a > b for a, b in zip(values, values[1:])), estimator
+        assert all(float(r["ctw_mean"]) >= float(r["lz_mean"]) for r in uniform)
+
     def test_pool_tasks_per_command(self, tmp_path, monkeypatch):
         """Each command submits the pool work its stages read, and no other."""
         estimates = {"_process_ticker": 12}
@@ -1186,7 +1218,8 @@ class TestCommands:
 
     def test_estimators_per_command(self, tmp_path, monkeypatch):
         """Each command runs LZ and BDS once per ticker that passes the cohort rule if it reads
-        them, and never if, like graph and backtest, it reads CTW alone."""
+        them, and never if, like graph and backtest, it reads CTW alone; validate runs both
+        estimators on each of its draws."""
         calls = collections.Counter()
 
         def counted(name):
@@ -1210,8 +1243,10 @@ class TestCommands:
         ]
         every = {"lz_entropy_rate": 12, "ctw_entropy_rate": 12, "bds_statistic": 12}
         ctw = {"ctw_entropy_rate": 12}
+        # validate: 10 draws at each of 5 sizes from each of 2 sources
+        curves = {"lz_entropy_rate": 100, "ctw_entropy_rate": 100}
         expected = {
-            "estimate": every, "validate": {}, "bds": every, "compare": every,
+            "estimate": every, "validate": curves, "bds": every, "compare": every,
             "graph": ctw, "backtest": ctw, "report": every,
         }
         assert expected.keys() == COMMANDS.keys()
@@ -1229,6 +1264,44 @@ class TestCommands:
                     failed = [row["ticker"] for row in csv.DictReader(fh) if row["status"] != "ok"]
                 assert failed == ["FLAT", "SHORT"], command
             assert dict(calls) == counts, command
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bds-m", "3"), ("--bds-eps", "0.5"), ("--states", "8"), ("--ctw-depth", "9")],
+    )
+    def test_estimator_settings_reach_the_estimators(self, tmp_path, flag, value):
+        """A setting other than its default gives each ticker's records the values of the
+        estimators called with it, the summaries their mean and sd, and is listed in report.txt."""
+        paths = [tiny_market(tmp_path), tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")]
+        out = tmp_path / "out"
+        argv = ["estimate", *(a for p in paths for a in ("--input", str(p))), "--out", str(out)]
+        assert cli_main([*argv, flag, value]) == 0
+        name = flag[2:].replace("-", "_")
+        settings = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        settings[name] = type(settings[name])(value)
+        records = list(csv.DictReader(io.StringIO((out / "records.csv").read_text())))
+        expected, entropies = [], collections.defaultdict(list)
+        for series in sorted(
+            (s for p in paths for s in ingest_csv(p).series), key=lambda s: (s.ticker, s.sampling)
+        ):
+            returns = log_returns(series)
+            symbols = quantile_discretize(returns, settings["states"])
+            lz = lz_entropy_rate(symbols).bits_per_symbol
+            ctw = ctw_entropy_rate(symbols, settings["states"], depth_D=settings["ctw_depth"])
+            bds = bds_statistic(returns, BdsParams(settings["bds_m"], settings["bds_eps"]))
+            values = (lz, ctw.bits_per_symbol, bds.statistic, bds.p_value)
+            expected.append([series.ticker, series.sampling, *map(pipeline._fmt, values)])
+            entropies[series.sampling, "ctw"].append(ctw.bits_per_symbol)
+            entropies[series.sampling, "lz"].append(lz)
+        assert [[r["ticker"], r["sampling"], *(r[v] for v in pipeline.RECORD_VALUES)]
+                for r in records] == expected
+        lines = (out / "report.txt").read_text().splitlines()
+        assert f"{name}: {settings[name]}" in lines
+        for (label, estimator), v in entropies.items():
+            assert (
+                f"summary[{label}][{estimator}]: mean={statistics.fmean(v):.6f} "
+                f"sd={statistics.stdev(v):.6f} n={len(v)}"
+            ) in lines
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_degenerate_density_samples(self, tmp_path, jobs):
@@ -1560,6 +1633,41 @@ class TestCli:
         with (out / "records.csv").open(newline="") as fh:
             keys = sorted((row["ticker"], row["sampling"]) for row in csv.DictReader(fh))
         assert keys == sorted((f"TK{k}", s) for k in range(6) for s in ("daily", "intraday"))
+
+    @staticmethod
+    def minute_file_with_lone_bar(tmp_path, ticker):
+        """Six tickers' minute bars, and one bar of ``ticker``."""
+        path = tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(f"600,{ticker},50.0\n")
+        return path
+
+    def test_lone_bar_of_a_daily_ticker_in_a_minute_file(self, tmp_path):
+        """A file has one label: the bar of TK6 is an intraday series, which fails the
+        cohort rule, not a second daily TK6 that clashes with the daily file's."""
+        daily = tiny_market(tmp_path, n_tickers=7)
+        minute = self.minute_file_with_lone_bar(tmp_path, "TK6")
+        out = tmp_path / "o"
+        argv = ["estimate", "--input", str(daily), "--input", str(minute), "--out", str(out)]
+        assert cli_main(argv) == 2
+        with (out / "records.csv").open(newline="") as fh:
+            failed = [
+                (row["ticker"], row["sampling"]) for row in csv.DictReader(fh)
+                if row["status"] == "failed"
+            ]
+        assert failed == [("TK6", "intraday")]
+
+    def test_lone_bar_in_a_minute_file_is_backtested_intraday(self, tmp_path):
+        """The bar of LONE does not make a daily cohort for the backtest to trade."""
+        minute = self.minute_file_with_lone_bar(tmp_path, "LONE")
+        out = tmp_path / "o"
+        assert cli_main(["backtest", "--input", str(minute), "--out", str(out)]) == 2
+        records = read_records(out)
+        assert {row["sampling"] for row in records.values()} == {"intraday"}
+        assert [t for t, row in records.items() if row["status"] == "failed"] == ["LONE"]
+        with (out / "backtest_summary.csv").open(newline="") as fh:
+            traded = [row["ticker"] for row in csv.DictReader(fh)]
+        assert traded == [f"TK{k}" for k in range(6)]
 
     def test_exit_code_success_and_partial(self, tmp_path):
         path = tiny_market(tmp_path)

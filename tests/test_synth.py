@@ -5,7 +5,6 @@ import pytest
 
 from entrokit.synth import (
     SyntheticSource,
-    convergence_curve,
     generate,
     markov_entropy_rate,
     shift_register_chain,
@@ -160,45 +159,3 @@ class TestShiftRegisterChain:
     def test_rows_stochastic(self):
         t = shift_register_chain(0.8)
         assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestConvergenceCurve:
-    def test_constant_source_decreasing(self):
-        curve = convergence_curve(
-            SyntheticSource(kind="constant", alphabet_size=4),
-            [100, 1000, 10000],
-            trials=2,
-            ctw_depth=10,
-        )
-        assert curve.true_entropy == 0.0
-        assert list(curve.estimates_lz) == sorted(curve.estimates_lz, reverse=True)
-        assert list(curve.estimates_ctw) == sorted(curve.estimates_ctw, reverse=True)
-
-    def test_uniform_ctw_above_lz(self):
-        curve = convergence_curve(
-            SyntheticSource(kind="uniform_iid", alphabet_size=4, seed=0),
-            [4000],
-            trials=3,
-            ctw_depth=16,
-        )
-        assert curve.true_entropy == 2.0
-        assert curve.estimates_ctw[0] >= curve.estimates_lz[0]
-
-    def test_markov_true_entropy(self):
-        transition = shift_register_chain(1.5)
-        curve = convergence_curve(
-            SyntheticSource(kind="markov", alphabet_size=4, seed=3, transition=transition),
-            [200, 2000],
-            trials=2,
-            ctw_depth=8,
-        )
-        assert curve.true_entropy == markov_entropy_rate(transition)
-        assert curve.sizes == (200, 2000)
-        assert all(0 < h < 2.2 for h in curve.estimates_lz + curve.estimates_ctw)
-
-    def test_invalid_sizes(self):
-        src = SyntheticSource(kind="constant", alphabet_size=4)
-        with pytest.raises(ValueError):
-            convergence_curve(src, [5, 100], trials=1)
-        with pytest.raises(ValueError):
-            convergence_curve(src, [100, 100], trials=1)

@@ -6,8 +6,11 @@ comma-delimited.  Rows with missing, nonpositive or infinite prices, or
 timestamps outside int64, are skipped and counted; duplicate timestamps
 keep the last row seen.  A file holds one sampling frequency: each of its
 series takes the label (daily vs intraday) of the median timestamp spacing
-of its ticker with the most rows.  A csv error (such as a quote
-never closed) or bytes that are not UTF-8 raise ValueError naming the file.
+of its ticker with the most rows.  A ticker of more than ``bds.MIN_LENGTH``
+timestamps whose own spacing gives the other label makes the file an input
+error, a ValueError naming the file, that ticker and the labelling one.  A
+csv error (such as a quote never closed) or bytes that are not UTF-8 raise
+ValueError naming the file.
 
 The file is read as bytes, ``CHUNK_BYTES`` at a time, each chunk extended
 to the end of its last line.  A chunk whose every line has the strict form
@@ -56,6 +59,7 @@ from typing import BinaryIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .bds import MIN_LENGTH
 from .series import PriceSeries
 
 __all__ = ["IngestResult", "ingest_csv"]
@@ -135,18 +139,22 @@ def _parse_timestamp(raw: str) -> int:
     return ts
 
 
-def _sampling_label(rows: _Rows) -> str:
-    """The file's sampling label: that of its ticker with the most rows read, duplicates
-    counted, and of a tie the first by name."""
-    pieces = max(
-        (rows.pieces[rows.codes[t]] for t in sorted(rows.codes)),
-        key=lambda p: sum(len(ts) for ts, _ in p),
+def _spacing_label(spacing: np.ndarray) -> str:
+    """The sampling label of bars ``spacing`` seconds apart: daily unless their median
+    spacing is below DAILY_SPACING_SECONDS."""
+    if len(spacing) and float(np.median(spacing)) < DAILY_SPACING_SECONDS:
+        return "intraday"
+    return "daily"
+
+
+def _sampling_label(rows: _Rows) -> tuple[str, str]:
+    """The file's sampling label and the ticker it is read from: that with the most rows
+    read, duplicates counted, and of a tie the first by name."""
+    ticker = max(
+        sorted(rows.codes), key=lambda t: sum(len(ts) for ts, _ in rows.pieces[rows.codes[t]])
     )
-    spacing = np.diff(np.sort(np.concatenate([ts for ts, _ in pieces])))
-    spacing = spacing[spacing > 0]  # the rows of one timestamp are one bar
-    if not len(spacing):
-        return "daily"
-    return "daily" if float(np.median(spacing)) >= DAILY_SPACING_SECONDS else "intraday"
+    spacing = np.diff(np.sort(np.concatenate([ts for ts, _ in rows.pieces[rows.codes[ticker]]])))
+    return _spacing_label(spacing[spacing > 0]), ticker  # the rows of one timestamp are one bar
 
 
 def _csv_rows(reader, path: Path, lines_before: int) -> Iterator[list[str]]:
@@ -302,7 +310,7 @@ def _result(path: Path, rows: _Rows) -> IngestResult:
         raise ValueError(f"{path}: no valid rows")
     if rows.waiting:
         rows.group()
-    sampling = _sampling_label(rows)
+    sampling, labelled_by = _sampling_label(rows)
     series = []
     duplicates = 0
     for ticker in sorted(rows.codes):
@@ -317,6 +325,12 @@ def _result(path: Path, rows: _Rows) -> IngestResult:
         if not last.all():
             duplicates += len(last) - int(np.count_nonzero(last))
             ts, prices = ts[last], prices[last]
+        own = _spacing_label(np.diff(ts))
+        if own != sampling and len(ts) > MIN_LENGTH:  # a few bars keep the file's label
+            raise ValueError(
+                f"{path}: {labelled_by!r} is {sampling} but {ticker!r} is {own}: "
+                "a file holds one sampling frequency, so split it"
+            )
         series.append(
             PriceSeries(ticker=ticker, sampling=sampling, timestamps=ts, prices=prices)
         )

@@ -7,23 +7,22 @@ the two: the CLI gives each subcommand the flags of those fields and no
 other, and ``report.txt`` lists those settings and no other.
 
 Per ticker: log returns -> quartile discretization -> LZ and CTW entropy
-rates -> BDS on the raw returns; ``graph`` and ``backtest`` run CTW alone
-(their ``cohorts`` stage).  A ticker belongs to its sampling cohort, the
-input of every cross-sectional stage, if it passes the cohort rule (at
-least ``bds.MIN_LENGTH`` returns, not flat but for rounding) and its
-estimators succeed; else its ``records.csv`` row names the failure, and the
-run goes on.  Cross-sectional stages compare estimate densities across
+rates -> BDS on the raw returns, as ``_VALUES`` says the command reads them:
+``graph`` and ``backtest`` read CTW alone.  A ticker belongs to its sampling
+cohort, the input of every cross-sectional stage, if it passes the cohort
+rule (at least ``bds.MIN_LENGTH`` returns, not flat but for rounding) and
+its estimators succeed; else its ``records.csv`` row names the failure, and
+the run goes on.  Cross-sectional stages compare estimate densities across
 sampling cohorts, build correlation graphs and run the mean-reversion
 backtest.  All files are written atomically under the output directory.
 
 One executor runs a command's work: a process pool when ``jobs > 1``, else
-each task inline, at submit.  The estimates (or cohorts) stage reads every
+each task inline, at submit.  The estimates stage reads every
 input into ``_SERIES``, opens the pool once, and then submits each piece of
 work the moment its inputs exist: the backtest, the per-ticker tasks in
 (sampling, ticker) order, each cohort's graph build as soon as its last
 ticker's task is in, and the density tests once every ticker's is.  A
-per-ticker task returns its values by name: ``ctw_entropy``, and under the
-estimates stage ``lz_entropy``, ``bds_statistic`` and ``bds_p``.
+per-ticker task returns by name the values its command's stages read.
 ``_estimates`` keeps them in ``_Run.values`` by series index, where later
 stages read them (a ticker is ok exactly when it has values), and writes
 ``records.csv``, a row per series, from those ``RECORD_VALUES`` names; any
@@ -97,8 +96,8 @@ COMMANDS = {
     "validate": ("curves",),
     "bds": ("estimates", "associations"),
     "compare": ("estimates", "summaries", "equality_tests"),
-    "graph": ("cohorts", "graphs"),
-    "backtest": ("cohorts", "backtest"),
+    "graph": ("estimates", "graphs"),
+    "backtest": ("estimates", "backtest"),
     "report": ("estimates", "summaries", "equality_tests", "associations", "graphs", "backtest"),
 }
 
@@ -198,7 +197,7 @@ class _Task:
     alone: bool = False  # it ran in a pool of its own, so its result is final
 
 
-class _Executor:
+class _Executor(ExitStack):
     """The one executor of a command, and its recovery from a dead worker.
 
     Tasks run inline until ``open`` asks for a process pool, which only
@@ -212,17 +211,11 @@ class _Executor:
     """
 
     def __init__(self, jobs: int) -> None:
+        super().__init__()  # the with block of its pools: closing it shuts the pool down
         self.jobs = jobs
         self.workers = 0  # of the process pool; 0 while tasks run inline
         self._pool: ProcessPoolExecutor | None = None
-        self._stack = ExitStack()  # the process pool's with block
         self._live: dict[_Task, None] = {}  # submitted to this pool, in order, not yet collected
-
-    def __enter__(self) -> _Executor:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stack.close()
 
     def open(self, tasks: int) -> None:
         """Run later tasks in a pool of ``min(jobs, tasks)`` workers if ``jobs > 1``; call it once.
@@ -236,9 +229,9 @@ class _Executor:
 
     def _replace(self, workers: int) -> None:
         # the old pool shuts down first, so no pool thread runs while the new one forks
-        self._stack.close()
+        self.close()
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=_FORK)
-        self._pool = self._stack.enter_context(pool)
+        self._pool = self.enter_context(pool)
         self.workers = workers
 
     def submit(self, fn: Callable, *args) -> _Task:
@@ -268,7 +261,7 @@ class _Executor:
         """Replace the broken pool and run again every task it lost."""
         lost = [t for t in self._live if isinstance(t.future.exception(), BrokenProcessPool)]
         self._live = {}
-        self._stack.close()
+        self.close()  # the broken pool
         for task in lost:
             task.breaks += 1
         again = next((t for t in lost if t.breaks > 1), None)
@@ -358,8 +351,34 @@ def _rounding_flat(returns: np.ndarray, log_prices: np.ndarray) -> np.ndarray:
     return np.ptp(returns, axis=-1) <= ROUNDING_ULPS * np.finfo(float).eps * scale
 
 
+def _ctw(returns: np.ndarray, symbols: np.ndarray, config: RunConfig) -> dict[str, float]:
+    rate = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth)
+    return {"ctw_entropy": rate.bits_per_symbol}
+
+
+def _lz(returns: np.ndarray, symbols: np.ndarray, config: RunConfig) -> dict[str, float]:
+    return {"lz_entropy": lz_entropy_rate(symbols).bits_per_symbol}
+
+
+def _bds(returns: np.ndarray, symbols: np.ndarray, config: RunConfig) -> dict[str, float]:
+    bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
+    return {"bds_statistic": bds.statistic, "bds_p": bds.p_value}
+
+
+# per-ticker value function -> (the RunConfig fields it reads, the stages that read its
+# values); a ticker's task calls, in this order, each one a stage of its command reads
+_VALUES = {
+    _ctw: (
+        ("states", "ctw_depth"),
+        ("summaries", "equality_tests", "associations", "graphs", "backtest"),
+    ),
+    _lz: ((), ("summaries", "equality_tests", "associations")),
+    _bds: (("bds_m", "bds_eps"), ("summaries", "associations")),  # summaries: estimate's BDS cells
+}
+
+
 def _process_ticker(k: int, config: RunConfig) -> dict[str, float]:
-    """Series ``k``'s named values; it raises if the series fails the cohort rule, checked first."""
+    """Series ``k``'s values read by its command's stages; it raises if it fails the cohort rule."""
     series = _SERIES[k]
     returns = _returns_for(series, config)
     if len(returns) and _rounding_flat(returns, np.log(series.prices)):
@@ -367,15 +386,11 @@ def _process_ticker(k: int, config: RunConfig) -> dict[str, float]:
     if len(returns) < MIN_LENGTH:
         raise ValueError(f"need at least {MIN_LENGTH} observations, got {len(returns)}")
     symbols = quantile_discretize(returns, config.states)
-    ctw = ctw_entropy_rate(symbols, config.states, depth_D=config.ctw_depth).bits_per_symbol
-    if "estimates" not in COMMANDS[config.command]:  # graph and backtest read CTW alone
-        return {"ctw_entropy": ctw}
-    lz = lz_entropy_rate(symbols)
-    bds = bds_statistic(returns, BdsParams(config.bds_m, config.bds_eps))
-    return {
-        "lz_entropy": lz.bits_per_symbol, "ctw_entropy": ctw,
-        "bds_statistic": bds.statistic, "bds_p": bds.p_value,
-    }
+    values: dict[str, float] = {}
+    for value, (_, readers) in _VALUES.items():
+        if set(readers).intersection(COMMANDS[config.command]):
+            values.update(value(returns, symbols, config))
+    return values
 
 
 def _atomic_write(path: Path, text: str | list[str]) -> None:
@@ -708,20 +723,20 @@ def _curves(run: _Run) -> None:
     )
 
 
-# stage -> (its function, the RunConfig fields it reads)
+# stage -> (its function, the RunConfig fields it reads: its own, then its values')
 STAGES = {
-    "estimates": (
-        _estimates,
-        ("inputs", "states", "ctw_depth", "bds_m", "bds_eps", "jobs", "split_sessions"),
-    ),
-    # the estimates stage with CTW alone: _process_ticker returns ctw_entropy only
-    "cohorts": (_estimates, ("inputs", "states", "ctw_depth", "jobs", "split_sessions")),
-    "summaries": (_summaries, ()),
-    "equality_tests": (_equality_tests, ("permutations", "seed")),
-    "associations": (_associations, ()),
-    "graphs": (_graphs, ("split_sessions",)),
-    "backtest": (_backtest, ("strategy",)),
-    "curves": (_curves, ("seed", "ctw_depth")),
+    stage: (fn, own + tuple(
+        f for read, readers in _VALUES.values() if stage in readers for f in read
+    ))
+    for stage, (fn, own) in {
+        "estimates": (_estimates, ("inputs", "states", "jobs", "split_sessions")),
+        "summaries": (_summaries, ()),
+        "equality_tests": (_equality_tests, ("permutations", "seed")),
+        "associations": (_associations, ()),
+        "graphs": (_graphs, ("split_sessions",)),
+        "backtest": (_backtest, ("strategy",)),
+        "curves": (_curves, ("seed", "ctw_depth")),
+    }.items()
 }
 
 

@@ -82,11 +82,18 @@ def reference_price(raw):
     return price if 0 < price < math.inf else None
 
 
+def reference_label(stamps):
+    """The sampling label of sorted, distinct ``stamps``."""
+    spacing = statistics.median(b - a for a, b in zip(stamps, stamps[1:])) if stamps[1:] else 0
+    return "intraday" if 0 < spacing < 43_200 else "daily"
+
+
 def reference(path):
     """The grouping oracle: per ticker, a dict of the last price read at each timestamp.
 
     Every series takes the label of the ticker with the most rows read, the first by
-    name of a tie."""
+    name of a tie; a ticker of more than 50 timestamps whose own label differs makes
+    the file an error, met in ticker order."""
     tickers, skipped, duplicates = {}, 0, 0
     read = collections.Counter()
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -113,12 +120,16 @@ def reference(path):
     if not tickers:
         raise ValueError(f"{path}: no valid rows")
     longest = max(sorted(tickers), key=read.__getitem__)
-    stamps = sorted(tickers[longest])
-    spacing = statistics.median(b - a for a, b in zip(stamps, stamps[1:])) if stamps[1:] else 0
-    sampling = "intraday" if 0 < spacing < 43_200 else "daily"
+    sampling = reference_label(sorted(tickers[longest]))
     series = []
     for ticker in sorted(tickers):
         stamps = sorted(tickers[ticker])
+        own = reference_label(stamps)
+        if len(stamps) > 50 and own != sampling:
+            raise ValueError(
+                f"{path}: {longest!r} is {sampling} but {ticker!r} is {own}: "
+                "a file holds one sampling frequency, so split it"
+            )
         series.append(PriceSeries(
             ticker=ticker,
             sampling=sampling,
@@ -252,6 +263,49 @@ class TestDifferentialFuzz:
             path.write_bytes(data)
             assert outcome(ingest_csv, path)[0] == "error"
             assert_same(path)
+
+
+def mixed_file(path, daily_bars, minute_bars, tickers=6):
+    """``tickers`` daily tickers D0.. of ``daily_bars`` bars each and as many minute
+    tickers M0.. of ``minute_bars`` bars each, in one file."""
+    lines = [
+        f"{10**9 + step * i},{name}{k},{100 + (i * (k + 3)) % 17}.25"
+        for name, step, bars in (("D", 86_400, daily_bars), ("M", 60, minute_bars))
+        for k in range(tickers)
+        for i in range(bars)
+    ]
+    path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+class TestMixedFrequencies:
+    @pytest.mark.parametrize(
+        "daily, minute, clash",
+        [
+            (120, 121, "'M0' is intraday but 'D0' is daily"),
+            (121, 120, "'D0' is daily but 'M0' is intraday"),
+        ],
+    )
+    def test_mixed_file_refused(self, tmp_path, daily, minute, clash):
+        """Six daily and six minute tickers: the ticker that labels the file and the first of
+        the other kind are named, whichever kind has the most rows."""
+        path = mixed_file(tmp_path / "p.csv", daily, minute)
+        message = f"{path}: {clash}: a file holds one sampling frequency, so split it"
+        assert outcome(ingest_csv, path) == ("error", "ValueError", message)
+        assert outcome(reference, path) == outcome(by_rows, path) == outcome(ingest_csv, path)
+
+    @pytest.mark.parametrize("bars", [50, 51])
+    def test_only_tickers_of_more_than_min_length_bars_count(self, tmp_path, bars):
+        """A daily ticker of 50 bars in a minute file is read as intraday; one of 51 is refused."""
+        path = mixed_file(tmp_path / "p.csv", bars, 121, tickers=1)
+        got = outcome(ingest_csv, path)
+        if bars > 50:
+            assert got[:2] == ("error", "ValueError")
+        else:
+            assert [(ticker, sampling) for ticker, sampling, *_ in got[2]] == [
+                ("D0", "intraday"), ("M0", "intraday"),
+            ]
+        assert outcome(reference, path) == outcome(by_rows, path) == got
 
 
 class TestGrouping:

@@ -291,7 +291,7 @@ class TestRunPipeline:
         assert rows["GOOD"]["status"] == "ok"
         assert report.num_failed == 1
 
-    def test_rounding_flat_returns_fail(self, monkeypatch):
+    def test_rounding_flat_returns_fail(self, tmp_path, monkeypatch):
         """Returns equal but for the rounding of their log prices fail as equal ones do, not
         as a BDS rejection; a walk with 1e-6 noise is not flat."""
         t = np.arange(300)
@@ -303,6 +303,7 @@ class TestRunPipeline:
                 pipeline._process_ticker(0, config)
         prices = 100 * np.exp(np.cumsum(noise))
         monkeypatch.setattr(pipeline, "_SERIES", [PriceSeries("T", "daily", t * 86400, prices)])
+        config = RunConfig(inputs=(tiny_market(tmp_path),), out_dir=Path("unused"), command="graph")
         assert set(pipeline._process_ticker(0, config)) == {"ctw_entropy"}
 
     @pytest.mark.parametrize(
@@ -522,16 +523,38 @@ class TestRunPipeline:
             row for row in (plain / "records.csv").read_text().splitlines() if row[:4] != "TK1,"
         ]
 
-    @pytest.mark.parametrize("command", ["graph", "backtest"])
-    def test_cohorts_stage_keeps_ctw_alone(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "validate"])
+    def test_values_per_command(self, tmp_path, monkeypatch, command):
+        """A ticker's task computes the values its command's stages read: graph and backtest
+        read CTW alone, every other command every record value."""
         path = tiny_market(tmp_path)
         runs = keep_runs(monkeypatch, COMMANDS[command][-1])
         out = tmp_path / "o"
         assert cli_main([command, "--input", str(path), "--out", str(out), "--jobs", "2"]) == 0
         [run] = runs
-        assert {k: set(values) for k, values in run.values.items()} == {
-            k: {"ctw_entropy"} for k in range(6)
-        }
+        names = {"ctw_entropy"} if command in ("graph", "backtest") else set(pipeline.RECORD_VALUES)
+        assert {k: set(values) for k, values in run.values.items()} == {k: names for k in range(6)}
+
+    def test_value_read_by_one_stage(self, tmp_path, monkeypatch):
+        """A value function the graphs stage alone reads runs for exactly the commands that
+        build graphs, once a ticker, and its value reaches no file."""
+        calls = collections.Counter()
+
+        def probe(returns, symbols, config):
+            calls[config.command] += 1
+            return {"probe": float(len(returns))}
+
+        monkeypatch.setitem(pipeline._VALUES, probe, ((), ("graphs",)))
+        path = tiny_market(tmp_path)
+        for command in [c for c in COMMANDS if c != "validate"]:
+            runs = keep_runs(monkeypatch, COMMANDS[command][-1])
+            out = tmp_path / command
+            assert cli_main([command, "--input", str(path), "--out", str(out)]) == 0
+            [run] = runs
+            probed = {k for k, values in run.values.items() if values.get("probe") == 119.0}
+            assert probed == (set(range(6)) if command in ("graph", "report") else set())
+            assert not any("probe" in text for text in read_outputs(out).values())
+        assert calls == {"graph": 6, "report": 6}
 
     def test_dead_worker_fails_its_graph(self, tmp_path, monkeypatch):
         """A worker that dies in one cohort's graph build fails that build alone."""
@@ -1132,12 +1155,15 @@ class TestCommands:
         "report.txt": "5231488028d1bffd65e90e4e0ffaed4e2f82334afbf66a20a1e401f79c52243c",
     }
 
-    def test_report_output_pinned(self, tmp_path, monkeypatch):
+    @staticmethod
+    def pinned_digests(tmp_path, monkeypatch, command):
+        """sha256 of each file ``command`` writes on the tiny market, as PINNED takes them."""
         monkeypatch.chdir(tmp_path)
         tiny_market(tmp_path)
         tiny_market(tmp_path, seed=1, step=60, name="intraday.csv")
-        argv = ["report", "--input", "market.csv", "--input", "intraday.csv", "--out", "out",
-                "--permutations", "20"]
+        argv = [command, "--input", "market.csv", "--input", "intraday.csv", "--out", "out"]
+        if command in ("compare", "report"):
+            argv += ["--permutations", "20"]
         assert cli_main(argv) == 0
         digests = {}
         for path in (tmp_path / "out").iterdir():
@@ -1149,7 +1175,41 @@ class TestCommands:
                 )
             if not path.name.startswith("density_"):
                 digests[path.name] = hashlib.sha256(data).hexdigest()
-        assert digests == self.PINNED
+        return digests
+
+    def test_report_output_pinned(self, tmp_path, monkeypatch):
+        assert self.pinned_digests(tmp_path, monkeypatch, "report") == self.PINNED
+
+    # sha256 of records.csv and report.txt from each other input command, taken as
+    # PINNED is: they pin each command's settings and, for graph and backtest, the
+    # empty LZ and BDS cells of the tickers whose CTW alone they compute
+    PINNED_RUNS = {
+        "estimate": (
+            "cad0bf265482efab345c246fe4c8c1002054d21766d33a3d9cd399bdf3247a20",
+            "7533b92632c8ed6221393047fc5884ae9f55862cee02efde03f2ea5592aa6efe",
+        ),
+        "bds": (
+            "cad0bf265482efab345c246fe4c8c1002054d21766d33a3d9cd399bdf3247a20",
+            "944e40cd6d9cc5f0941f50de1a7f24eaec4168ec3612c5a6e97e073327609d23",
+        ),
+        "compare": (
+            "cad0bf265482efab345c246fe4c8c1002054d21766d33a3d9cd399bdf3247a20",
+            "c86ceff5d6c820ff6bdeaaeb43d1aba9c87daa36527f32ccad2d05d930d44478",
+        ),
+        "graph": (
+            "7b40395f83d959068763e87c87c4927bcf9d925f755b945a927a06874cc96255",
+            "db9ec2d0e697e358e2a1bbfd819c75ed94348a1e634c4f02d8c986a0eb33cd9c",
+        ),
+        "backtest": (
+            "7b40395f83d959068763e87c87c4927bcf9d925f755b945a927a06874cc96255",
+            "e68d32e004bb791100fcf10d4f45e2f600d685edb0bf24ad0bbb3c9d61386847",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+    def test_command_output_pinned(self, tmp_path, monkeypatch, command):
+        digests = self.pinned_digests(tmp_path, monkeypatch, command)
+        assert (digests["records.csv"], digests["report.txt"]) == self.PINNED_RUNS[command]
 
     # sha256 of the convergence.csv `validate --ctw-depth 8` writes at each seed
     PINNED_VALIDATE = {
@@ -1633,6 +1693,24 @@ class TestCli:
         with (out / "records.csv").open(newline="") as fh:
             keys = sorted((row["ticker"], row["sampling"]) for row in csv.DictReader(fh))
         assert keys == sorted((f"TK{k}", s) for k in range(6) for s in ("daily", "intraday"))
+
+    @pytest.mark.parametrize("daily, minute", [(120, 121), (121, 120)])
+    def test_mixed_frequency_file_exits_1(self, tmp_path, capsys, daily, minute):
+        """One file of six daily and six minute tickers, of 120 bars or more each, is an input
+        error naming the file and a ticker of each kind, whichever kind has more rows."""
+        rng = np.random.default_rng(0)
+        rows = [
+            f"{i * step},{name}{k},{p:.4f}"
+            for name, step, bars in (("D", 86400, daily), ("M", 60, minute))
+            for k in range(6)
+            for i, p in enumerate(100 * np.exp(np.cumsum(rng.normal(0, 0.02, bars))))
+        ]
+        path = write_csv(tmp_path / "mixed.csv", rows)
+        out = tmp_path / "o"
+        assert cli_main(["estimate", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "'D0' is daily" in err and "'M0' is intraday" in err
+        assert not out.exists()
 
     @staticmethod
     def minute_file_with_lone_bar(tmp_path, ticker):
